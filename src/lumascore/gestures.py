@@ -20,6 +20,7 @@ BIC_EPS = 1e-12
 RRMSE_RANGE_FLOOR = 0.05
 TAU_GRID_LO = 1.0 / 50.0  # grid bounds as fractions of the body duration
 TAU_GRID_HI = 5.0
+STAIRCASE_BLOCK = 64  # piece ends per cost block of the staircase DP
 
 
 class TooFewSamples(ValueError):
@@ -195,25 +196,35 @@ def fit_staircase(samples: np.ndarray, rate: float, max_levels: int = 6) -> Stai
         )
     cy = np.concatenate(([0.0], np.cumsum(y)))
     cyy = np.concatenate(([0.0], np.cumsum(y * y)))
-
-    def block_cost(i: np.ndarray, j: int) -> np.ndarray:
-        length = j - i
-        s = cy[j] - cy[i]
-        return np.maximum(0.0, (cyy[j] - cyy[i]) - s * s / length)
+    pos = np.arange(n + 1, dtype=np.float64)
 
     # dp[k][j]: best cost of splitting y[:j] into k constant pieces
     dp = np.full((max_levels + 1, n + 1), np.inf)
     back = np.zeros((max_levels + 1, n + 1), dtype=np.int64)
-    idx = np.arange(n + 1)
-    lengths = np.arange(1, n + 1, dtype=np.float64)
-    dp[1][1:] = np.maximum(0.0, cyy[1:] - cy[1:] * cy[1:] / lengths)
-    for k in range(2, max_levels + 1):
-        for j in range(k, n + 1):
-            starts = idx[k - 1:j]
-            cand = dp[k - 1][k - 1:j] + block_cost(starts, j)
-            pick = int(np.argmin(cand))
-            dp[k][j] = cand[pick]
-            back[k][j] = starts[pick]
+    dp[1][1:] = np.maximum(0.0, cyy[1:] - cy[1:] * cy[1:] / pos[1:])
+    # the ends j of the last piece go in blocks of STAIRCASE_BLOCK; a block
+    # holds the cost of every piece y[i:j], one row per end j and one column
+    # per start i >= 1, and serves every level count
+    for j0 in range(2, n + 1, STAIRCASE_BLOCK):
+        j1 = min(j0 + STAIRCASE_BLOCK, n + 1)
+        length = pos[j0:j1, None] - pos[None, 1:j1 - 1]
+        s = cy[j0:j1, None] - cy[None, 1:j1 - 1]
+        cost = cyy[j0:j1, None] - cyy[None, 1:j1 - 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(s, s, out=s)
+            np.divide(s, length, out=s)
+        np.subtract(cost, s, out=cost)
+        np.maximum(0.0, cost, out=cost)
+        # empty and reversed pieces (i >= j) all start at i >= j0
+        cost[:, j0 - 1:][length[:, j0 - 1:] <= 0] = np.inf
+        rows = np.arange(j1 - j0)
+        for k in range(2, max_levels + 1):
+            # starts i run from k - 1, so ends j < k see only +inf and stay
+            # infeasible; s is free scratch space by now
+            cand = np.add(dp[k - 1][k - 1:j1 - 1], cost[:, k - 2:], out=s[:, k - 2:])
+            pick = np.argmin(cand, axis=1)  # first minimum, as a scan would
+            dp[k][j0:j1] = cand[rows, pick]
+            back[k][j0:j1] = pick + (k - 1)
     best_m = 2
     best_bic = math.inf
     logn = math.log(n)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -160,6 +162,15 @@ def _int_token(raw: bytes, tag: str) -> int:
         raise MissingRequiredToken("y4m: malformed %s token" % tag) from None
 
 
+def _regular_file_size(handle: BinaryIO) -> int | None:
+    """Size of the regular file behind ``handle``; None for pipes and buffers."""
+    try:
+        st = os.fstat(handle.fileno())
+    except (AttributeError, OSError):
+        return None
+    return st.st_size if stat.S_ISREG(st.st_mode) else None
+
+
 class Y4MReader:
     """Sequential frame iterator over a YUV4MPEG2 stream."""
 
@@ -170,8 +181,12 @@ class Y4MReader:
         else:
             self._file = source
             self._owns_file = False
-        header = self._file.readline()
-        self.info = parse_y4m_header(header)
+        try:
+            self.info = parse_y4m_header(self._file.readline())
+        except BaseException:
+            self.close()
+            raise
+        self._size = _regular_file_size(self._file)
 
     def __iter__(self) -> Iterator[Frame]:
         bpf = self.info.bytes_per_frame
@@ -184,6 +199,13 @@ class Y4MReader:
                 raise BadFrameMarker("y4m: unterminated frame marker")
             if marker != b"FRAME\n" and not marker.startswith(b"FRAME "):
                 raise BadFrameMarker("y4m: expected FRAME marker, got %r" % marker[:16])
+            if self._size is not None and self._size - self._file.tell() < bpf:
+                # a header can claim a frame far larger than memory; never
+                # ask for more bytes than the file holds
+                raise TruncatedFrame(
+                    "y4m: frame %d truncated (%d of %d bytes)"
+                    % (index, self._size - self._file.tell(), bpf)
+                )
             data = self._file.read(bpf)
             if len(data) < bpf:
                 raise TruncatedFrame(
@@ -343,7 +365,9 @@ class RawRgbReader:
         with open(self._path, "rb") as handle:
             index = 0
             while True:
-                data = handle.read(bpf)
+                # the trailing part frame is read as what the file holds: a
+                # sidecar can claim a frame far larger than memory
+                data = handle.read(bpf if index < self.info.frame_count else self._trailing)
                 if data == b"" and self._trailing == 0:
                     return
                 if len(data) < bpf:

@@ -114,7 +114,21 @@ def frame_luma_mean(frame: Frame) -> float:
         green = int(data[1::3].sum(dtype=np.int64))
         blue = int(data[2::3].sum(dtype=np.int64))
         return _weighted_luma(red, green, blue) / (255.0 * pixels)
-    return float(_luma_plane(frame).mean())
+    # 8-bit Y planes: one integer sum gives the correctly rounded mean
+    # without building a float plane; a Y4M colour plane is limited-range,
+    # so its codes are clamped to [16, 235] first
+    pixels = frame.width * frame.height
+    y = np.frombuffer(frame.data, dtype=np.uint8)[:pixels]
+    if frame.pixel_format is PixelFormat.GRAY8:
+        return _code_sum(y) / (255.0 * pixels)
+    return (_code_sum(np.clip(y, 16, 235)) - 16 * pixels) / (219.0 * pixels)
+
+
+def _code_sum(codes: np.ndarray) -> int:
+    """Exact sum of 8-bit codes.  A 32-bit accumulator is about twice as fast
+    as a 64-bit one and cannot wrap while 255 * len(codes) < 2**32."""
+    wide = 255 * len(codes) >= 2 ** 32
+    return int(codes.sum(dtype=np.uint64 if wide else np.uint32))
 
 
 def frame_channel_mean(frame: Frame, channel: CurveChannel) -> float:

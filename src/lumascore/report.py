@@ -90,6 +90,10 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     if not rows:
         raise CsvFormatError("%s: no samples" % source_path)
     table = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(table).all(axis=1) & np.isfinite(times)
+    if not finite.all():
+        raise CsvFormatError("%s: line %d: value is not finite"
+                             % (source_path, int(np.argmin(finite)) + 2))
     n = len(times)
     # a single row carries no timing, fall back to 1 Hz
     rate = (n - 1) / (times[-1] - times[0]) if n > 1 and times[-1] > times[0] else 1.0

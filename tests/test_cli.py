@@ -66,6 +66,16 @@ class TestExtract:
         assert code == 1
         assert capsys.readouterr().err != ""
 
+    def test_frame_larger_than_file_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "huge.y4m"
+        source.write_bytes(b"YUV4MPEG2 W99999999 H99999999 F24:1\nFRAME\n" + bytes(100))
+        code = main(["extract", "--input", str(source), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestAnalyze:
     def test_produces_report(self, shot_video, config_file, tmp_path):
@@ -96,6 +106,19 @@ class TestAnalyze:
                      "--config", str(config_file), "--out", str(tmp_path / "a.json")])
         assert code == 1
         assert str(curves) in capsys.readouterr().err
+
+    def test_nan_sample_exits_1(self, shot_video, config_file, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        main(["extract", "--input", str(shot_video), "--out", str(curves)])
+        lines = curves.read_text().splitlines()
+        lines[10] = lines[10].split(",")[0] + ",nan"
+        curves.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "a.json"
+        code = main(["analyze", "--curves", str(curves),
+                     "--config", str(config_file), "--out", str(out)])
+        assert code == 1
+        assert "line 11: value is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_config_json_exits_2(self, shot_video, tmp_path):
         curves = tmp_path / "curves.csv"

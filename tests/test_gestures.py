@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lumascore.curveprep import smooth_values
 from lumascore.gestures import (
@@ -12,8 +14,10 @@ from lumascore.gestures import (
     ClassifyParams,
     ExpFit,
     Gesture,
+    STAIRCASE_BLOCK,
     LinearFit,
     ShapeKind,
+    StaircaseFit,
     TooFewSamples,
     TransientInfo,
     assign_motifs,
@@ -173,7 +177,99 @@ def staircase_oracle(y, rate, max_levels):
     return best
 
 
+def staircase_loop_oracle(y, rate, max_levels):
+    """The staircase DP as a plain scan over each piece end j, one level count
+    at a time; fit_staircase must reproduce it bit for bit."""
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    cy = np.concatenate(([0.0], np.cumsum(y)))
+    cyy = np.concatenate(([0.0], np.cumsum(y * y)))
+
+    def block_cost(i, j):
+        length = j - i
+        s = cy[j] - cy[i]
+        return np.maximum(0.0, (cyy[j] - cyy[i]) - s * s / length)
+
+    dp = np.full((max_levels + 1, n + 1), np.inf)
+    back = np.zeros((max_levels + 1, n + 1), dtype=np.int64)
+    idx = np.arange(n + 1)
+    lengths = np.arange(1, n + 1, dtype=np.float64)
+    dp[1][1:] = np.maximum(0.0, cyy[1:] - cy[1:] * cy[1:] / lengths)
+    for k in range(2, max_levels + 1):
+        for j in range(k, n + 1):
+            starts = idx[k - 1:j]
+            cand = dp[k - 1][k - 1:j] + block_cost(starts, j)
+            pick = int(np.argmin(cand))
+            dp[k][j] = cand[pick]
+            back[k][j] = starts[pick]
+    best_m = 2
+    best_bic = math.inf
+    for m in range(2, max_levels + 1):
+        bic = n * math.log(dp[m][n] / n + 1e-12) + (2 * m - 1) * math.log(n)
+        if bic < best_bic:
+            best_bic = bic
+            best_m = m
+    edges = [n]
+    j = n
+    for k in range(best_m, 1, -1):
+        j = int(back[k][j])
+        edges.append(j)
+    edges.append(0)
+    edges.reverse()
+    levels = []
+    sse = 0.0
+    for a, b in zip(edges, edges[1:]):
+        piece = y[a:b]
+        mean = float(piece.mean())
+        levels.append(mean)
+        sse += float(((piece - mean) ** 2).sum())
+    return StaircaseFit(tuple(levels), tuple(e / rate for e in edges[1:-1]), sse)
+
+
+# lengths just around one and two cost blocks, where a block is cut short
+_BLOCK_EDGE_LENGTHS = sorted({
+    n for edge in (STAIRCASE_BLOCK, 2 * STAIRCASE_BLOCK)
+    for n in range(edge - 3, edge + 4) if n >= 12
+})
+
+
+@st.composite
+def staircase_inputs(draw):
+    """(samples, max_levels): quantized noise, or plateaus full of exact ties."""
+    max_levels = draw(st.integers(2, 6))
+    n = draw(st.one_of(
+        st.sampled_from(_BLOCK_EDGE_LENGTHS),
+        st.integers(2 * max_levels, 3 * STAIRCASE_BLOCK),
+    ))
+    steps = draw(st.sampled_from((1, 2, 4, 255)))
+    if draw(st.booleans()):
+        codes = draw(st.lists(st.integers(0, steps), min_size=n, max_size=n))
+    else:
+        runs = draw(st.lists(
+            st.tuples(st.integers(0, steps), st.integers(1, n)), min_size=1, max_size=8,
+        ))
+        codes = [code for code, length in runs for _ in range(length)]
+        codes = (codes * (n // len(codes) + 1))[:n]
+    return np.array(codes, dtype=np.float64) / steps, max_levels
+
+
 class TestFitStaircase:
+    @given(staircase_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_blocked_dp_matches_per_end_scan(self, case):
+        y, max_levels = case
+        fit = fit_staircase(y, RATE, max_levels)
+        expected = staircase_loop_oracle(y, RATE, max_levels)
+        assert fit.levels == expected.levels
+        assert fit.step_times_s == expected.step_times_s
+        assert fit.sse == expected.sse
+
+    def test_noisy_staircase_across_several_blocks_matches_scan(self):
+        n = 5 * STAIRCASE_BLOCK + 17
+        levels = np.repeat(np.linspace(0.2, 0.8, 5), -(-n // 5))[:n]
+        y = levels + 0.01 * np.array(gaussian_noise(5, n))
+        assert fit_staircase(y, RATE, 6) == staircase_loop_oracle(y, RATE, 6)
+
     def test_exact_three_level_staircase(self):
         y = np.concatenate(
             (np.full(100, 0.2), np.full(100, 0.5), np.full(100, 0.8))

@@ -100,6 +100,33 @@ def test_y4m_truncated_frame() -> None:
         list(Y4MReader(io.BytesIO(stream)))
 
 
+def test_y4m_frame_larger_than_file_is_truncated(tmp_path) -> None:
+    # the claimed frame is ~10 PB; the reader must not try to allocate it
+    path = tmp_path / "huge.y4m"
+    path.write_bytes(b"YUV4MPEG2 W99999999 H99999999 F24:1 C420\nFRAME\n" + bytes(64))
+    with Y4MReader(path) as reader:
+        with pytest.raises(TruncatedFrame, match="frame 0 truncated \\(64 of"):
+            list(reader)
+
+
+def test_y4m_rejected_header_closes_file(tmp_path, monkeypatch) -> None:
+    import lumascore.ingest as ingest
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+        opened.append(handle)
+        return handle
+
+    monkeypatch.setattr(ingest, "open", recording_open, raising=False)
+    path = tmp_path / "bad.y4m"
+    path.write_bytes(b"YUV4MPEG2 W2 H2 C420\nFRAME\n" + y4m_frame_420(2, 2, 50))
+    with pytest.raises(MissingRequiredToken):
+        Y4MReader(path)
+    assert len(opened) == 1 and opened[0].closed
+
+
 def test_y4m_bad_frame_marker() -> None:
     good = y4m_frame_420(2, 2, 50)
     stream = b"YUV4MPEG2 W2 H2 F24:1 C420\nFRAME\n" + good + b"FRAMX\n" + good
@@ -200,6 +227,18 @@ def test_raw_rgb_trailing_bytes_are_a_truncated_frame(tmp_path) -> None:
     reader = RawRgbReader(raw)
     assert reader.info.frame_count == 1
     with pytest.raises(TruncatedFrame):
+        list(reader)
+
+
+def test_raw_rgb_frame_larger_than_file_is_truncated(tmp_path) -> None:
+    raw = tmp_path / "clip.rgb"
+    raw.write_bytes(bytes(8))
+    (tmp_path / "clip.rgb.json").write_text(
+        json.dumps({"width": 99999999, "height": 99999999, "fps_num": 24, "fps_den": 1})
+    )
+    reader = RawRgbReader(raw)
+    assert reader.info.frame_count == 0
+    with pytest.raises(TruncatedFrame, match="frame 0 truncated \\(8 of"):
         list(reader)
 
 

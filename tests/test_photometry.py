@@ -94,6 +94,40 @@ class TestFrameLumaMean:
         expected = (0.0 + 1.0 + 0.0 + 1.0 + 110.0 / 219.0) / 5.0
         assert frame_luma_mean(frame) == pytest.approx(expected, abs=1e-12)
 
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_gray_mean_is_exact_code_sum_over_255n(self, codes):
+        frame = gray_frame(codes)
+        assert frame_luma_mean(frame) == sum(codes) / (255.0 * len(codes))
+
+    @pytest.mark.parametrize("pixels", [2 ** 32 // 255, 2 ** 32 // 255 + 1])
+    def test_white_gray_frame_sum_does_not_wrap(self, pixels):
+        # 255 * pixels crosses 2**32 between the two sizes
+        frame = Frame(0, pixels, 1, PixelFormat.GRAY8, bytes([255]) * pixels)
+        assert frame_luma_mean(frame) == 1.0
+
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.sampled_from((PixelFormat.Y4M_420, PixelFormat.Y4M_444)),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_y4m_mean_is_exact_clamped_sum(self, width, height, pixel_format, data):
+        # codes below 16 and above 235 clamp; the chroma planes never count
+        n = width * height
+        info = StreamInfo(width, height, 24, 1, pixel_format)
+        y = data.draw(st.lists(
+            st.one_of(st.integers(0, 15), st.integers(236, 255), st.integers(0, 255)),
+            min_size=n, max_size=n,
+        ))
+        chroma = data.draw(st.binary(
+            min_size=info.bytes_per_frame - n, max_size=info.bytes_per_frame - n,
+        ))
+        frame = Frame(0, width, height, pixel_format, bytes(y) + chroma)
+        clamped = sum(min(235, max(16, code)) for code in y)
+        assert frame_luma_mean(frame) == (clamped - 16 * n) / (219.0 * n)
+
     @given(
         st.lists(
             st.tuples(

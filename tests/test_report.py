@@ -97,6 +97,15 @@ class TestReadCurvesCsv:
         with pytest.raises(CsvFormatError, match="line 3"):
             read_curves_csv(b"time_s,luma\n0.000000,0.500000\n0.041667\n")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_value_names_line(self, token, column):
+        rows = [["0.000000", "0.500000"], ["0.020000", "0.400000"], ["0.040000", "0.300000"]]
+        rows[1][column] = token
+        data = ("time_s,luma\n" + "".join(",".join(r) + "\n" for r in rows)).encode()
+        with pytest.raises(CsvFormatError, match="line 3: value is not finite"):
+            read_curves_csv(data)
+
     def test_empty_body_rejected(self):
         with pytest.raises(CsvFormatError):
             read_curves_csv(b"time_s,luma\n")
