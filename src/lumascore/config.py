@@ -237,7 +237,7 @@ def _parse_texture(doc: dict) -> TextureConfig:
 _ARCHETYPE_NAMES = {a.value: a for a in Archetype}
 
 
-def parse_config(doc: dict, source: str = "<config>") -> PipelineConfig:
+def parse_config(doc: dict) -> PipelineConfig:
     doc = _require_mapping(doc, "top level")
     allowed = {"analysis", "manual_boundaries_s", "overrides", "harmony", "texture", "seed"}
     _reject_unknown(doc, allowed, "")
@@ -291,4 +291,4 @@ def load_config(path: str | Path) -> PipelineConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config %s: invalid JSON (%s)" % (path, exc)) from exc
-    return parse_config(doc, str(path))
+    return parse_config(doc)

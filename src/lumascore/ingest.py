@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import stat
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -162,13 +160,23 @@ def _int_token(raw: bytes, tag: str) -> int:
         raise MissingRequiredToken("y4m: malformed %s token" % tag) from None
 
 
-def _regular_file_size(handle: BinaryIO) -> int | None:
-    """Size of the regular file behind ``handle``; None for pipes and buffers."""
-    try:
-        st = os.fstat(handle.fileno())
-    except (AttributeError, OSError):
-        return None
-    return st.st_size if stat.S_ISREG(st.st_mode) else None
+_READ_CHUNK = 1 << 20
+
+
+def _read_chunked(handle: BinaryIO, count: int) -> bytes:
+    """Up to ``count`` bytes, read ``_READ_CHUNK`` at a time until EOF.
+
+    A header can claim a frame far larger than memory; reading it in bounded
+    chunks makes memory grow only with the bytes that arrive, for a regular
+    file and a pipe alike."""
+    parts = []
+    while count > 0:
+        part = handle.read(min(count, _READ_CHUNK))
+        if not part:
+            break
+        parts.append(part)
+        count -= len(part)
+    return b"".join(parts)
 
 
 class Y4MReader:
@@ -186,7 +194,6 @@ class Y4MReader:
         except BaseException:
             self.close()
             raise
-        self._size = _regular_file_size(self._file)
 
     def __iter__(self) -> Iterator[Frame]:
         bpf = self.info.bytes_per_frame
@@ -199,14 +206,7 @@ class Y4MReader:
                 raise BadFrameMarker("y4m: unterminated frame marker")
             if marker != b"FRAME\n" and not marker.startswith(b"FRAME "):
                 raise BadFrameMarker("y4m: expected FRAME marker, got %r" % marker[:16])
-            if self._size is not None and self._size - self._file.tell() < bpf:
-                # a header can claim a frame far larger than memory; never
-                # ask for more bytes than the file holds
-                raise TruncatedFrame(
-                    "y4m: frame %d truncated (%d of %d bytes)"
-                    % (index, self._size - self._file.tell(), bpf)
-                )
-            data = self._file.read(bpf)
+            data = _read_chunked(self._file, bpf)
             if len(data) < bpf:
                 raise TruncatedFrame(
                     "y4m: frame %d truncated (%d of %d bytes)" % (index, len(data), bpf)

@@ -94,9 +94,15 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     if not finite.all():
         raise CsvFormatError("%s: line %d: value is not finite"
                              % (source_path, int(np.argmin(finite)) + 2))
+    # the rate comes from the first and last time, so a column that stalls
+    # or runs backwards would give a wrong rate
+    rising = np.diff(times) > 0
+    if not rising.all():
+        raise CsvFormatError("%s: line %d: time_s is not strictly increasing"
+                             % (source_path, int(np.argmin(rising)) + 3))
     n = len(times)
     # a single row carries no timing, fall back to 1 Hz
-    rate = (n - 1) / (times[-1] - times[0]) if n > 1 and times[-1] > times[0] else 1.0
+    rate = (n - 1) / (times[-1] - times[0]) if n > 1 else 1.0
     return {
         channel: BrightnessCurve(channel, rate, 0.0, table[:, i].copy())
         for i, channel in enumerate(channels)

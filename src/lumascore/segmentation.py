@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class Segment:
 class SegmentationParams:
     min_segment_s: float = 0.5
     penalty_beta: float = 4.0
-    manual_boundaries_s: list[float] | None = field(default=None)
 
 
 def estimate_noise(curve: BrightnessCurve) -> float:

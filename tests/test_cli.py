@@ -120,6 +120,19 @@ class TestAnalyze:
         assert "line 11: value is not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_backwards_time_exits_1(self, shot_video, config_file, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        main(["extract", "--input", str(shot_video), "--out", str(curves)])
+        lines = curves.read_text().splitlines()
+        lines[10] = "0.000000," + lines[10].split(",")[1]
+        curves.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "a.json"
+        code = main(["analyze", "--curves", str(curves),
+                     "--config", str(config_file), "--out", str(out)])
+        assert code == 1
+        assert "line 11: time_s is not strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_config_json_exits_2(self, shot_video, tmp_path):
         curves = tmp_path / "curves.csv"
         main(["extract", "--input", str(shot_video), "--out", str(curves)])

@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,6 +109,43 @@ def test_y4m_frame_larger_than_file_is_truncated(tmp_path) -> None:
     with Y4MReader(path) as reader:
         with pytest.raises(TruncatedFrame, match="frame 0 truncated \\(64 of"):
             list(reader)
+
+
+def _pipe_source(payload: bytes):
+    """Read end of a pipe, opened as a file, and the thread writing ``payload``
+    into it and then closing it."""
+    read_fd, write_fd = os.pipe()
+
+    def write() -> None:
+        with os.fdopen(write_fd, "wb") as sink:
+            sink.write(payload)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return os.fdopen(read_fd, "rb"), writer
+
+
+def test_y4m_pipe_frame_larger_than_stream_is_truncated() -> None:
+    # a pipe has no size to check, so the claimed ~10 PB frame must be read
+    # in bounded chunks until EOF instead of being allocated up front
+    source, writer = _pipe_source(
+        b"YUV4MPEG2 W99999999 H99999999 F24:1 C420\nFRAME\n" + bytes(64))
+    with source, Y4MReader(source) as reader:
+        with pytest.raises(TruncatedFrame, match="frame 0 truncated \\(64 of"):
+            list(reader)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_y4m_pipe_frames_span_read_chunks() -> None:
+    # 1024x1024 4:2:0 frames are 1.5 MiB, more than one read chunk each
+    frames = [y4m_frame_420(1024, 1024, 60 + k, chroma=k) for k in range(2)]
+    stream = build_y4m(1024, 1024, frames)
+    source, writer = _pipe_source(stream)
+    with source, Y4MReader(source) as reader:
+        assert [frame.data for frame in reader] == frames
+    writer.join(timeout=10)
+    assert not writer.is_alive()
 
 
 def test_y4m_rejected_header_closes_file(tmp_path, monkeypatch) -> None:
@@ -261,23 +300,27 @@ def test_sidecar_rejects_missing_key(tmp_path) -> None:
 def test_open_source_dispatch(tmp_path) -> None:
     y4m = tmp_path / "a.y4m"
     y4m.write_bytes(build_y4m(2, 2, [y4m_frame_420(2, 2, 128)]))
-    assert isinstance(open_source(y4m), Y4MReader)
+    with open_source(y4m) as reader:
+        assert isinstance(reader, Y4MReader)
 
     single = tmp_path / "one.ppm"
     single.write_bytes(build_ppm(1, 1, bytes(3)))
-    assert isinstance(open_source(single), ImageSequenceReader)
+    with open_source(single) as reader:
+        assert isinstance(reader, ImageSequenceReader)
 
     seq_dir = tmp_path / "seq"
     seq_dir.mkdir()
     (seq_dir / "f0.pgm").write_bytes(build_ppm(1, 1, bytes(1), magic=b"P5"))
-    assert isinstance(open_source(seq_dir), ImageSequenceReader)
+    with open_source(seq_dir) as reader:
+        assert isinstance(reader, ImageSequenceReader)
 
     raw = tmp_path / "clip.rgb"
     raw.write_bytes(rgb_frame(1, 1, (0, 0, 0)))
     (tmp_path / "clip.rgb.json").write_text(
         json.dumps({"width": 1, "height": 1, "fps_num": 25, "fps_den": 1})
     )
-    assert isinstance(open_source(raw), RawRgbReader)
+    with open_source(raw) as reader:
+        assert isinstance(reader, RawRgbReader)
 
     with pytest.raises(MediaFormatError):
         open_source(tmp_path / "missing.xyz")

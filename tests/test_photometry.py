@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from lumascore.ingest import Frame, PixelFormat, StreamInfo
 from lumascore.photometry import (
+    CHANNEL_ORDER,
     ChannelUnavailable,
     CurveChannel,
     EmptyStream,
+    _contrast_keys,
+    _square_sum,
     extract_curves,
     frame_channel_mean,
     frame_contrast,
@@ -42,6 +45,39 @@ def luma_oracle(pixels):
     """Naive per-pixel reference: exact summation over weighted pixels."""
     terms = [(0.299 * r + 0.587 * g + 0.114 * b) / 255.0 for r, g, b in pixels]
     return math.fsum(terms) / len(terms)
+
+
+def contrast_plane_oracle(frame, method):
+    """The float-plane contrast that integer keys replaced: per-pixel float64
+    luma, then its population std or the nearest-rank 95th minus 5th
+    percentile of a full sort."""
+    arr = np.frombuffer(frame.data, dtype=np.uint8)
+    pixels = frame.width * frame.height
+    if frame.pixel_format is PixelFormat.RGB24:
+        rgb = arr[:3 * pixels].reshape(pixels, 3).astype(np.float64)
+        red, green, blue = rgb[:, 0], rgb[:, 1], rgb[:, 2]
+        luma = (blue + 0.299 * (red - blue) + 0.587 * (green - blue)) / 255.0
+    elif frame.pixel_format is PixelFormat.GRAY8:
+        luma = arr[:pixels].astype(np.float64) / 255.0
+    else:
+        luma = np.clip((arr[:pixels].astype(np.float64) - 16.0) / 219.0, 0.0, 1.0)
+    if method == "rms":
+        return 0.0 if np.ptp(luma) == 0.0 else float(luma.std())
+    ordered = np.sort(luma)
+    n = len(ordered)
+    return float(ordered[(95 * n + 99) // 100 - 1] - ordered[(5 * n + 99) // 100 - 1])
+
+
+def exact_keys(frame):
+    """Per-pixel integer luma keys in Python ints, straight from the bytes."""
+    pixels = frame.width * frame.height
+    data = frame.data
+    if frame.pixel_format is PixelFormat.RGB24:
+        return [299 * data[3 * i] + 587 * data[3 * i + 1] + 114 * data[3 * i + 2]
+                for i in range(pixels)]
+    if frame.pixel_format is PixelFormat.GRAY8:
+        return list(data[:pixels])
+    return [min(235, max(16, code)) - 16 for code in data[:pixels]]
 
 
 class ListSource:
@@ -231,6 +267,88 @@ class TestFrameContrast:
             frame_contrast(gray_frame([1]), "minmax")
 
 
+# set before the comparison was run: ~45 ulp of 1.0, far above the few-ulp
+# rounding differences between float-plane and integer-key arithmetic
+ORACLE_ABS_TOL = 1e-14
+ALL_FORMATS = (PixelFormat.RGB24, PixelFormat.GRAY8,
+               PixelFormat.Y4M_420, PixelFormat.Y4M_444)
+
+
+@st.composite
+def frames(draw):
+    """A small frame of any pixel format: random codes, one flat code, or two
+    codes; Y4M codes often fall below 16 or above 235."""
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    fmt = draw(st.sampled_from(ALL_FORMATS))
+    size = StreamInfo(width, height, 24, 1, fmt).bytes_per_frame
+    codes = st.one_of(st.integers(0, 15), st.integers(236, 255), st.integers(0, 255))
+    palette = draw(st.lists(codes, min_size=1, max_size=2))
+    kind = draw(st.sampled_from(("random", "palette")))
+    if kind == "random":
+        data = draw(st.binary(min_size=size, max_size=size))
+    else:
+        data = bytes(draw(st.lists(st.sampled_from(palette), min_size=size, max_size=size)))
+    return Frame(0, width, height, fmt, data)
+
+
+class TestContrastAgainstFloatPlane:
+    @given(frames())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_float_plane_oracle(self, frame):
+        for method in ("rms", "spread"):
+            assert abs(frame_contrast(frame, method)
+                       - contrast_plane_oracle(frame, method)) <= ORACLE_ABS_TOL
+
+    @given(frames())
+    @settings(max_examples=200, deadline=None)
+    def test_rms_is_zero_exactly_when_all_keys_are_equal(self, frame):
+        rms = frame_contrast(frame, "rms")
+        if len(set(exact_keys(frame))) == 1:
+            assert rms == 0.0
+        else:
+            assert rms > 0.0
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_full_size_noise_matches_oracle(self, fmt):
+        rng = np.random.default_rng(2027)
+        size = StreamInfo(640, 480, 24, 1, fmt).bytes_per_frame
+        for _ in range(3):
+            frame = Frame(0, 640, 480, fmt, rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+            for method in ("rms", "spread"):
+                assert abs(frame_contrast(frame, method)
+                           - contrast_plane_oracle(frame, method)) <= ORACLE_ABS_TOL
+
+    @given(frames())
+    @settings(max_examples=100, deadline=None)
+    def test_keys_are_exact(self, frame):
+        keys, scale = _contrast_keys(frame)
+        assert [int(k) for k in keys] == exact_keys(frame)
+        white = {PixelFormat.RGB24: 255000, PixelFormat.GRAY8: 255,
+                 PixelFormat.Y4M_420: 219, PixelFormat.Y4M_444: 219}
+        assert scale == white[frame.pixel_format]
+
+
+class TestSquareSum:
+    @given(st.lists(st.integers(0, 255000), max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_sum_equals_unchunked(self, values):
+        keys = np.array(values, dtype=np.int32)
+        exact = sum(v * v for v in values)
+        # a bound of 2**30 cuts the keys into chunks of 7 squares; the RGB
+        # bound keeps them in one chunk
+        assert _square_sum(keys, 2 ** 30) == exact
+        assert _square_sum(keys, 255000) == exact
+        assert int((keys.astype(np.int64) ** 2).sum()) == exact
+
+    def test_chunks_keep_a_sum_that_would_wrap_int64(self):
+        # each chunk holds 3 squares of the bound; ten of them overflow int64
+        bound = math.isqrt((2 ** 63 - 1) // 3)
+        assert (2 ** 63 - 1) // (bound * bound) == 3
+        keys = np.full(10, bound, dtype=np.int64)
+        assert _square_sum(keys, bound) == 10 * bound * bound
+        assert 10 * bound * bound > 2 ** 63 - 1
+
+
 class TestExtractCurves:
     def test_black_gray_white_luma_curve(self):
         source = gray_source([[0, 0], [128, 128], [255, 255]])
@@ -286,6 +404,36 @@ class TestExtractCurves:
                 serial[channel].values.tobytes()
                 == threaded[channel].values.tobytes()
             )
+
+    def test_rgb_six_channels_thread_count_does_not_change_bytes(self):
+        # every channel shares the per-frame plane sums and contrast keys
+        rng = np.random.default_rng(4242)
+        info = StreamInfo(16, 9, 24, 1, PixelFormat.RGB24)
+        frames = [Frame(i, 16, 9, PixelFormat.RGB24,
+                        rng.integers(0, 256, info.bytes_per_frame, dtype=np.uint8).tobytes())
+                  for i in range(120)]
+        serial = extract_curves(ListSource(info, frames), CHANNEL_ORDER, workers=1)
+        threaded = extract_curves(ListSource(info, frames), CHANNEL_ORDER, workers=4)
+        for channel in CHANNEL_ORDER:
+            assert (serial[channel].values.tobytes()
+                    == threaded[channel].values.tobytes())
+
+    def test_rgb_shared_sums_equal_single_channel_calls(self):
+        rng = np.random.default_rng(99)
+        info = StreamInfo(7, 5, 24, 1, PixelFormat.RGB24)
+        frames = [Frame(i, 7, 5, PixelFormat.RGB24,
+                        rng.integers(0, 256, info.bytes_per_frame, dtype=np.uint8).tobytes())
+                  for i in range(40)]
+        curves = extract_curves(ListSource(info, frames), CHANNEL_ORDER)
+        single = {
+            CurveChannel.LUMA: frame_luma_mean,
+            CurveChannel.CONTRAST_RMS: lambda f: frame_contrast(f, "rms"),
+            CurveChannel.CONTRAST_SPREAD: lambda f: frame_contrast(f, "spread"),
+        }
+        for channel in CHANNEL_ORDER:
+            measure = single.get(channel, lambda f, c=channel: frame_channel_mean(f, c))
+            expected = np.array([measure(f) for f in frames])
+            assert curves[channel].values.tobytes() == expected.tobytes()
 
     def test_hard_cuts_mark_the_only_nonzero_differences(self):
         # constant-brightness shots joined by hard cuts

@@ -106,6 +106,14 @@ class TestReadCurvesCsv:
         with pytest.raises(CsvFormatError, match="line 3: value is not finite"):
             read_curves_csv(data)
 
+    @pytest.mark.parametrize("time", ["0.010000", "0.020000"])
+    def test_time_not_increasing_names_line(self, time):
+        # a backwards or repeated time would give a wrong recovered rate
+        data = ("time_s,luma\n0.000000,0.5\n0.020000,0.4\n%s,0.3\n0.060000,0.2\n"
+                % time).encode()
+        with pytest.raises(CsvFormatError, match="line 4: time_s is not strictly increasing"):
+            read_curves_csv(data)
+
     def test_empty_body_rejected(self):
         with pytest.raises(CsvFormatError):
             read_curves_csv(b"time_s,luma\n")
