@@ -71,20 +71,7 @@ def smooth(curve: BrightnessCurve, window_s: float) -> BrightnessCurve:
     )
 
 
-def residual_roughness(values: np.ndarray, smoothed: np.ndarray) -> float:
-    """RMS of the residual against its smooth reference, saturating at 1."""
+def residual_rms(values: np.ndarray, smoothed: np.ndarray) -> float:
+    """Root mean square of the residual of values against their smooth reference."""
     resid = np.asarray(values, dtype=np.float64) - np.asarray(smoothed, dtype=np.float64)
-    rms = float(np.sqrt(np.mean(resid * resid)))
-    return min(1.0, rms / ROUGHNESS_SCALE)
-
-
-def roughness(curve: BrightnessCurve, window_s: float, value_range: float = 1.0) -> float:
-    """High-frequency content of the curve relative to its moving average.
-
-    ``value_range`` is the caller's smoothed value range (floored at 0.05);
-    the saturation scale itself is fixed, so the argument only gets validated.
-    """
-    if value_range <= 0:
-        raise ValueError("value_range must be positive")
-    smoothed = smooth_values(curve.values, curve.sample_rate, window_s)
-    return residual_roughness(curve.values, smoothed)
+    return math.sqrt(float(np.mean(resid * resid)))

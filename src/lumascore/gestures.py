@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curveprep import ROUGHNESS_SCALE
+from .curveprep import ROUGHNESS_SCALE, residual_rms
 from .segmentation import Segment
 
 BIC_EPS = 1e-12
@@ -335,8 +335,7 @@ def classify(
     kind = ShapeKind.PLATEAU if value_range < params.flat else _kind_of(winner)
     # roughness of the sustained body; a transient jump is its own feature
     # and must not read as grain
-    body_resid = raw[body_start:] - smoothed[body_start:]
-    resid_rms = math.sqrt(float(np.mean(body_resid * body_resid)))
+    resid_rms = residual_rms(raw[body_start:], smoothed[body_start:])
     granularity = min(1.0, resid_rms / ROUGHNESS_SCALE)
     rrmse = math.sqrt(winner.sse / nb) / max(value_range, RRMSE_RANGE_FLOOR)
     # chaotic when no template explains the body, or the segment is rough

@@ -96,16 +96,35 @@ class CurveSet:
         return self.curves[channel]
 
 
-def _plane_sum(frame: Frame, index: int) -> int:
-    """Exact sum of one RGB24 colour plane.  Integer sums stay exact (at most
-    255 * pixels, far below 2**53), and one strided pass per plane is an
-    order of magnitude faster than a 2-D reduction."""
-    data = np.frombuffer(frame.data, dtype=np.uint8)
-    return int(data[index:3 * frame.width * frame.height:3].sum(dtype=np.int64))
+# the column-sum kernel lays codes out in rows of LANE_ROW bytes (a multiple
+# of 3, so RGB24 lanes stay aligned) and sums at most LANE_BLOCK rows at a
+# time into uint16 columns, which cannot wrap: 257 * 255 = 65535
+LANE_ROW = 3 * 1024
+LANE_BLOCK = 257
 
 
-def _rgb_sums(frame: Frame) -> tuple[int, int, int]:
-    return _plane_sum(frame, 0), _plane_sum(frame, 1), _plane_sum(frame, 2)
+def _lane_sums(codes: np.ndarray, lanes: int) -> tuple[int, ...]:
+    """Exact sums of the interleaved lanes of 8-bit codes: lane ``l`` sums
+    ``codes[l::lanes]``.  Summing whole rows into uint16 columns is ~1.5x
+    the speed of a flat uint32 sum.  Each block's column totals fold into
+    the lanes in uint64, and the part row at the end takes strided uint64
+    sums."""
+    rows = len(codes) // LANE_ROW
+    table = codes[:rows * LANE_ROW].reshape(rows, LANE_ROW)
+    tail = codes[rows * LANE_ROW:]
+    totals = [int(tail[lane::lanes].sum(dtype=np.uint64)) for lane in range(lanes)]
+    for start in range(0, rows, LANE_BLOCK):
+        columns = table[start:start + LANE_BLOCK].sum(axis=0, dtype=np.uint16)
+        folded = columns.reshape(-1, lanes).sum(axis=0, dtype=np.uint64)
+        for lane in range(lanes):
+            totals[lane] += int(folded[lane])
+    return tuple(totals)
+
+
+def _rgb_sums(frame: Frame) -> tuple[int, ...]:
+    """Exact sums of the three RGB24 colour planes."""
+    pixels = frame.width * frame.height
+    return _lane_sums(np.frombuffer(frame.data, dtype=np.uint8)[:3 * pixels], 3)
 
 
 def _rgb_mean(sums: tuple[int, int, int], pixels: int, channel: CurveChannel) -> float:
@@ -125,15 +144,8 @@ def frame_luma_mean(frame: Frame) -> float:
     # so its codes are clamped to [16, 235] first
     y = np.frombuffer(frame.data, dtype=np.uint8)[:pixels]
     if frame.pixel_format is PixelFormat.GRAY8:
-        return _code_sum(y) / (255.0 * pixels)
-    return (_code_sum(np.clip(y, 16, 235)) - 16 * pixels) / (219.0 * pixels)
-
-
-def _code_sum(codes: np.ndarray) -> int:
-    """Exact sum of 8-bit codes.  A 32-bit accumulator is about twice as fast
-    as a 64-bit one and cannot wrap while 255 * len(codes) < 2**32."""
-    wide = 255 * len(codes) >= 2 ** 32
-    return int(codes.sum(dtype=np.uint64 if wide else np.uint32))
+        return _lane_sums(y, 1)[0] / (255.0 * pixels)
+    return (_lane_sums(np.clip(y, 16, 235), 1)[0] - 16 * pixels) / (219.0 * pixels)
 
 
 def frame_channel_mean(frame: Frame, channel: CurveChannel) -> float:
@@ -145,7 +157,7 @@ def frame_channel_mean(frame: Frame, channel: CurveChannel) -> float:
             % (channel.value, frame.pixel_format.value)
         )
     pixels = frame.width * frame.height
-    return _plane_sum(frame, _RGB_INDEX[channel]) / (255.0 * pixels)
+    return _rgb_sums(frame)[_RGB_INDEX[channel]] / (255.0 * pixels)
 
 
 def _contrast_keys(frame: Frame) -> tuple[np.ndarray, int]:

@@ -26,6 +26,8 @@ from .photometry import CHANNEL_ORDER, BrightnessCurve, CurveChannel, CurveSet
 from .segmentation import Segment
 
 REPORT_VERSION = "1"
+# times are written with six decimals, so faster samples would share a time
+MAX_CSV_RATE_HZ = 1e6
 
 
 class ReportFormatError(ValueError):
@@ -47,6 +49,9 @@ def write_curves_csv(curves: CurveSet) -> bytes:
         if len(column) != n:
             raise ValueError("curve %s has mismatched length" % channel.value)
     rate = curves.curves[present[0]].sample_rate
+    if rate > MAX_CSV_RATE_HZ:
+        raise ValueError("sample rate %g Hz is above %g Hz, the finest rate the "
+                         "six-decimal time column resolves" % (rate, MAX_CSV_RATE_HZ))
     lines = ["time_s," + ",".join(c.value for c in present)]
     for i in range(n):
         row = ["%.6f" % (i / rate)]
@@ -195,7 +200,55 @@ def report_to_bytes(report: dict) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
+# the fields of a report that compose and plot read, by JSON type
+_CHANNEL_FIELDS = {"channel": "string", "sample_rate_hz": "number", "t0": "number",
+                   "values": "numbers"}
+_SEGMENT_FIELDS = {"start_s": "number", "end_s": "number", "kind": "string",
+                   "archetype": "string", "granularity": "number", "fit": "object",
+                   "mean_brightness": "number"}
+_TRANSIENT_FIELDS = {"t_s": "number", "amplitude": "number"}
+_FIT_FIELDS = {
+    "linear": {"intercept": "number", "slope_per_s": "number", "sse": "number"},
+    "exponential": {"offset": "number", "scale": "number", "tau_s": "number",
+                    "sse": "number"},
+    "staircase": {"levels": "numbers", "step_times_s": "numbers", "sse": "number"},
+}
+_TYPE_NAMES = {"number": "a finite number", "integer": "an integer",
+               "string": "a string", "object": "an object", "list": "a list",
+               "numbers": "a list of finite numbers"}
+# exact types, as json.loads builds them; a JSON true/false is a bool, which
+# isinstance would count as an int
+_JSON_TYPES = {"integer": {int}, "string": {str}, "object": {dict}, "list": {list}}
+
+
+def _finite_numbers(values: list) -> bool:
+    # json.loads also reads NaN, Infinity and integers too large for a float
+    if not set(map(type, values)) <= {int, float}:
+        return False
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
+def _has_type(value, kind: str) -> bool:
+    if kind == "number":
+        return _finite_numbers([value])
+    if kind == "numbers":
+        return type(value) is list and _finite_numbers(value)
+    return type(value) in _JSON_TYPES[kind]
+
+
+def _check_fields(obj, fields: dict[str, str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ReportFormatError("%s must be an object" % where)
+    for key, kind in fields.items():
+        if not _has_type(obj.get(key), kind):
+            raise ReportFormatError("%s: %s must be %s" % (where, key, _TYPE_NAMES[kind]))
+
+
 def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
+    """Parse a report and check the type of every field compose and plot read."""
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -207,6 +260,23 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
             raise ReportFormatError("%s: missing key %s" % (source_path, key))
     if doc["version"] != REPORT_VERSION:
         raise ReportFormatError("%s: unsupported version %r" % (source_path, doc["version"]))
+    _check_fields(doc, {"rate_hz": "number", "channels": "list", "segments": "list"},
+                  source_path)
+    if not doc["channels"]:
+        raise ReportFormatError("%s: channels is empty" % source_path)
+    _check_fields(doc["channels"][0], _CHANNEL_FIELDS, "%s: channels[0]" % source_path)
+    for i, seg in enumerate(doc["segments"]):
+        where = "%s: segments[%d]" % (source_path, i)
+        _check_fields(seg, _SEGMENT_FIELDS, where)
+        if seg.get("transient") is not None:
+            _check_fields(seg["transient"], _TRANSIENT_FIELDS, where + ".transient")
+        motif = seg.get("motif_id")
+        if motif is not None and not _has_type(motif, "integer"):
+            raise ReportFormatError("%s: motif_id must be an integer or null" % where)
+        fields = _FIT_FIELDS.get(seg["fit"].get("model"))
+        if fields is None:
+            raise ReportFormatError("%s: unknown fit model %r" % (where, seg["fit"].get("model")))
+        _check_fields(seg["fit"], fields, where + ".fit")
     return doc
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from lumascore.cli import main
 from lumascore.midi import read_smf
+from lumascore.photometry import CurveChannel
+from lumascore.report import read_curves_csv
 
 from _synth import build_ppm, build_y4m, y4m_frame_420
 
@@ -75,6 +77,30 @@ class TestExtract:
         assert err.startswith("error: ") and "truncated" in err
         assert err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
+
+
+    def test_rate_finer_than_the_time_column_exits_1(self, tmp_path, capsys):
+        source = tmp_path / "fast.y4m"
+        source.write_bytes(build_y4m(16, 16, [y4m_frame_420(16, 16, 40)] * 3,
+                                     fps=(3000000, 1)))
+        out = tmp_path / "x.csv"
+        code = main(["extract", "--input", str(source), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_one_megahertz_round_trips(self, tmp_path):
+        source = tmp_path / "fast.y4m"
+        source.write_bytes(build_y4m(
+            16, 16, [y4m_frame_420(16, 16, v) for v in (16, 126, 235, 60)],
+            fps=(1000000, 1),
+        ))
+        out = tmp_path / "x.csv"
+        assert main(["extract", "--input", str(source), "--out", str(out)]) == 0
+        luma = read_curves_csv(out.read_bytes())[CurveChannel.LUMA]
+        assert luma.sample_rate == 1e6
+        assert list(luma.values) == [0.0, 0.502283, 1.0, 0.200913]
 
 
 class TestAnalyze:
@@ -168,6 +194,48 @@ class TestComposeAndPlot:
         text = svg.read_text()
         assert text.count("<polyline") == 1
         assert text.count("<text") == 0
+
+
+class TestMalformedReport:
+    @pytest.fixture
+    def report(self, shot_video, config_file, tmp_path):
+        curves = tmp_path / "curves.csv"
+        report = tmp_path / "analysis.json"
+        main(["extract", "--input", str(shot_video), "--out", str(curves)])
+        main(["analyze", "--curves", str(curves),
+              "--config", str(config_file), "--out", str(report)])
+        return report
+
+    def _edit(self, report, edit):
+        doc = json.loads(report.read_text())
+        edit(doc)
+        report.write_text(json.dumps(doc))
+
+    def _assert_one_error_line(self, code, capsys):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_segment_without_granularity_exits_1(self, report, config_file, tmp_path,
+                                                 capsys):
+        self._edit(report, lambda doc: doc["segments"][0].pop("granularity"))
+        code = main(["compose", "--analysis", str(report),
+                     "--config", str(config_file), "--out", str(tmp_path / "s.mid")])
+        self._assert_one_error_line(code, capsys)
+        assert not (tmp_path / "s.mid").exists()
+
+    @pytest.mark.parametrize("stage", ["compose", "plot"])
+    def test_segments_as_a_string_exits_1(self, report, config_file, tmp_path, capsys,
+                                          stage):
+        self._edit(report, lambda doc: doc.update(segments="abc"))
+        if stage == "compose":
+            argv = ["compose", "--analysis", str(report), "--config", str(config_file)]
+        else:
+            argv = ["plot", "--curves", str(tmp_path / "curves.csv"),
+                    "--analysis", str(report)]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        self._assert_one_error_line(code, capsys)
+        assert not (tmp_path / "out").exists()
 
 
 class TestPipeline:

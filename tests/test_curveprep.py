@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumascore.curveprep import (
+    ROUGHNESS_SCALE,
     NonPositiveRate,
-    residual_roughness,
     resample,
-    roughness,
+    residual_rms,
     smooth,
     smooth_values,
 )
@@ -128,49 +128,42 @@ class TestSmooth:
         assert abs(float(out.mean()) - float(np.mean(vals))) <= tolerance
 
 
+def smoothed_rms(values, window_s=0.25, rate=50.0):
+    values = np.asarray(values, dtype=np.float64)
+    return residual_rms(values, smooth_values(values, rate, window_s))
+
+
 class TestRoughness:
     def test_constant_curve_is_smooth(self):
-        assert roughness(curve([0.5] * 100), 0.25) == 0.0
+        assert smoothed_rms([0.5] * 100) == 0.0
 
     def test_clean_ramp_is_nearly_smooth(self):
-        vals = np.linspace(0.0, 1.0, 250)
-        assert roughness(curve(list(vals)), 0.25) < 0.1
+        assert smoothed_rms(np.linspace(0.0, 1.0, 250)) < 0.1 * ROUGHNESS_SCALE
 
     def test_noisy_ramp_is_granular(self):
         ramp = np.linspace(0.2, 0.8, 500)
         noise = (np.array(unit_noise(8, 500)) - 0.5) * 0.2  # amplitude ±0.1
         vals = np.clip(ramp + noise, 0.0, 1.0)
-        assert roughness(curve(list(vals)), 0.25) >= 0.9
+        assert smoothed_rms(vals) >= 0.9 * ROUGHNESS_SCALE
 
     def test_matches_residual_rms_oracle(self):
         vals = np.array(unit_noise(12, 200))
         smoothed = smooth_values(vals, 50.0, 0.25)
         resid = vals - smoothed
-        rms = math.sqrt(math.fsum(r * r for r in resid) / len(resid))
-        expected = min(1.0, rms / 0.05)
-        assert roughness(curve(list(vals)), 0.25) == pytest.approx(
-            expected, abs=1e-12
-        )
-
-    def test_saturates_at_one(self):
-        vals = [0.0, 1.0] * 100
-        assert roughness(curve(vals), 0.25) == 1.0
+        expected = math.sqrt(math.fsum(r * r for r in resid) / len(resid))
+        assert residual_rms(vals, smoothed) == pytest.approx(expected, rel=1e-12)
 
     def test_invariant_under_constant_offset(self):
         base = np.array(unit_noise(3, 150)) * 0.4
         lifted = base + 0.3
-        r0 = roughness(curve(list(base)), 0.25)
-        r1 = roughness(curve(list(lifted)), 0.25)
-        assert r0 == pytest.approx(r1, abs=1e-9)
+        assert smoothed_rms(base) == pytest.approx(smoothed_rms(lifted), abs=1e-9)
 
-    def test_nonpositive_range_rejected(self):
-        with pytest.raises(ValueError):
-            roughness(curve([0.1, 0.2, 0.3]), 0.25, value_range=0.0)
-
-    def test_residual_roughness_on_slices(self):
+    def test_residual_rms_on_slices(self):
+        # the whole mean square is the length-weighted mean of the parts'
         vals = np.array(unit_noise(21, 300))
         smoothed = smooth_values(vals, 50.0, 0.25)
-        whole = residual_roughness(vals, smoothed)
-        assert 0.0 <= whole <= 1.0
-        part = residual_roughness(vals[50:100], smoothed[50:100])
-        assert 0.0 <= part <= 1.0
+        whole = residual_rms(vals, smoothed)
+        head = residual_rms(vals[:100], smoothed[:100])
+        rest = residual_rms(vals[100:], smoothed[100:])
+        assert whole ** 2 == pytest.approx((100 * head ** 2 + 200 * rest ** 2) / 300,
+                                           rel=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lumascore.curveprep import smooth_values
+from lumascore.curveprep import ROUGHNESS_SCALE, residual_rms, smooth_values
 from lumascore.gestures import (
     Archetype,
     ClassifyParams,
@@ -406,6 +406,14 @@ class TestClassifyDetails:
             gesture = classify_raw(raw)
             assert gesture.kind is ShapeKind.LINEAR_DECAY
             assert gesture.archetype is Archetype.DIMINUENDO_HELD
+
+    def test_granularity_saturates_at_one(self):
+        assert classify_raw([0.0, 1.0] * 125).granularity == 1.0
+        raw = 0.5 + 0.02 * (np.array(unit_noise(4, 250)) - 0.5)
+        gesture = classify_raw(raw)
+        assert gesture.transient is None
+        rms = residual_rms(raw, smooth_values(raw, RATE, 0.25))
+        assert gesture.granularity == rms / ROUGHNESS_SCALE < 1.0
 
     def test_chaotic_keeps_best_structured_fit_for_reporting(self):
         raw = 0.2 + 0.6 * np.array(unit_noise(55, 250))

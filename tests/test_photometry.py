@@ -14,6 +14,7 @@ from lumascore.photometry import (
     CurveChannel,
     EmptyStream,
     _contrast_keys,
+    _lane_sums,
     _square_sum,
     extract_curves,
     frame_channel_mean,
@@ -347,6 +348,39 @@ class TestSquareSum:
         keys = np.full(10, bound, dtype=np.int64)
         assert _square_sum(keys, bound) == 10 * bound * bound
         assert 10 * bound * bound > 2 ** 63 - 1
+
+
+class TestLaneSums:
+    # rows of 3072 codes; 257 white rows sum to 65535 per uint16 column,
+    # and a block of 258 would wrap
+    @pytest.mark.parametrize("pixels", [257 * 3072, 258 * 3072, 258 * 3072 + 1])
+    def test_white_gray_frame_sums_exactly(self, pixels):
+        codes = np.full(pixels, 255, dtype=np.uint8)
+        assert _lane_sums(codes, 1) == (255 * pixels,)
+        frame = Frame(0, pixels, 1, PixelFormat.GRAY8, codes.tobytes())
+        assert frame_luma_mean(frame) == 1.0
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3071, 3072, 3073, 5 * 3072 + 7])
+    def test_tail_shorter_than_a_row(self, size):
+        codes = np.frombuffer(bytes(range(251)) * (size // 251 + 1), dtype=np.uint8)[:size]
+        assert _lane_sums(codes, 1) == (sum(codes.tolist()),)
+
+    @given(st.integers(1, 3 * 3072), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rgb_lanes_equal_strided_plane_sums(self, pixels, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.integers(0, 256, 3 * pixels, dtype=np.uint8)
+        expected = tuple(int(data[lane::3].sum(dtype=np.int64)) for lane in range(3))
+        assert _lane_sums(data, 3) == expected
+
+    @pytest.mark.parametrize("pixels", [1023, 1025, 640 * 480 + 1, 86 * 1024 + 3])
+    def test_rgb_channel_means_use_lane_sums(self, pixels):
+        data = np.random.default_rng(pixels).integers(0, 256, 3 * pixels, dtype=np.uint8)
+        frame = Frame(0, pixels, 1, PixelFormat.RGB24, data.tobytes())
+        for lane, channel in enumerate((CurveChannel.RED, CurveChannel.GREEN,
+                                        CurveChannel.BLUE)):
+            plane = int(data[lane::3].sum(dtype=np.int64))
+            assert frame_channel_mean(frame, channel) == plane / (255.0 * pixels)
 
 
 class TestExtractCurves:

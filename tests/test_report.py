@@ -71,6 +71,15 @@ class TestWriteCurvesCsv:
         with pytest.raises(ValueError):
             write_curves_csv(make_curveset({}))
 
+    def test_rate_the_time_column_cannot_resolve_rejected(self):
+        # six decimals resolve 1 MHz; above it, times would repeat
+        assert read_curves_csv(write_curves_csv(
+            make_curveset({CurveChannel.LUMA: [0.1, 0.2, 0.3]}, rate=1e6)
+        ))[CurveChannel.LUMA].sample_rate == 1e6
+        with pytest.raises(ValueError, match="six-decimal"):
+            write_curves_csv(make_curveset({CurveChannel.LUMA: [0.1, 0.2, 0.3]},
+                                           rate=1.5e6))
+
 
 class TestReadCurvesCsv:
     def test_round_trip_within_quantization(self):
@@ -196,3 +205,83 @@ class TestReportRoundTrip:
         doc["segments"][0]["fit"]["model"] = "spline"
         with pytest.raises(ReportFormatError, match="spline"):
             gestures_from_report(parse_report(report_to_bytes(doc)))
+
+
+def _drop(key):
+    def edit(seg):
+        del seg[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(seg):
+        seg[key] = value
+    return edit
+
+
+SEGMENT_EDITS = {
+    "missing granularity": _drop("granularity"),
+    "string granularity": _set("granularity", "0.1"),
+    "boolean start": _set("start_s", True),
+    "infinite start": _set("start_s", float("inf")),
+    "integer start too large for a float": _set("start_s", 10 ** 400),
+    "NaN granularity": _set("granularity", float("nan")),
+    "numeric kind": _set("kind", 3),
+    "fit not an object": _set("fit", [1.0]),
+    "fit without sse": lambda seg: seg["fit"].pop("sse"),
+    "unknown fit model": lambda seg: seg["fit"].update(model="spline"),
+    "transient without amplitude": lambda seg: seg["transient"].pop("amplitude"),
+    "transient not an object": _set("transient", 0.1),
+    "string motif": _set("motif_id", "2"),
+    "fractional motif": _set("motif_id", 1.5),
+}
+
+
+class TestReportSchema:
+    @pytest.mark.parametrize("edit", SEGMENT_EDITS.values(), ids=SEGMENT_EDITS.keys())
+    def test_segment_field_of_wrong_type_rejected(self, edit):
+        doc = make_report(SAMPLE_GESTURES)
+        edit(doc["segments"][0])
+        with pytest.raises(ReportFormatError, match=r"segments\[0\]"):
+            parse_report(report_to_bytes(doc))
+
+    def test_staircase_levels_must_be_numbers(self):
+        doc = make_report(SAMPLE_GESTURES)
+        doc["segments"][2]["fit"]["levels"] = [0.2, "x"]
+        with pytest.raises(ReportFormatError, match=r"segments\[2\].fit: levels"):
+            parse_report(report_to_bytes(doc))
+
+    @pytest.mark.parametrize("segments", ["abc", {"start_s": 0}, [1.0], [None]])
+    def test_segments_must_be_a_list_of_objects(self, segments):
+        doc = make_report(SAMPLE_GESTURES)
+        doc["segments"] = segments
+        with pytest.raises(ReportFormatError, match="segments"):
+            parse_report(report_to_bytes(doc))
+
+    @pytest.mark.parametrize("channels", [[], "abc", [[]], [{"values": "abc"}]])
+    def test_first_channel_must_carry_values(self, channels):
+        doc = make_report(SAMPLE_GESTURES)
+        doc["channels"] = channels
+        with pytest.raises(ReportFormatError, match="channels"):
+            parse_report(report_to_bytes(doc))
+
+    @pytest.mark.parametrize("value", [None, "0.5", float("nan"), float("-inf")])
+    def test_values_must_be_finite_numbers(self, value):
+        doc = make_report(SAMPLE_GESTURES)
+        doc["channels"][0]["values"][7] = value
+        with pytest.raises(ReportFormatError, match=r"channels\[0\]: values"):
+            parse_report(report_to_bytes(doc))
+
+    def test_rate_must_be_a_number(self):
+        doc = make_report(SAMPLE_GESTURES)
+        doc["rate_hz"] = "50"
+        with pytest.raises(ReportFormatError, match="rate_hz"):
+            parse_report(report_to_bytes(doc))
+
+    def test_optional_fields_may_be_absent_or_null(self):
+        doc = make_report(SAMPLE_GESTURES)
+        del doc["segments"][0]["motif_id"]
+        doc["segments"][1]["motif_id"] = None
+        del doc["segments"][1]["fit"]["degenerate"]
+        gestures, _ = gestures_from_report(parse_report(report_to_bytes(doc)))
+        assert [g.motif_id for g in gestures] == [None, None, 2]

@@ -1,6 +1,10 @@
 """Changepoint segmentation: noise scale, bottom-up merging, manual cuts."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lumascore.segmentation import (
+    NOISE_FLOOR,
     BoundaryOutOfRange,
     CurveTooShort,
     Segment,
     SegmentationParams,
     SegmentBelowMinimum,
     UnsortedBoundaries,
+    _LineCost,
     apply_manual_boundaries,
     estimate_noise,
     segment,
@@ -22,6 +28,32 @@ from lumascore.segmentation import (
 from _synth import curve, gaussian_noise, unit_noise
 
 MAD_SCALE = 0.6745 * math.sqrt(2.0)
+
+
+def segment_scan_oracle(curve, params):
+    """The O(K^2) merge loop: rescan every adjacent pair for each merge."""
+    y = curve.values
+    n = len(y)
+    block = max(int(math.ceil(params.min_segment_s * curve.sample_rate - 1e-9)), 2)
+    lam = params.penalty_beta * max(estimate_noise(curve), NOISE_FLOOR) ** 2 * math.log(n)
+    cost = _LineCost(y)
+    bounds = [i * block for i in range(n // block)] + [n]
+    sse = [cost.sse(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    while len(bounds) > 2:
+        best_delta = math.inf
+        best_i = -1
+        for i in range(len(bounds) - 2):
+            merged = cost.sse(bounds[i], bounds[i + 2])
+            delta = merged - sse[i] - sse[i + 1]
+            if delta < best_delta:
+                best_delta = delta
+                best_i = i
+        if best_delta > lam:
+            break
+        sse[best_i] = cost.sse(bounds[best_i], bounds[best_i + 2])
+        del sse[best_i + 1]
+        del bounds[best_i + 1]
+    return [Segment(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
 
 def check_partition(segments, n):
@@ -51,6 +83,40 @@ class TestEstimateNoise:
     def test_too_short_rejected(self):
         with pytest.raises(CurveTooShort):
             estimate_noise(curve([0.1, 0.2]))
+
+    @given(st.integers(3, 60), st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_median_is_bit_identical_to_np_median(self, n, seed, quantized):
+        values = np.random.default_rng(seed).random(n)
+        if quantized:
+            values = np.round(values * 4) / 4
+        expected = float(np.median(np.abs(np.diff(values)))) / MAD_SCALE
+        assert estimate_noise(curve(values)) == expected
+
+    def test_pipeline_never_imports_numpy_ma(self, tmp_path):
+        # np.median would import numpy.ma on its first call; nothing else does
+        script = """
+import sys
+from _synth import build_y4m, y4m_frame_420
+from lumascore.config import PipelineConfig
+from lumascore.pipeline import run_pipeline
+frames = [y4m_frame_420(16, 16, v) for v in [40] * 48 + [200] * 48 + [100] * 48]
+film = sys.argv[1] + "/film.y4m"
+with open(film, "wb") as out:
+    out.write(build_y4m(16, 16, frames))
+run_pipeline(film, PipelineConfig(), sys.argv[1] + "/out")
+print([name for name in sys.modules if name == "numpy.ma" or name.startswith("numpy.ma.")])
+"""
+        here = Path(__file__).resolve().parent
+        path = [str(here.parent / "src"), str(here)]
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "out" / "score.mid").is_file()
+        assert result.stdout.strip() == "[]"
 
 
 class TestSegment:
@@ -113,6 +179,69 @@ class TestSegment:
         # 60 samples at 50 Hz: blocks [0,25), [25,60); a constant merges to one
         segments = segment(curve([0.5] * 60))
         assert segments == [Segment(0, 60)]
+
+
+def plateau_values(data, n):
+    """Levels on a 1/8 grid held for random lengths."""
+    values = []
+    while len(values) < n:
+        level = data.draw(st.integers(0, 8)) / 8
+        values.extend([level] * data.draw(st.sampled_from((1, 3, 10, 25, 50, 75))))
+    return values[:n]
+
+
+def block_pattern_values(data, n, block):
+    """Whole blocks at one of three levels, each with the same 0, 1/16
+    alternation so the noise estimate is not zero.  On this dyadic grid the
+    prefix-sum costs are exact, so every repeat of a pair of blocks costs
+    exactly the same to merge."""
+    texture = np.arange(block) % 2 / 16
+    levels = data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.5)),
+                                min_size=n // block + 1, max_size=n // block + 1))
+    return (np.repeat(levels, block) + np.tile(texture, len(levels)))[:n]
+
+
+class TestSegmentAgainstScan:
+    @given(
+        st.sampled_from(("walk", "plateaus", "noisy plateaus", "block patterns")),
+        st.integers(2, 50),
+        st.floats(0.5, 50.0),
+        st.integers(100, 1200),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_heap_merges_equal_the_scan(self, kind, block, beta, n, data):
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        if kind == "walk":
+            values = 0.5 + np.cumsum(rng.normal(0.0, 0.01, n))
+        elif kind == "block patterns":
+            values = block_pattern_values(data, n, block)
+        else:
+            values = np.array(plateau_values(data, n))
+            if kind == "noisy plateaus":
+                values += 0.005 * rng.normal(size=n)
+        c = curve(values)
+        params = SegmentationParams(block / 50.0, beta)
+        if n < 2 * block:
+            with pytest.raises(CurveTooShort):
+                segment(c, params)
+        else:
+            assert segment(c, params) == segment_scan_oracle(c, params)
+
+    def test_all_tied_merges_go_leftmost(self):
+        # seven alternating 0/1 blocks of 25 samples: every adjacent pair
+        # costs exactly the same to merge, no merged pair can merge again,
+        # and pairing from the left leaves the last block alone
+        values = np.tile(np.repeat([0.0, 1.0], 25), 4)[:175]
+        c = curve(values)
+        cost = _LineCost(c.values)
+        assert len({cost.sse(a, a + 50) for a in range(0, 150, 25)}) == 1
+        params = SegmentationParams(0.5, 1e8)
+        segments = segment(c, params)
+        assert segments == segment_scan_oracle(c, params)
+        assert segments == [Segment(0, 50), Segment(50, 100), Segment(100, 150),
+                            Segment(150, 175)]
 
 
 class TestManualBoundaries:
