@@ -9,7 +9,12 @@ over per-pixel luma held as exact integer keys (``luma = key / scale``):
 ``299 R + 587 G + 114 B`` over 255000 for RGB24, the code over 255 for
 GRAY8, and the clamped ``Y - 16`` over 219 for Y4M.  ``rms`` is the
 population standard deviation from exact integer moments, and ``spread``
-the nearest-rank 95th minus 5th percentile of the sorted keys.
+the nearest-rank 95th minus 5th percentile of the keys.  The two ranks of
+the int32 RGB24 keys are selected in place (two single-rank partitions,
+~0.2 ms per 640x480 frame against ~1.6 ms for a full sort); 8-bit keys are
+radix-sorted instead, because selection on them was ~5x slower than
+NumPy's stable sort (5.7 ms against 1.0 ms).  Times are from a 2-vCPU Xeon
+with NumPy 2.4.
 """
 
 from __future__ import annotations
@@ -197,6 +202,9 @@ def _square_sum(keys: np.ndarray, bound: int) -> int:
 
 
 def _contrast(keys: np.ndarray, scale: int, method: str) -> float:
+    """Contrast of the integer luma ``keys`` (see :func:`_contrast_keys`).
+    ``spread`` reorders wide keys in place; ``rms`` reads only their exact
+    sums, so the order does not matter to it."""
     n = len(keys)
     if method == "rms":
         # population standard deviation from exact moments: n**2 var equals
@@ -205,12 +213,21 @@ def _contrast(keys: np.ndarray, scale: int, method: str) -> float:
         total = int(keys.sum(dtype=np.int64))
         return math.sqrt(n * _square_sum(keys, scale) - total * total) / (n * scale)
     if method == "spread":
-        # NumPy radix-sorts 8-bit keys only for a stable sort; its default
-        # sort is an order of magnitude slower on them
-        ordered = np.sort(keys, kind="stable" if keys.itemsize == 1 else "quicksort")
         hi = (95 * n + 99) // 100  # nearest-rank, 1-based
         lo = (5 * n + 99) // 100
-        return (int(ordered[hi - 1]) - int(ordered[lo - 1])) / scale
+        if keys.itemsize == 1:
+            # NumPy radix-sorts 8-bit keys only for a stable sort (~1.0 ms on
+            # a 640x480 plane); two selections on them took ~5.7 ms
+            ordered = np.sort(keys, kind="stable")
+            return (int(ordered[hi - 1]) - int(ordered[lo - 1])) / scale
+        # wide keys: two single-rank selections in place (~0.2 ms against a
+        # ~1.6 ms sort; one call with both ranks took ~5.8 ms).  The high
+        # rank is read before the second selection moves it; the low rank
+        # is the (lo)th smallest of the hi smallest keys
+        keys.partition(hi - 1)
+        top = int(keys[hi - 1])
+        keys[:hi].partition(lo - 1)
+        return (top - int(keys[lo - 1])) / scale
     raise ValueError("unknown contrast method %r" % method)
 
 

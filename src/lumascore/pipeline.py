@@ -1,12 +1,14 @@
 """Stage functions tying extraction, analysis and composition together.
 
-The pipeline writes each artifact and feeds the written bytes to the next
-stage, so running the stages separately over the same files produces the
-same bytes as one pipeline invocation.
+The pipeline feeds each stage the bytes of the artifacts before it, exactly
+the bytes it then writes, so running the stages separately over the written
+files produces the same bytes as one pipeline invocation.  It writes nothing
+until every stage has succeeded.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .composition import compose
@@ -111,30 +113,43 @@ def plot_stage(csv_data: bytes, report_data: bytes | None = None,
     return plot_svg(curve, segments)
 
 
+def _write_artifacts(out: Path, artifacts: dict[str, bytes]) -> dict[str, Path]:
+    """Write every artifact to a temporary file in ``out`` first, then rename
+    each over its name, so a failed write replaces none of them."""
+    temps = []
+    try:
+        for name, data in artifacts.items():
+            temp = out / (".%s.%d.tmp" % (name, os.getpid()))
+            with open(temp, "xb") as fh:
+                temps.append(temp)
+                fh.write(data)
+    except BaseException:
+        for temp in temps:
+            temp.unlink()
+        raise
+    for temp, name in zip(temps, artifacts):
+        os.replace(temp, out / name)
+    return {name: out / name for name in artifacts}
+
+
 def run_pipeline(
     input_path: str | Path,
     config: PipelineConfig,
     out_dir: str | Path,
     workers: int = 1,
 ) -> dict[str, Path]:
-    """Extract, analyze, compose and plot, writing all four artifacts."""
+    """Extract, analyze, compose and plot, then write all four artifacts.  A
+    failing stage leaves ``out_dir`` as it was."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    csv_name = str(out / "curves.csv")
     csv_data = extract_stage(input_path, (CurveChannel.LUMA,), workers=workers)
-    csv_path = out / "curves.csv"
-    csv_path.write_bytes(csv_data)
-    report_data = analyze_stage(csv_path.read_bytes(), config, str(csv_path))
-    report_path = out / "analysis.json"
-    report_path.write_bytes(report_data)
-    midi_data = compose_stage(report_path.read_bytes(), config, str(report_path))
-    midi_path = out / "score.mid"
-    midi_path.write_bytes(midi_data)
-    svg_data = plot_stage(csv_path.read_bytes(), report_path.read_bytes(), str(csv_path))
-    svg_path = out / "plot.svg"
-    svg_path.write_bytes(svg_data)
-    return {
-        "curves.csv": csv_path,
-        "analysis.json": report_path,
-        "score.mid": midi_path,
-        "plot.svg": svg_path,
-    }
+    report_data = analyze_stage(csv_data, config, csv_name)
+    midi_data = compose_stage(report_data, config, str(out / "analysis.json"))
+    svg_data = plot_stage(csv_data, report_data, csv_name)
+    out.mkdir(parents=True, exist_ok=True)
+    return _write_artifacts(out, {
+        "curves.csv": csv_data,
+        "analysis.json": report_data,
+        "score.mid": midi_data,
+        "plot.svg": svg_data,
+    })

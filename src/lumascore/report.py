@@ -99,6 +99,14 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     if not finite.all():
         raise CsvFormatError("%s: line %d: value is not finite"
                              % (source_path, int(np.argmin(finite)) + 2))
+    # every channel is a brightness in [0, 1], as extract writes it; a value
+    # outside would pass into the analysis as an impossible brightness
+    outside = (table < 0.0) | (table > 1.0)
+    if outside.any():
+        row, column = divmod(int(np.argmax(outside)), len(channels))
+        raise CsvFormatError("%s: line %d: %s value %r is outside [0, 1]"
+                             % (source_path, row + 2, channels[column].value,
+                                float(table[row, column])))
     # the rate comes from the first and last time, so a column that stalls
     # or runs backwards would give a wrong rate
     rising = np.diff(times) > 0

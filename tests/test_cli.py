@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from lumascore.cli import main
 from lumascore.midi import read_smf
+from lumascore.pipeline import _write_artifacts
 from lumascore.photometry import CurveChannel
 from lumascore.report import read_curves_csv
 
@@ -103,6 +105,26 @@ class TestExtract:
         assert list(luma.values) == [0.0, 0.502283, 1.0, 0.200913]
 
 
+    def test_contrast_pair_equals_the_single_channel_columns(self, tmp_path):
+        # both channels share one set of keys per frame, which spread reorders
+        rng = np.random.default_rng(17)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i in range(6):
+            raster = rng.integers(0, 256, 32 * 24 * 3, dtype=np.uint8).tobytes()
+            (frames / ("f%02d.ppm" % i)).write_bytes(build_ppm(32, 24, raster))
+        columns = {}
+        for channels in ("contrast_spread,contrast_rms", "contrast_rms", "contrast_spread"):
+            out = tmp_path / (channels + ".csv")
+            assert main(["extract", "--input", str(frames), "--channels", channels,
+                         "--out", str(out)]) == 0
+            columns[channels] = out.read_text().splitlines()
+        rms, spread = columns["contrast_rms"], columns["contrast_spread"]
+        joined = [a + "," + b.split(",")[1] for a, b in zip(rms, spread)]
+        assert columns["contrast_spread,contrast_rms"] == joined
+        assert joined[0] == "time_s,contrast_rms,contrast_spread"
+
+
 class TestAnalyze:
     def test_produces_report(self, shot_video, config_file, tmp_path):
         curves = tmp_path / "curves.csv"
@@ -157,6 +179,25 @@ class TestAnalyze:
                      "--config", str(config_file), "--out", str(out)])
         assert code == 1
         assert "line 11: time_s is not strictly increasing" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["7.5", "-3.0"])
+    @pytest.mark.parametrize("stage", ["analyze", "plot"])
+    def test_value_outside_unit_range_exits_1(self, shot_video, config_file, tmp_path,
+                                              capsys, stage, value):
+        curves = tmp_path / "curves.csv"
+        main(["extract", "--input", str(shot_video), "--out", str(curves)])
+        lines = curves.read_text().splitlines()
+        lines[10] = lines[10].split(",")[0] + "," + value
+        curves.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = [stage, "--curves", str(curves), "--out", str(out)]
+        if stage == "analyze":
+            argv += ["--config", str(config_file)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "line 11: luma value %s is outside [0, 1]" % value in err
         assert not out.exists()
 
     def test_invalid_config_json_exits_2(self, shot_video, tmp_path):
@@ -288,3 +329,32 @@ class TestPipeline:
                      "--config", str(config), "--out-dir", str(tmp_path / "a")])
         assert code == 2
         assert "99" in capsys.readouterr().err
+
+    def test_failing_stage_writes_no_artifact(self, shot_video, config_file, tmp_path,
+                                              capsys):
+        # a reused directory keeps the previous run's set untouched
+        out_dir = tmp_path / "artifacts"
+        assert main(["pipeline", "--input", str(shot_video),
+                     "--config", str(config_file), "--out-dir", str(out_dir)]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(
+            {"overrides": [{"segment_index": 99, "archetype": "chord_held"}]}
+        ))
+        for target in (out_dir, tmp_path / "fresh"):
+            code = main(["pipeline", "--input", str(shot_video),
+                         "--config", str(config), "--out-dir", str(target)])
+            assert code == 2
+            assert capsys.readouterr().err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+        assert not (tmp_path / "fresh").exists()
+
+    def test_failing_write_replaces_nothing(self, tmp_path):
+        (tmp_path / "a.csv").write_bytes(b"old")
+        with pytest.raises(TypeError):
+            _write_artifacts(tmp_path, {"a.csv": b"new", "b.json": b"new", "c.mid": None})
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        assert (tmp_path / "a.csv").read_bytes() == b"old"
+        assert _write_artifacts(tmp_path, {"a.csv": b"new"}) == {"a.csv": tmp_path / "a.csv"}
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+        assert (tmp_path / "a.csv").read_bytes() == b"new"

@@ -123,6 +123,19 @@ class TestReadCurvesCsv:
         with pytest.raises(CsvFormatError, match="line 4: time_s is not strictly increasing"):
             read_curves_csv(data)
 
+    @pytest.mark.parametrize("value", ["7.5", "-3.0", "1.000001", "-0.000001"])
+    def test_value_outside_unit_range_names_line_and_column(self, value):
+        data = ("time_s,luma,contrast_rms\n0.000000,0.5,0.1\n0.040000,0.4,%s\n"
+                "0.080000,9.0,0.2\n" % value).encode()
+        with pytest.raises(CsvFormatError,
+                           match=r"line 3: contrast_rms value %s is outside \[0, 1\]"
+                           % float(value)):
+            read_curves_csv(data)
+
+    def test_unit_range_ends_are_accepted(self):
+        back = read_curves_csv(b"time_s,luma\n0.000000,0.000000\n0.040000,1.000000\n")
+        assert list(back[CurveChannel.LUMA].values) == [0.0, 1.0]
+
     def test_empty_body_rejected(self):
         with pytest.raises(CsvFormatError):
             read_curves_csv(b"time_s,luma\n")
