@@ -43,12 +43,15 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class HarmonyConfig:
+    """Musical settings; each number carries the range a config may set."""
+
     scale: tuple[int, ...] = (0, 2, 3, 5, 7, 8, 10)
-    root_pc: int = 0
+    root_pc: int = field(default=0, metadata={"range": "[0, 11]"})
     register: tuple[int, int] = (36, 84)
-    tempo_bpm: float = 60.0
-    ppq: int = 480
-    channel: int = 0
+    # the SMF tempo is 60e6 / bpm microseconds in 24 bits, so at least ~3.58
+    tempo_bpm: float = field(default=60.0, metadata={"range": "[4, 1000]"})
+    ppq: int = field(default=480, metadata={"range": "[24, 32767]"})
+    channel: int = field(default=0, metadata={"range": "[0, 15]"})
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ RRMSE_RANGE_FLOOR = 0.05
 TAU_GRID_LO = 1.0 / 50.0  # grid bounds as fractions of the body duration
 TAU_GRID_HI = 5.0
 STAIRCASE_BLOCK = 64  # piece ends per cost block of the staircase DP
+STAIRCASE_MAX_LEVELS = 6
 
 
 class TooFewSamples(ValueError):
@@ -84,14 +85,14 @@ FitRecord = LinearFit | ExpFit | StaircaseFit
 
 @dataclass
 class ClassifyParams:
-    flat: float = 0.03
-    transient: float = 0.15
-    transient_window_s: float = 0.2
-    granular: float = 0.4
-    chaotic_rough: float = 0.6
-    fit_rrmse: float = 0.35
-    tau_grid_size: int = 64
-    staircase_max_levels: int = 6
+    """Classification thresholds, each with the range a config may set."""
+
+    flat: float = field(default=0.03, metadata={"range": "(0, 1)"})
+    transient: float = field(default=0.15, metadata={"range": "(0, 1)"})
+    transient_window_s: float = field(default=0.2, metadata={"range": "(0, inf)"})
+    granular: float = field(default=0.4, metadata={"range": "(0, 1)"})
+    chaotic_rough: float = field(default=0.6, metadata={"range": "(0, 1)"})
+    fit_rrmse: float = field(default=0.35, metadata={"range": "(0, 1)"})
 
 
 @dataclass
@@ -186,7 +187,8 @@ def _degenerate_exp(y: np.ndarray, rate: float, tau_grid: np.ndarray) -> ExpFit:
     return ExpFit(linear.intercept, 0.0, float(tau_grid[0]), linear.sse, degenerate=True)
 
 
-def fit_staircase(samples: np.ndarray, rate: float, max_levels: int = 6) -> StaircaseFit:
+def fit_staircase(samples: np.ndarray, rate: float,
+                  max_levels: int = STAIRCASE_MAX_LEVELS) -> StaircaseFit:
     """Exact optimal piecewise-constant fit, level count chosen by BIC."""
     y = np.asarray(samples, dtype=np.float64)
     n = len(y)
@@ -314,11 +316,11 @@ def classify(
     linear = fit_linear(body, rate)
     candidates.append((_bic(linear.sse, nb, 2), 0, linear))
     if nb >= 3:
-        exp = fit_exponential(body, rate, make_tau_grid((nb - 1) / rate, params.tau_grid_size))
+        exp = fit_exponential(body, rate)
         if not exp.degenerate:
             candidates.append((_bic(exp.sse, nb, 3), 1, exp))
-    if nb >= 2 * params.staircase_max_levels:
-        stair = fit_staircase(body, rate, params.staircase_max_levels)
+    if nb >= 2 * STAIRCASE_MAX_LEVELS:
+        stair = fit_staircase(body, rate)
         candidates.append((_bic(stair.sse, nb, _fit_params(stair)), 2, stair))
     candidates.sort(key=lambda item: (item[0], item[1]))
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import dataclasses
+from typing import get_type_hints
 
 import numpy as np
 
@@ -16,6 +18,7 @@ from .config import PipelineConfig
 from .gestures import (
     Archetype,
     ExpFit,
+    FitRecord,
     Gesture,
     LinearFit,
     ShapeKind,
@@ -122,41 +125,34 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     }
 
 
-def _fit_to_dict(fit) -> dict:
-    if isinstance(fit, LinearFit):
-        return {
-            "model": "linear",
-            "intercept": float(fit.intercept),
-            "slope_per_s": float(fit.slope_per_s),
-            "sse": float(fit.sse),
-        }
-    if isinstance(fit, ExpFit):
-        return {
-            "model": "exponential",
-            "offset": float(fit.offset),
-            "scale": float(fit.scale),
-            "tau_s": float(fit.tau_s),
-            "sse": float(fit.sse),
-            "degenerate": bool(fit.degenerate),
-        }
-    return {
-        "model": "staircase",
-        "levels": [float(v) for v in fit.levels],
-        "step_times_s": [float(t) for t in fit.step_times_s],
-        "sse": float(fit.sse),
-    }
+# each fit model's tag in a report and the dataclass that holds it; writing,
+# checking and reading a fit all follow the dataclass's fields
+_FIT_MODELS = {"linear": LinearFit, "exponential": ExpFit, "staircase": StaircaseFit}
+_FIT_TAGS = {cls: tag for tag, cls in _FIT_MODELS.items()}
+_ANNOTATION_TYPES = {float: "number", bool: "boolean", tuple[float, ...]: "numbers"}
+# the JSON type of each field of each fit dataclass, in field order
+_FIT_JSON_TYPES = {
+    cls: {name: _ANNOTATION_TYPES[hint] for name, hint in get_type_hints(cls).items()}
+    for cls in _FIT_TAGS
+}
+_TO_JSON = {"number": float, "boolean": bool, "numbers": lambda v: [float(x) for x in v]}
 
 
-def _fit_from_dict(doc: dict) -> LinearFit | ExpFit | StaircaseFit:
+def _fit_to_dict(fit: FitRecord) -> dict:
+    doc = {"model": _FIT_TAGS[type(fit)]}
+    for name, kind in _FIT_JSON_TYPES[type(fit)].items():
+        doc[name] = _TO_JSON[kind](getattr(fit, name))
+    return doc
+
+
+def _fit_from_dict(doc: dict) -> FitRecord:
     model = doc.get("model")
-    if model == "linear":
-        return LinearFit(doc["intercept"], doc["slope_per_s"], doc["sse"])
-    if model == "exponential":
-        return ExpFit(doc["offset"], doc["scale"], doc["tau_s"], doc["sse"],
-                      doc.get("degenerate", False))
-    if model == "staircase":
-        return StaircaseFit(tuple(doc["levels"]), tuple(doc["step_times_s"]), doc["sse"])
-    raise ReportFormatError("unknown fit model %r" % model)
+    cls = _FIT_MODELS.get(model) if isinstance(model, str) else None
+    if cls is None:
+        raise ReportFormatError("unknown fit model %r" % model)
+    # a field absent from the report, such as degenerate, keeps its default
+    return cls(**{name: tuple(doc[name]) if kind == "numbers" else doc[name]
+                  for name, kind in _FIT_JSON_TYPES[cls].items() if name in doc})
 
 
 def build_report(
@@ -215,18 +211,13 @@ _SEGMENT_FIELDS = {"start_s": "number", "end_s": "number", "kind": "string",
                    "archetype": "string", "granularity": "number", "fit": "object",
                    "mean_brightness": "number"}
 _TRANSIENT_FIELDS = {"t_s": "number", "amplitude": "number"}
-_FIT_FIELDS = {
-    "linear": {"intercept": "number", "slope_per_s": "number", "sse": "number"},
-    "exponential": {"offset": "number", "scale": "number", "tau_s": "number",
-                    "sse": "number"},
-    "staircase": {"levels": "numbers", "step_times_s": "numbers", "sse": "number"},
-}
 _TYPE_NAMES = {"number": "a finite number", "integer": "an integer",
                "string": "a string", "object": "an object", "list": "a list",
-               "numbers": "a list of finite numbers"}
+               "numbers": "a list of finite numbers", "boolean": "a boolean"}
 # exact types, as json.loads builds them; a JSON true/false is a bool, which
 # isinstance would count as an int
-_JSON_TYPES = {"integer": {int}, "string": {str}, "object": {dict}, "list": {list}}
+_JSON_TYPES = {"integer": {int}, "string": {str}, "object": {dict}, "list": {list},
+               "boolean": {bool}}
 
 
 def _finite_numbers(values: list) -> bool:
@@ -247,11 +238,11 @@ def _has_type(value, kind: str) -> bool:
     return type(value) in _JSON_TYPES[kind]
 
 
-def _check_fields(obj, fields: dict[str, str], where: str) -> None:
+def _check_fields(obj, types: dict[str, str], where: str, optional=()) -> None:
     if not isinstance(obj, dict):
         raise ReportFormatError("%s must be an object" % where)
-    for key, kind in fields.items():
-        if not _has_type(obj.get(key), kind):
+    for key, kind in types.items():
+        if (key in obj or key not in optional) and not _has_type(obj.get(key), kind):
             raise ReportFormatError("%s: %s must be %s" % (where, key, _TYPE_NAMES[kind]))
 
 
@@ -281,10 +272,14 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
         motif = seg.get("motif_id")
         if motif is not None and not _has_type(motif, "integer"):
             raise ReportFormatError("%s: motif_id must be an integer or null" % where)
-        fields = _FIT_FIELDS.get(seg["fit"].get("model"))
-        if fields is None:
-            raise ReportFormatError("%s: unknown fit model %r" % (where, seg["fit"].get("model")))
-        _check_fields(seg["fit"], fields, where + ".fit")
+        model = seg["fit"].get("model")
+        # a JSON list or object is not hashable, so it cannot be looked up
+        cls = _FIT_MODELS.get(model) if isinstance(model, str) else None
+        if cls is None:
+            raise ReportFormatError("%s: unknown fit model %r" % (where, model))
+        optional = [f.name for f in dataclasses.fields(cls)
+                    if f.default is not dataclasses.MISSING]
+        _check_fields(seg["fit"], _FIT_JSON_TYPES[cls], where + ".fit", optional)
     return doc
 
 

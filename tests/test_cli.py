@@ -330,6 +330,31 @@ class TestPipeline:
         assert code == 2
         assert "99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"analysis": {"penalty_beta": NaN}}',
+        '{"analysis": {"thresholds": {"flat": NaN}}}',
+        '{"analysis": {"rate_hz": NaN}}',
+        '{"harmony": {"tempo_bpm": NaN}}',
+        '{"analysis": {"rate_hz": 1e999}}',
+        '{"texture": {"grain_ms": Infinity}}',
+        '{"analysis": {"smooth_window_s": Infinity}}',
+        '{"analysis": {"rate_hz": 1%s}}' % ("0" * 400),
+        '{"manual_boundaries_s": [-Infinity, 1.0]}',
+        '{"harmony": {"tempo_bpm": 3.5}}',
+        '{"analysis": {"smooth_window_s": 1e300}}',
+        '{"analysis": {"rate_hz": 5000}}',
+        '{"a\\nb": 1}',
+    ], ids=lambda text: text[:48])
+    def test_config_rejection_exits_2_on_one_line(self, shot_video, tmp_path, capsys, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code = main(["pipeline", "--input", str(shot_video),
+                     "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: config") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_failing_stage_writes_no_artifact(self, shot_video, config_file, tmp_path,
                                               capsys):
         # a reused directory keeps the previous run's set untouched

@@ -1,9 +1,26 @@
 """Strict configuration parsing: defaults, bounds, and key-path errors."""
 
-import pytest
+import dataclasses
+import json
+import math
+import re
+from pathlib import Path
 
-from lumascore.config import ConfigError, load_config, parse_config
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from lumascore.config import (
+    AnalysisConfig,
+    ConfigError,
+    PipelineConfig,
+    TextureConfig,
+    load_config,
+    parse_config,
+)
 from lumascore.gestures import Archetype
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestDefaults:
@@ -53,6 +70,20 @@ class TestUnknownKeys:
         with pytest.raises(ConfigError):
             parse_config([1, 2, 3])
 
+    @pytest.mark.parametrize("doc, quoted", [
+        ({"a\nb": 1}, r"'a\nb'"),
+        ({"harmony": {"x\r\u2028y": 1}}, r"'harmony.x\r\u2028y'"),
+    ])
+    def test_key_is_quoted_on_one_line(self, doc, quoted):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == "config: unknown key " + quoted
+
+    @pytest.mark.parametrize("key", ["tau_grid_size", "staircase_max_levels"])
+    def test_fixed_classify_settings_are_not_configurable(self, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config({"analysis": {"thresholds": {key: 64}}})
+
 
 class TestBounds:
     @pytest.mark.parametrize("doc", [
@@ -69,11 +100,48 @@ class TestBounds:
         {"harmony": {"channel": 16}},
         {"harmony": {"ppq": 4}},
         {"harmony": {"tempo_bpm": 0}},
+        {"harmony": {"tempo_bpm": 3.5}},
+        {"harmony": {"tempo_bpm": 1000.5}},
+        {"analysis": {"smooth_window_s": 1e300}},
+        {"analysis": {"smooth_window_s": 3600.5}},
+        {"analysis": {"rate_hz": 1000.5}},
+        {"analysis": {"rate_hz": 5000}},
         {"seed": -1},
         {"seed": 2 ** 64},
+        {"seed": 10 ** 400},
     ])
     def test_out_of_range_rejected(self, doc):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="out of range"):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"analysis": {"rate_hz": 1000}},
+        {"analysis": {"smooth_window_s": 3600}},
+        {"harmony": {"tempo_bpm": 4}},
+        {"harmony": {"tempo_bpm": 1000}},
+    ])
+    def test_range_ends_accepted(self, doc):
+        parse_config(doc)
+
+    # json.loads reads NaN, Infinity and -Infinity, 1e999 as infinity, and
+    # integers of any length up to 4300 digits
+    @pytest.mark.parametrize("doc", [
+        {"analysis": {"penalty_beta": math.nan}},
+        {"analysis": {"thresholds": {"flat": math.nan}}},
+        {"analysis": {"rate_hz": math.nan}},
+        {"harmony": {"tempo_bpm": math.nan}},
+        {"analysis": {"rate_hz": math.inf}},
+        {"texture": {"grain_ms": math.inf}},
+        {"analysis": {"smooth_window_s": math.inf}},
+        {"texture": {"lambda_max": -math.inf}},
+        {"analysis": {"rate_hz": 10 ** 400}},
+        {"manual_boundaries_s": [1.0, math.nan]},
+        {"manual_boundaries_s": [math.inf]},
+        {"manual_boundaries_s": [-math.inf, 1.0]},
+        {"manual_boundaries_s": [10 ** 400]},
+    ])
+    def test_non_finite_rejected(self, doc):
+        with pytest.raises(ConfigError, match="must be a finite number"):
             parse_config(doc)
 
     def test_seed_accepts_full_u64_range(self):
@@ -160,3 +228,152 @@ class TestLoadConfig:
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("text", ['{"seed": %s}' % ("1" * 5000),
+                                      '{"seed": %s%s}' % ("[" * 100000, "]" * 100000)],
+                             ids=["5000-digit integer", "deep nesting"])
+    def test_json_beyond_the_decoder_limits_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path)
+
+
+NON_DEFAULT = {
+    "analysis": {
+        "rate_hz": 40.0, "smooth_window_s": 0.3, "min_segment_s": 0.4, "penalty_beta": 3.0,
+        "thresholds": {"flat": 0.02, "transient": 0.12, "transient_window_s": 0.25,
+                       "granular": 0.3, "chaotic_rough": 0.7, "fit_rrmse": 0.4},
+    },
+    "manual_boundaries_s": [1.5, 3.0],
+    "overrides": [{"segment_index": 1, "archetype": "granular_texture"}],
+    "harmony": {"scale": [0, 2, 4, 5, 7, 9, 11], "root_pc": 2, "register": [40, 90],
+                "tempo_bpm": 90.5, "ppq": 960, "channel": 3},
+    "texture": {"lambda_max": 55.5, "grain_ms": 45.0},
+    "seed": 12345,
+}
+
+
+def _ranged_fields(cls=PipelineConfig, path=""):
+    """{key path: (JSON type, interval)} of every number field of the schema."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        where = path + f.name
+        if "range" in f.metadata:
+            out[where] = ("integer" if type(f.default) is int else "number", f.metadata["range"])
+        elif dataclasses.is_dataclass(f.default_factory):
+            out.update(_ranged_fields(f.default_factory, where + "."))
+    return out
+
+
+class TestSchemaWalker:
+    def test_every_field_set_echoes_as_given(self):
+        doc = json.loads(json.dumps(NON_DEFAULT))
+        doc["analysis"]["rate_hz"] = 40
+        doc["texture"]["grain_ms"] = 45
+        assert parse_config(doc).to_dict() == {
+            "analysis": {
+                "rate_hz": 40.0, "smooth_window_s": 0.3, "min_segment_s": 0.4,
+                "penalty_beta": 3.0,
+                "thresholds": {"flat": 0.02, "transient": 0.12, "transient_window_s": 0.25,
+                               "granular": 0.3, "chaotic_rough": 0.7, "fit_rrmse": 0.4},
+            },
+            "manual_boundaries_s": [1.5, 3.0],
+            "overrides": [{"segment_index": 1, "archetype": "granular_texture"}],
+            "harmony": {"scale": [0, 2, 4, 5, 7, 9, 11], "root_pc": 2, "register": [40, 90],
+                        "tempo_bpm": 90.5, "ppq": 960, "channel": 3},
+            "texture": {"lambda_max": 55.5, "grain_ms": 45.0},
+            "seed": 12345,
+        }
+        assert type(parse_config(doc).to_dict()["analysis"]["rate_hz"]) is float
+
+    def test_echo_writes_numbers_as_their_declared_kind(self):
+        cfg = PipelineConfig(analysis=AnalysisConfig(rate_hz=25),
+                             texture=TextureConfig(grain_ms=np.float64(45.5)))
+        echo = cfg.to_dict()
+        assert type(echo["analysis"]["rate_hz"]) is float and echo["analysis"]["rate_hz"] == 25.0
+        assert type(echo["texture"]["grain_ms"]) is float
+
+    def test_classify_params_are_the_thresholds(self):
+        cfg = parse_config(NON_DEFAULT)
+        assert cfg.classify_params() is cfg.analysis.thresholds
+        assert cfg.classify_params().granular == 0.3
+
+    def test_first_error_follows_declaration_order(self):
+        doc = {"seed": -1, "texture": {"grain_ms": 0}, "analysis": {"penalty_beta": 0,
+                                                                   "rate_hz": 0}}
+        with pytest.raises(ConfigError, match=r"analysis\.rate_hz"):
+            parse_config(doc)
+
+    def test_readme_schema_block_is_the_default_echo(self):
+        section = README.read_text().split("## Configuration", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == parse_config({}).to_dict()
+
+    def test_readme_range_table_is_the_schema(self):
+        rows = re.findall(r"^\| `([a-z_.]+)` \| (number|integer) \| `([^`]+)` \|$",
+                          README.read_text(), re.MULTILINE)
+        assert {path: (kind, interval) for path, kind, interval in rows} == _ranged_fields()
+
+
+# JSON-like values that stress the checks: non-finite and huge numbers, booleans,
+# strings (with line breaks) and nesting
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.integers(), st.integers(-(10 ** 400), 10 ** 400),
+    st.floats(), st.floats(-1e4, 1e4),
+    st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, 2 ** 64, 0, 1, 4, 1000, 3600]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_SPECIAL = {
+    "manual_boundaries_s": st.none() | st.lists(
+        st.floats(-1e6, 1e6) | st.integers(-10, 10), max_size=4, unique=True).map(sorted),
+    "overrides": st.lists(st.fixed_dictionaries({
+        "segment_index": st.integers(0, 5),
+        "archetype": st.sampled_from([a.value for a in Archetype]),
+    }), max_size=3),
+    "scale": st.lists(st.integers(0, 11), min_size=1, max_size=7, unique=True).map(sorted),
+    "register": st.tuples(st.integers(0, 63), st.integers(64, 127)).map(list),
+}
+
+
+@st.composite
+def _config_docs(draw, template=None, noise=None):
+    """Documents shaped like the schema.  Each key is absent or holds a value in
+    range; in `noise` tenths of the keys it holds any value instead, and a noisy
+    document may carry an unknown key."""
+    template = parse_config({}).to_dict() if template is None else template
+    noise = draw(st.sampled_from([0, 1, 3])) if noise is None else noise
+    doc = {}
+    for key, default in template.items():
+        if draw(st.booleans()):
+            continue
+        if draw(st.integers(0, 9)) < noise:
+            doc[key] = draw(_SCALARS | _VALUES)
+        elif isinstance(default, dict):
+            doc[key] = draw(_config_docs(default, noise))
+        elif key in _SPECIAL:
+            doc[key] = draw(_SPECIAL[key])
+        else:
+            doc[key] = type(default)(default * draw(st.floats(0.5, 1.5)))
+    if noise and draw(st.integers(0, 9)) == 0:
+        doc[draw(st.text(max_size=4))] = draw(_VALUES)
+    return doc
+
+
+class TestWalkerProperty:
+    @given(doc=_config_docs() | _VALUES)
+    def test_rejects_on_one_line_or_echoes_a_fixed_point(self, doc):
+        try:
+            cfg = parse_config(doc)
+        except ConfigError as exc:
+            assert len(str(exc).splitlines()) == 1
+            return
+        echo = cfg.to_dict()
+        json.dumps(echo, allow_nan=False)
+        assert parse_config(echo).to_dict() == echo

@@ -243,6 +243,7 @@ SEGMENT_EDITS = {
     "fit not an object": _set("fit", [1.0]),
     "fit without sse": lambda seg: seg["fit"].pop("sse"),
     "unknown fit model": lambda seg: seg["fit"].update(model="spline"),
+    "fit model as a list": lambda seg: seg["fit"].update(model=["linear"]),
     "transient without amplitude": lambda seg: seg["transient"].pop("amplitude"),
     "transient not an object": _set("transient", 0.1),
     "string motif": _set("motif_id", "2"),
@@ -289,6 +290,14 @@ class TestReportSchema:
         doc = make_report(SAMPLE_GESTURES)
         doc["rate_hz"] = "50"
         with pytest.raises(ReportFormatError, match="rate_hz"):
+            parse_report(report_to_bytes(doc))
+
+    @pytest.mark.parametrize("value", ["no", 0, 1.0, None, [True]])
+    def test_degenerate_must_be_a_boolean(self, value):
+        doc = make_report(SAMPLE_GESTURES)
+        doc["segments"][1]["fit"]["degenerate"] = value
+        with pytest.raises(ReportFormatError,
+                           match=r"segments\[1\].fit: degenerate must be a boolean"):
             parse_report(report_to_bytes(doc))
 
     def test_optional_fields_may_be_absent_or_null(self):
