@@ -33,7 +33,8 @@ def resample(curve: BrightnessCurve, rate: float) -> BrightnessCurve:
     # count of output samples on [0, (n-1)/rate_in]; the epsilon keeps
     # rational rate ratios from losing the endpoint to float rounding
     m = int(math.floor((n - 1) * rate / curve.sample_rate + 1e-9)) + 1
-    pos = np.arange(m, dtype=np.float64) * (curve.sample_rate / rate)
+    # a step past n only ever meets m == 1; capping it keeps 0 * step finite
+    pos = np.arange(m, dtype=np.float64) * min(curve.sample_rate / rate, n)
     pos = np.clip(pos, 0.0, float(n - 1))
     base = np.minimum(pos.astype(np.int64), n - 2)
     frac = pos - base

@@ -113,7 +113,8 @@ def detect_transient(samples: np.ndarray, rate: float, params: ClassifyParams) -
     y = np.asarray(samples, dtype=np.float64)
     if len(y) < 2:
         return None
-    window = min(len(y), int(math.floor(params.transient_window_s * rate + 1e-9)) + 1)
+    # the window is capped before it is made an integer, so a huge one fits
+    window = min(len(y), math.floor(min(params.transient_window_s * rate + 1e-9, len(y))) + 1)
     head = y[:window]
     onset = int(np.argmax(head))
     rise = float(head[onset] - y[0])

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -179,7 +179,26 @@ def _read_chunked(handle: BinaryIO, count: int) -> bytes:
     return b"".join(parts)
 
 
-class Y4MReader:
+class FrameSource:
+    """Frames described by ``info``, iterated in order.  As a context manager
+    a source closes what it opened; most open files only while iterating."""
+
+    info: StreamInfo
+
+    def __iter__(self) -> Iterator[Frame]:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self) -> "FrameSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class Y4MReader(FrameSource):
     """Sequential frame iterator over a YUV4MPEG2 stream."""
 
     def __init__(self, source: str | Path | BinaryIO):
@@ -218,12 +237,6 @@ class Y4MReader:
     def close(self) -> None:
         if self._owns_file:
             self._file.close()
-
-    def __enter__(self) -> "Y4MReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def read_ppm(data: bytes, index: int = 0) -> Frame:
@@ -280,21 +293,21 @@ def _next_ppm_int(data: bytes, pos: int) -> tuple[int, int]:
     return int(data[start:pos]), pos
 
 
-_DEFAULT_SEQUENCE_FPS = (24, 1)
+_SEQUENCE_FPS = (24, 1)
 
 
-class ImageSequenceReader:
+class ImageSequenceReader(FrameSource):
     """Frame source over PPM/PGM files taken in lexicographic filename order.
 
     Image files carry no timing, so the stream is reported at 24 fps.
     """
 
-    def __init__(self, paths: list[Path], fps: tuple[int, int] = _DEFAULT_SEQUENCE_FPS):
+    def __init__(self, paths: list[Path]):
         if not paths:
             raise MediaFormatError("image sequence: no input files")
         self._paths = sorted(paths, key=lambda p: p.name)
         first = read_ppm(self._paths[0].read_bytes())
-        self.info = StreamInfo(first.width, first.height, fps[0], fps[1],
+        self.info = StreamInfo(first.width, first.height, *_SEQUENCE_FPS,
                                first.pixel_format, frame_count=len(self._paths))
 
     def __iter__(self) -> Iterator[Frame]:
@@ -310,15 +323,6 @@ class ImageSequenceReader:
                 )
             yield frame
 
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "ImageSequenceReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 _SIDECAR_KEYS = {"width", "height", "fps_num", "fps_den"}
 
@@ -331,7 +335,8 @@ def read_sidecar(path: Path) -> StreamInfo:
         raise SidecarError("sidecar %s: %s" % (path, exc)) from exc
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    # json.loads raises ValueError on 4300+ digit integers, RecursionError on deep nesting
+    except (ValueError, RecursionError) as exc:
         raise SidecarError("sidecar %s: invalid JSON (%s)" % (path, exc)) from exc
     if not isinstance(doc, dict) or set(doc) != _SIDECAR_KEYS:
         raise SidecarError(
@@ -347,18 +352,15 @@ def read_sidecar(path: Path) -> StreamInfo:
                       values["fps_den"], PixelFormat.RGB24)
 
 
-class RawRgbReader:
+class RawRgbReader(FrameSource):
     """Frame source over a file of concatenated RGB24 frames plus sidecar."""
 
-    def __init__(self, path: str | Path, info: StreamInfo | None = None):
+    def __init__(self, path: str | Path):
         self._path = Path(path)
-        if info is None:
-            info = read_sidecar(Path(str(self._path) + ".json"))
-        bpf = info.bytes_per_frame
+        info = read_sidecar(Path(str(self._path) + ".json"))
         size = self._path.stat().st_size
-        self.info = StreamInfo(info.width, info.height, info.fps_num, info.fps_den,
-                               PixelFormat.RGB24, frame_count=size // bpf)
-        self._trailing = size % bpf
+        self.info = replace(info, frame_count=size // info.bytes_per_frame)
+        self._trailing = size % info.bytes_per_frame
 
     def __iter__(self) -> Iterator[Frame]:
         bpf = self.info.bytes_per_frame
@@ -379,17 +381,8 @@ class RawRgbReader:
                             PixelFormat.RGB24, data)
                 index += 1
 
-    def close(self) -> None:
-        pass
 
-    def __enter__(self) -> "RawRgbReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def open_source(path: str | Path):
+def open_source(path: str | Path) -> FrameSource:
     """Pick a frame source for ``path`` by extension or directory layout."""
     path = Path(path)
     if path.is_dir():

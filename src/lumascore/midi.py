@@ -30,7 +30,7 @@ class MidiFormatError(ValueError):
 def encode_vlq(value: int) -> bytes:
     """Variable-length quantity: big-endian 7-bit groups, minimal length."""
     if value < 0 or value > MAX_VLQ:
-        raise ValueTooLarge("value %r outside VLQ range" % value)
+        raise ValueTooLarge("value %.6g outside VLQ range" % value)
     groups = [value & 0x7F]
     value >>= 7
     while value:
@@ -41,7 +41,10 @@ def encode_vlq(value: int) -> bytes:
 
 def ticks(t_s: float, tempo_bpm: float, ppq: int) -> int:
     """Seconds to MIDI ticks, rounding half up."""
-    return int(math.floor(t_s * tempo_bpm / 60.0 * ppq + 0.5))
+    exact = t_s * tempo_bpm / 60.0 * ppq + 0.5
+    if math.isinf(exact):
+        raise ValueTooLarge("time %.6g s outside the MIDI tick range" % t_s)
+    return int(math.floor(exact))
 
 
 def _track_chunk(payload: bytes) -> bytes:

@@ -1,20 +1,21 @@
 """Per-frame brightness measurements and curve extraction.
 
-All measurements land in [0, 1].  RGB sources use the Rec.601 luma weights;
-Y4M luma planes are limited-range and get rescaled from [16, 235], with
-out-of-range codes clamped.
+All measurements land in [0, 1].  Luma has one definition: per-pixel exact
+integer keys over the key of white (``luma = key / scale``), which are
+``299 R + 587 G + 114 B`` (the Rec.601 weights times 1000) over 255000 for
+RGB24, the code over 255 for GRAY8, and for the limited-range Y4M luma plane
+the code clamped to [16, 235], minus 16, over 219.
 
-Means come from exact integer sums of the 8-bit planes.  Contrast is taken
-over per-pixel luma held as exact integer keys (``luma = key / scale``):
-``299 R + 587 G + 114 B`` over 255000 for RGB24, the code over 255 for
-GRAY8, and the clamped ``Y - 16`` over 219 for Y4M.  ``rms`` is the
-population standard deviation from exact integer moments, and ``spread``
-the nearest-rank 95th minus 5th percentile of the keys.  The two ranks of
-the int32 RGB24 keys are selected in place (two single-rank partitions,
-~0.2 ms per 640x480 frame against ~1.6 ms for a full sort); 8-bit keys are
-radix-sorted instead, because selection on them was ~5x slower than
-NumPy's stable sort (5.7 ms against 1.0 ms).  Times are from a 2-vCPU Xeon
-with NumPy 2.4.
+A frame's mean luma is the exact sum of its keys over ``scale * n``, one
+correctly rounded division; for RGB24 the key sum is taken from the three
+exact colour plane sums, ``299 ΣR + 587 ΣG + 114 ΣB``.  ``rms`` contrast is
+the population standard deviation from exact integer moments of the keys,
+and ``spread`` the nearest-rank 95th minus 5th percentile of the keys.  The
+two ranks of the int32 RGB24 keys are selected in place (two single-rank
+partitions, ~0.2 ms per 640x480 frame against ~1.6 ms for a full sort);
+8-bit keys are radix-sorted instead, because selection on them was ~5x
+slower than NumPy's stable sort (5.7 ms against 1.0 ms).  Times are from a
+2-vCPU Xeon with NumPy 2.4.
 """
 
 from __future__ import annotations
@@ -58,15 +59,10 @@ CHANNEL_ORDER = (
     CurveChannel.CONTRAST_SPREAD,
 )
 
-_LUMA_RED = 0.299
-_LUMA_GREEN = 0.587
-
-
-def _weighted_luma(red, green, blue):
-    # blue + 0.299 (red - blue) + 0.587 (green - blue) equals the usual
-    # weighted sum but is exact for equal channels, so a white frame is
-    # exactly 1 and a gray frame exactly its code over 255
-    return blue + _LUMA_RED * (red - blue) + _LUMA_GREEN * (green - blue)
+# Rec.601 luma weights times 1000, which make an RGB24 pixel's luma key; the
+# key of white is 255 times their sum
+LUMA_WEIGHTS = (299, 587, 114)
+_RGB_SCALE = 255 * sum(LUMA_WEIGHTS)
 
 _RGB_INDEX = {
     CurveChannel.RED: 0,
@@ -132,54 +128,21 @@ def _rgb_sums(frame: Frame) -> tuple[int, ...]:
     return _lane_sums(np.frombuffer(frame.data, dtype=np.uint8)[:3 * pixels], 3)
 
 
-def _rgb_mean(sums: tuple[int, int, int], pixels: int, channel: CurveChannel) -> float:
-    """Luma or one colour mean of an RGB24 frame from its plane sums; the
-    mean commutes with the channel weighting."""
-    if channel is CurveChannel.LUMA:
-        return _weighted_luma(*sums) / (255.0 * pixels)
-    return sums[_RGB_INDEX[channel]] / (255.0 * pixels)
-
-
-def frame_luma_mean(frame: Frame) -> float:
-    pixels = frame.width * frame.height
-    if frame.pixel_format is PixelFormat.RGB24:
-        return _rgb_mean(_rgb_sums(frame), pixels, CurveChannel.LUMA)
-    # 8-bit Y planes: one integer sum gives the correctly rounded mean
-    # without building a float plane; a Y4M colour plane is limited-range,
-    # so its codes are clamped to [16, 235] first
-    y = np.frombuffer(frame.data, dtype=np.uint8)[:pixels]
-    if frame.pixel_format is PixelFormat.GRAY8:
-        return _lane_sums(y, 1)[0] / (255.0 * pixels)
-    return (_lane_sums(np.clip(y, 16, 235), 1)[0] - 16 * pixels) / (219.0 * pixels)
-
-
-def frame_channel_mean(frame: Frame, channel: CurveChannel) -> float:
-    if channel not in _RGB_INDEX:
-        raise ChannelUnavailable("channel %s is not an RGB plane" % channel.value)
-    if frame.pixel_format is not PixelFormat.RGB24:
-        raise ChannelUnavailable(
-            "channel %s requires RGB24 input, got %s"
-            % (channel.value, frame.pixel_format.value)
-        )
-    pixels = frame.width * frame.height
-    return _rgb_sums(frame)[_RGB_INDEX[channel]] / (255.0 * pixels)
-
-
-def _contrast_keys(frame: Frame) -> tuple[np.ndarray, int]:
+def _luma_keys(frame: Frame) -> tuple[np.ndarray, int]:
     """Per-pixel luma as exact integer keys and the key of white (the scale),
     so that ``luma = key / scale``."""
     pixels = frame.width * frame.height
     arr = np.frombuffer(frame.data, dtype=np.uint8)
     if frame.pixel_format is PixelFormat.RGB24:
-        # Rec.601 weights times 1000; a key is at most 255000, so int32 holds
-        # it, and integer ufuncs on the colour columns build it exactly
-        red, green, blue = (arr[i:3 * pixels:3].astype(np.int32) for i in range(3))
-        red *= 299
-        green *= 587
-        blue *= 114
-        red += green
-        red += blue
-        return red, 255000
+        # a key is at most 255000, so int32 holds it, and integer ufuncs on
+        # the colour columns build it exactly
+        planes = [arr[i:3 * pixels:3].astype(np.int32) for i in range(3)]
+        for plane, weight in zip(planes, LUMA_WEIGHTS):
+            plane *= weight
+        keys, green, blue = planes
+        keys += green
+        keys += blue
+        return keys, _RGB_SCALE
     y = arr[:pixels]
     if frame.pixel_format is PixelFormat.GRAY8:
         return y, 255
@@ -202,7 +165,7 @@ def _square_sum(keys: np.ndarray, bound: int) -> int:
 
 
 def _contrast(keys: np.ndarray, scale: int, method: str) -> float:
-    """Contrast of the integer luma ``keys`` (see :func:`_contrast_keys`).
+    """Contrast of the integer luma ``keys`` (see :func:`_luma_keys`).
     ``spread`` reorders wide keys in place; ``rms`` reads only their exact
     sums, so the order does not matter to it."""
     n = len(keys)
@@ -235,7 +198,7 @@ def frame_contrast(frame: Frame, method: str = "rms") -> float:
     """Contrast of the frame's per-pixel luma: ``rms`` is the population
     standard deviation, ``spread`` the nearest-rank 95th minus 5th
     percentile."""
-    return _contrast(*_contrast_keys(frame), method)
+    return _contrast(*_luma_keys(frame), method)
 
 
 _CONTRAST_METHODS = {
@@ -245,25 +208,43 @@ _CONTRAST_METHODS = {
 
 
 def _measure(frame: Frame, channels: tuple[CurveChannel, ...]) -> tuple[float, ...]:
-    """One sample per channel.  The RGB plane sums and the contrast keys are
-    each built at most once per frame and shared by the channels using them."""
+    """One sample per channel; every per-frame mean goes through here.  The
+    RGB plane sums and the luma keys are each built at most once per frame
+    and shared by the channels using them."""
+    pixels = frame.width * frame.height
     rgb = frame.pixel_format is PixelFormat.RGB24
     sums = keys = None
     out = []
     for channel in channels:
         if channel in _CONTRAST_METHODS:
-            if keys is None:
-                keys = _contrast_keys(frame)
+            keys = keys or _luma_keys(frame)
             out.append(_contrast(*keys, _CONTRAST_METHODS[channel]))
         elif rgb:
-            if sums is None:
-                sums = _rgb_sums(frame)
-            out.append(_rgb_mean(sums, frame.width * frame.height, channel))
+            sums = sums or _rgb_sums(frame)
+            if channel is CurveChannel.LUMA:
+                weighted = sum(w * s for w, s in zip(LUMA_WEIGHTS, sums))
+                out.append(weighted / (_RGB_SCALE * pixels))
+            else:
+                out.append(sums[_RGB_INDEX[channel]] / (255 * pixels))
         elif channel is CurveChannel.LUMA:
-            out.append(frame_luma_mean(frame))
+            keys = keys or _luma_keys(frame)
+            out.append(_lane_sums(keys[0], 1)[0] / (keys[1] * pixels))
         else:
-            out.append(frame_channel_mean(frame, channel))
+            raise ChannelUnavailable(
+                "channel %s requires RGB24 input, got %s"
+                % (channel.value, frame.pixel_format.value)
+            )
     return tuple(out)
+
+
+def frame_luma_mean(frame: Frame) -> float:
+    return _measure(frame, (CurveChannel.LUMA,))[0]
+
+
+def frame_channel_mean(frame: Frame, channel: CurveChannel) -> float:
+    if channel not in _RGB_INDEX:
+        raise ChannelUnavailable("channel %s is not an RGB plane" % channel.value)
+    return _measure(frame, (channel,))[0]
 
 
 def extract_curves(
@@ -273,18 +254,19 @@ def extract_curves(
 ) -> CurveSet:
     """Reduce a frame source to one sample per frame for each channel.
 
-    Frames may be measured on ``workers`` threads, but results are collected
-    strictly in frame order so the output is independent of the thread count.
+    Frames with a contrast channel may be measured on ``workers`` threads,
+    but results are collected strictly in frame order so the output is
+    independent of the thread count.  Means alone run on the calling thread:
+    an 8-bit mean costs less than handing the frame to a thread.
     """
     wanted = tuple(dict.fromkeys(channels))
     if not wanted:
         raise ValueError("no channels requested")
     info: StreamInfo = source.info
-    rows: list[tuple[float, ...]] = []
-    if workers <= 1:
-        for frame in source:
-            rows.append(_measure(frame, wanted))
+    if workers <= 1 or not any(c in _CONTRAST_METHODS for c in wanted):
+        rows = [_measure(frame, wanted) for frame in source]
     else:
+        rows = []
         with ThreadPoolExecutor(max_workers=workers) as pool:
             pending: deque = deque()
             for frame in source:

@@ -31,11 +31,8 @@ from .svgplot import plot_svg
 
 
 def extract_stage(input_path: str | Path, channels, workers: int = 1) -> bytes:
-    source = open_source(input_path)
-    try:
+    with open_source(input_path) as source:
         curves = extract_curves(source, channels, workers=workers)
-    finally:
-        source.close()
     return write_curves_csv(curves)
 
 

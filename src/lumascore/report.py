@@ -250,7 +250,8 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
     """Parse a report and check the type of every field compose and plot read."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # json.loads raises ValueError on 4300+ digit integers, RecursionError on deep nesting
+    except (ValueError, RecursionError) as exc:
         raise ReportFormatError("%s: %s" % (source_path, exc)) from exc
     if not isinstance(doc, dict):
         raise ReportFormatError("%s: top level must be an object" % source_path)

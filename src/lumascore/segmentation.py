@@ -108,12 +108,13 @@ def segment(curve: BrightnessCurve, params: SegmentationParams | None = None) ->
         params = SegmentationParams()
     y = curve.values
     n = len(y)
-    block = int(math.ceil(params.min_segment_s * curve.sample_rate - 1e-9))
-    block = max(block, 2)
+    # a float until checked: a huge min_segment_s rounds up to infinity
+    block = max(float(np.ceil(params.min_segment_s * curve.sample_rate - 1e-9)), 2.0)
     if n < 2 * block:
         raise CurveTooShort(
-            "curve has %d samples, need at least %d for segmentation" % (n, 2 * block)
+            "curve has %d samples, need at least %.6g for segmentation" % (n, 2 * block)
         )
+    block = int(block)
     sigma = estimate_noise(curve)
     lam = params.penalty_beta * max(sigma, NOISE_FLOOR) ** 2 * math.log(n)
     cost = _LineCost(y)

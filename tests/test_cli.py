@@ -11,7 +11,7 @@ from lumascore.pipeline import _write_artifacts
 from lumascore.photometry import CurveChannel
 from lumascore.report import read_curves_csv
 
-from _synth import build_ppm, build_y4m, y4m_frame_420
+from _synth import build_ppm, build_y4m, unit_noise, y4m_frame_420
 
 
 @pytest.fixture
@@ -24,6 +24,15 @@ def shot_video(tmp_path):
     )
     path = tmp_path / "shots.y4m"
     path.write_bytes(build_y4m(16, 16, frames))
+    return path
+
+
+@pytest.fixture
+def noisy_video(tmp_path):
+    """Three-second clip whose brightness jumps at random every frame."""
+    levels = [60 + int(u * 140) for u in unit_noise(4, 72)]
+    path = tmp_path / "noisy.y4m"
+    path.write_bytes(build_y4m(16, 16, [y4m_frame_420(16, 16, v) for v in levels]))
     return path
 
 
@@ -279,6 +288,33 @@ class TestMalformedReport:
         assert not (tmp_path / "out").exists()
 
 
+# a JSON array nested far deeper than the interpreter's recursion limit
+DEEP_JSON = "[" * 100000 + "]" * 100000
+
+
+class TestDeepNesting:
+    def test_report_exits_1_on_one_line(self, config_file, tmp_path, capsys):
+        report = tmp_path / "analysis.json"
+        report.write_text(DEEP_JSON)
+        code = main(["compose", "--analysis", str(report),
+                     "--config", str(config_file), "--out", str(tmp_path / "s.mid")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: %s: " % report) and err.count("\n") == 1
+        assert not (tmp_path / "s.mid").exists()
+
+    def test_sidecar_exits_1_on_one_line(self, tmp_path, capsys):
+        raw = tmp_path / "clip.rgb"
+        raw.write_bytes(bytes(3))
+        (tmp_path / "clip.rgb.json").write_text(DEEP_JSON)
+        code = main(["extract", "--input", str(raw), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: sidecar ") and "invalid JSON" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestPipeline:
     def test_writes_all_four_artifacts(self, shot_video, config_file, tmp_path):
         out_dir = tmp_path / "artifacts"
@@ -373,6 +409,40 @@ class TestPipeline:
             assert capsys.readouterr().err.count("\n") == 1
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
         assert not (tmp_path / "fresh").exists()
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"analysis": {"min_segment_s": 1e300}}',
+         "curve has 148 samples, need at least 1e+302 for segmentation"),
+        ('{"analysis": {"min_segment_s": 1.7e308}}',
+         "curve has 148 samples, need at least inf for segmentation"),
+        ('{"analysis": {"rate_hz": 5e-324}}',
+         "curve has 1 samples, need at least 4 for segmentation"),
+        ('{"texture": {"grain_ms": 1e300}, "overrides": '
+         '[{"segment_index": 0, "archetype": "granular_texture"}]}',
+         "outside VLQ range"),
+        ('{"texture": {"grain_ms": 1.7e308}, "harmony": {"tempo_bpm": 1000}, "overrides": '
+         '[{"segment_index": 0, "archetype": "granular_texture"}]}',
+         "s outside the MIDI tick range"),
+    ], ids=lambda v: v[:48])
+    def test_huge_finite_config_value_exits_1_on_one_short_line(
+            self, noisy_video, tmp_path, capsys, text, message):
+        # huge numbers print as %.6g, and values whose products overflow a
+        # float end in the same one-line error, not an OverflowError
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        code = main(["pipeline", "--input", str(noisy_video),
+                     "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err and len(err) < 100
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_transient_window_runs(self, noisy_video, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text('{"analysis": {"thresholds": {"transient_window_s": 1.7e308}}}')
+        assert main(["pipeline", "--input", str(noisy_video),
+                     "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 0
 
     def test_failing_write_replaces_nothing(self, tmp_path):
         (tmp_path / "a.csv").write_bytes(b"old")

@@ -44,6 +44,11 @@ class TestEncodeVlq:
         with pytest.raises(ValueTooLarge):
             encode_vlq(-1)
 
+    def test_huge_value_is_printed_short(self):
+        # the delta of a 1e300 ms grain used to print all 300 digits
+        with pytest.raises(ValueTooLarge, match="^value 4.8e\\+299 outside VLQ range$"):
+            encode_vlq(int(4.8e299))
+
     @given(st.integers(0, 0x0FFFFFFF))
     @settings(max_examples=200, deadline=None)
     def test_minimal_big_endian_groups(self, value):
@@ -78,6 +83,11 @@ class TestTicks:
         # 0.001 s at 60 bpm, 480 ppq = 0.48 ticks -> 0; 0.00105 -> 0.504 -> 1
         assert ticks(0.001, 60.0, 480) == 0
         assert ticks(0.00105, 60.0, 480) == 1
+
+    def test_time_past_the_float_range_rejected(self):
+        # 1.7e305 s at 1000 bpm and 960 ppq is an infinite tick count
+        with pytest.raises(ValueTooLarge, match="^time 1.7e\\+305 s outside the MIDI tick range$"):
+            ticks(1.7e305, 1000.0, 960)
 
 
 EMPTY_HEADER = b"MThd" + struct.pack(">IHHH", 6, 1, 2, 480)

@@ -1,12 +1,15 @@
 """Per-frame brightness measurements and curve extraction."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lumascore import photometry
 from lumascore.ingest import Frame, PixelFormat, StreamInfo
 from lumascore.photometry import (
     CHANNEL_ORDER,
@@ -14,7 +17,7 @@ from lumascore.photometry import (
     CurveChannel,
     EmptyStream,
     _contrast,
-    _contrast_keys,
+    _luma_keys,
     _lane_sums,
     _measure,
     _square_sum,
@@ -275,6 +278,9 @@ class TestFrameContrast:
 ORACLE_ABS_TOL = 1e-14
 ALL_FORMATS = (PixelFormat.RGB24, PixelFormat.GRAY8,
                PixelFormat.Y4M_420, PixelFormat.Y4M_444)
+# the key of white in each format, so that luma = key / WHITE
+WHITE = {PixelFormat.RGB24: 255000, PixelFormat.GRAY8: 255,
+         PixelFormat.Y4M_420: 219, PixelFormat.Y4M_444: 219}
 
 
 @st.composite
@@ -324,11 +330,33 @@ class TestContrastAgainstFloatPlane:
     @given(frames())
     @settings(max_examples=100, deadline=None)
     def test_keys_are_exact(self, frame):
-        keys, scale = _contrast_keys(frame)
+        keys, scale = _luma_keys(frame)
         assert [int(k) for k in keys] == exact_keys(frame)
-        white = {PixelFormat.RGB24: 255000, PixelFormat.GRAY8: 255,
-                 PixelFormat.Y4M_420: 219, PixelFormat.Y4M_444: 219}
-        assert scale == white[frame.pixel_format]
+        assert scale == WHITE[frame.pixel_format]
+
+
+def exact_luma_mean(frame):
+    """The correctly rounded mean of the exact keys over the key of white."""
+    keys = exact_keys(frame)
+    return float(Fraction(sum(keys), WHITE[frame.pixel_format] * len(keys)))
+
+
+class TestOneLumaDefinition:
+    """The mean luma is the mean of the same keys that contrast reads."""
+
+    @given(frames())
+    @settings(max_examples=120, deadline=None)
+    def test_mean_is_the_exact_key_mean(self, frame):
+        assert frame_luma_mean(frame) == exact_luma_mean(frame)
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    def test_frames_longer_than_a_lane_row(self, fmt):
+        # 97 x 53 RGB24 pixels fill five 3072-byte lane rows and part of a sixth
+        rng = np.random.default_rng(601)
+        size = StreamInfo(97, 53, 24, 1, fmt).bytes_per_frame
+        for _ in range(3):
+            frame = Frame(0, 97, 53, fmt, rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+            assert frame_luma_mean(frame) == exact_luma_mean(frame)
 
 
 def nearest_rank_spread_oracle(keys, scale):
@@ -382,7 +410,7 @@ class TestSpreadSelection:
         rng = np.random.default_rng(8)
         size = StreamInfo(64, 48, 24, 1, fmt).bytes_per_frame
         frame = Frame(0, 64, 48, fmt, rng.integers(0, 256, size, dtype=np.uint8).tobytes())
-        keys, scale = _contrast_keys(frame)
+        keys, scale = _luma_keys(frame)
         before = keys.copy()
         assert _contrast(keys, scale, "spread") == nearest_rank_spread_oracle(before, scale)
         assert np.array_equal(keys, before)
@@ -534,7 +562,7 @@ class TestExtractCurves:
         (CurveChannel.CONTRAST_SPREAD, CurveChannel.CONTRAST_RMS, CurveChannel.LUMA),
         (CurveChannel.CONTRAST_RMS, CurveChannel.CONTRAST_SPREAD),
     ))
-    def test_shared_contrast_keys_equal_single_channel_calls(self, fmt, workers, order):
+    def test_shared_luma_keys_equal_single_channel_calls(self, fmt, workers, order):
         # spread reorders the keys that rms then reads, in either order
         rng = np.random.default_rng(321)
         info = StreamInfo(40, 30, 24, 1, fmt)
@@ -552,6 +580,47 @@ class TestExtractCurves:
         curves = extract_curves(ListSource(info, frames), order, workers=workers)
         for channel in order:
             assert curves[channel].values.tobytes() == expected[channel].tobytes()
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Records the ``max_workers`` of every pool extract_curves builds."""
+        built = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                built.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(photometry, "ThreadPoolExecutor", Recording)
+        return built
+
+    @pytest.mark.parametrize("fmt,wanted", [
+        (PixelFormat.GRAY8, (CurveChannel.LUMA,)),
+        (PixelFormat.Y4M_420, (CurveChannel.LUMA,)),
+        (PixelFormat.RGB24, CHANNEL_ORDER[:4]),
+    ])
+    def test_means_alone_stay_on_the_calling_thread(self, pools, fmt, wanted):
+        rng = np.random.default_rng(55)
+        info = StreamInfo(8, 6, 24, 1, fmt)
+        frames = [Frame(i, 8, 6, fmt,
+                        rng.integers(0, 256, info.bytes_per_frame, dtype=np.uint8).tobytes())
+                  for i in range(30)]
+        serial = extract_curves(ListSource(info, frames), wanted, workers=1)
+        wide = extract_curves(ListSource(info, frames), wanted, workers=4)
+        assert pools == []
+        for channel in wanted:
+            assert wide[channel].values.tobytes() == serial[channel].values.tobytes()
+
+    def test_contrast_is_measured_on_the_pool(self, pools):
+        values = [int(u * 256) % 256 for u in unit_noise(808, 240)]
+        frames = [values[4 * i:4 * i + 4] for i in range(60)]
+        wanted = (CurveChannel.LUMA, CurveChannel.CONTRAST_RMS)
+        serial = extract_curves(gray_source(frames), wanted, workers=1)
+        assert pools == []
+        threaded = extract_curves(gray_source(frames), wanted, workers=2)
+        assert pools == [2]
+        for channel in wanted:
+            assert threaded[channel].values.tobytes() == serial[channel].values.tobytes()
 
     def test_hard_cuts_mark_the_only_nonzero_differences(self):
         # constant-brightness shots joined by hard cuts

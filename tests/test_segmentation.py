@@ -148,6 +148,16 @@ class TestSegment:
         with pytest.raises(CurveTooShort):
             segment(curve([0.0] * 40))  # needs 50 samples at 50 Hz
 
+    @pytest.mark.parametrize("min_segment_s,need", [
+        (0.5, "50"), (1e300, "1e\\+302"), (1.7e308, "inf"),
+    ])
+    def test_need_is_printed_short(self, min_segment_s, need):
+        # 1e300 s at 50 Hz used to print a 303-digit integer, and 1.7e308 s
+        # overflowed converting an infinite block length to an integer
+        with pytest.raises(CurveTooShort,
+                           match="^curve has 40 samples, need at least %s for" % need):
+            segment(curve([0.0] * 40), SegmentationParams(min_segment_s, 4.0))
+
     def test_deterministic(self):
         vals = list(unit_noise(3, 400))
         first = segment(curve(vals))
