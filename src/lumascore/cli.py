@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, PipelineConfig, load_config
+from .config import ConfigError, load_config
 from .photometry import CHANNEL_ORDER, CurveChannel
 from .pipeline import analyze_stage, compose_stage, extract_stage, plot_stage, run_pipeline
 
@@ -64,10 +64,6 @@ def _parse_channels(raw: str) -> list[CurveChannel]:
     return out
 
 
-def _read_file(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -77,24 +73,21 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "extract":
-            channels = _parse_channels(args.channels)
-            data = extract_stage(args.input, channels)
-            Path(args.out).write_bytes(data)
+            data = extract_stage(args.input, _parse_channels(args.channels))
         elif args.command == "analyze":
             config = load_config(args.config)
-            data = analyze_stage(_read_file(args.curves), config, args.curves)
-            Path(args.out).write_bytes(data)
+            data = analyze_stage(Path(args.curves).read_bytes(), config, args.curves)
         elif args.command == "compose":
             config = load_config(args.config)
-            data = compose_stage(_read_file(args.analysis), config, args.analysis)
-            Path(args.out).write_bytes(data)
+            data = compose_stage(Path(args.analysis).read_bytes(), config, args.analysis)
         elif args.command == "plot":
-            report = _read_file(args.analysis) if args.analysis else None
-            data = plot_stage(_read_file(args.curves), report, args.curves)
-            Path(args.out).write_bytes(data)
+            report = Path(args.analysis).read_bytes() if args.analysis else None
+            data = plot_stage(Path(args.curves).read_bytes(), report, args.curves,
+                              args.analysis)
         else:
-            config = load_config(args.config)
-            run_pipeline(args.input, config, args.out_dir)
+            run_pipeline(args.input, load_config(args.config), args.out_dir)
+            return 0
+        Path(args.out).write_bytes(data)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

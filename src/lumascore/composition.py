@@ -196,16 +196,15 @@ def render_gesture(
     motif = gesture.motif_id or 0
     chord = chord_for(motif, center, harmony)
     channel = harmony.channel
-    onset = seg_start
+    onset = body_start = seg_start
     if gesture.transient is not None:
         onset = seg_start + gesture.transient.onset_idx / rate
-    body_start = seg_start
-    if gesture.transient is not None:
         body_start = seg_start + (gesture.transient.onset_idx + 1) / rate
     arche = gesture.archetype
     events: list[MusicalEvent] = []
 
-    if arche in (Archetype.CHORD_RESONANCE, Archetype.CHORD_HELD):
+    if arche in (Archetype.CHORD_RESONANCE, Archetype.CHORD_HELD,
+                 Archetype.CRESCENDO_HELD, Archetype.DIMINUENDO_HELD):
         vel = velocity_at(_value_at(curve, onset))
         for pitch in chord:
             events.append(_note(onset, seg_end - onset, pitch, vel, channel))
@@ -254,7 +253,7 @@ def render_gesture(
             # archetype forced onto a segment without staircase structure
             events.append(_note(body_start, 0.2, chord[0],
                                 velocity_at(_value_at(curve, body_start)), channel))
-    elif arche is Archetype.GRANULAR_TEXTURE:
+    else:  # GranularTexture
         pcs = {(s + harmony.root_pc) % 12 for s in harmony.scale}
         candidates = [p for p in range(center - 12, center + 13)
                       if p % 12 in pcs and 0 <= p <= 127]
@@ -267,10 +266,6 @@ def render_gesture(
                 pitch = candidates[min(len(candidates) - 1, int(pick * len(candidates)))]
                 events.append(_note(at, grain_s, pitch, velocity_at(value), channel))
             k += 1
-    else:  # CrescendoHeld and DiminuendoHeld
-        vel = velocity_at(_value_at(curve, onset))
-        for pitch in chord:
-            events.append(_note(onset, seg_end - onset, pitch, vel, channel))
     return events
 
 

@@ -136,9 +136,6 @@ def _boundaries(raw) -> list[float] | None:
     return times
 
 
-_ARCHETYPE_NAMES = {a.value: a for a in Archetype}
-
-
 def _overrides(raw) -> list[Override]:
     if not isinstance(raw, list):
         raise ConfigError("config: overrides must be a list")
@@ -151,10 +148,12 @@ def _overrides(raw) -> list[Override]:
         index = entry["segment_index"]
         if isinstance(index, bool) or not isinstance(index, int) or index < 0:
             raise ConfigError("config: %s.segment_index must be a non-negative integer" % where)
-        name = entry["archetype"]
-        if name not in _ARCHETYPE_NAMES:
-            raise ConfigError("config: %s.archetype unknown name %r" % (where, name))
-        overrides.append(Override(index, _ARCHETYPE_NAMES[name]))
+        try:
+            archetype = Archetype(entry["archetype"])
+        except ValueError:
+            raise ConfigError("config: %s.archetype unknown name %r"
+                              % (where, entry["archetype"])) from None
+        overrides.append(Override(index, archetype))
     return overrides
 
 

@@ -228,14 +228,8 @@ def fit_staircase(samples: np.ndarray, rate: float,
             pick = np.argmin(cand, axis=1)  # first minimum, as a scan would
             dp[k][j0:j1] = cand[rows, pick]
             back[k][j0:j1] = pick + (k - 1)
-    best_m = 2
-    best_bic = math.inf
-    logn = math.log(n)
-    for m in range(2, max_levels + 1):
-        bic = n * math.log(dp[m][n] / n + BIC_EPS) + (2 * m - 1) * logn
-        if bic < best_bic:
-            best_bic = bic
-            best_m = m
+    # the first of equal scores wins, so ties keep the fewer levels
+    best_m = min(range(2, max_levels + 1), key=lambda m: _bic(dp[m][n], n, 2 * m - 1))
     edges = [n]
     j = n
     for k in range(best_m, 1, -1):
@@ -256,22 +250,8 @@ def fit_staircase(samples: np.ndarray, rate: float,
     return StaircaseFit(tuple(levels), step_times, sse)
 
 
-def _fit_params(fit: FitRecord) -> int:
-    if isinstance(fit, LinearFit):
-        return 2
-    if isinstance(fit, ExpFit):
-        return 3
-    return 2 * len(fit.levels) - 1
-
-
 def _bic(sse: float, n: int, k: int) -> float:
     return n * math.log(sse / n + BIC_EPS) + k * math.log(n)
-
-
-def _monotone(levels: tuple[float, ...]) -> bool:
-    rising = all(b >= a for a, b in zip(levels, levels[1:]))
-    falling = all(b <= a for a, b in zip(levels, levels[1:]))
-    return rising or falling
 
 
 def _is_rising(levels: tuple[float, ...]) -> bool:
@@ -313,27 +293,20 @@ def classify(
     nb = len(body)
     value_range = float(body.max() - body.min())
 
-    candidates: list[tuple[float, int, FitRecord]] = []
+    # candidates with their BIC parameter counts, in tie-break order
     linear = fit_linear(body, rate)
-    candidates.append((_bic(linear.sse, nb, 2), 0, linear))
+    candidates: list[tuple[FitRecord, int]] = [(linear, 2)]
     if nb >= 3:
         exp = fit_exponential(body, rate)
         if not exp.degenerate:
-            candidates.append((_bic(exp.sse, nb, 3), 1, exp))
+            candidates.append((exp, 3))
     if nb >= 2 * STAIRCASE_MAX_LEVELS:
         stair = fit_staircase(body, rate)
-        candidates.append((_bic(stair.sse, nb, _fit_params(stair)), 2, stair))
-    candidates.sort(key=lambda item: (item[0], item[1]))
-
-    winner = candidates[0][2]
-    if isinstance(winner, StaircaseFit) and not _monotone(winner.levels):
-        # a non-monotone staircase is not a staircase; take the runner-up
-        for _, _, fit in candidates[1:]:
-            if not isinstance(fit, StaircaseFit):
-                winner = fit
-                break
-        else:
-            winner = linear
+        # a non-monotone staircase is not a staircase
+        if _is_rising(stair.levels) or _is_rising(stair.levels[::-1]):
+            candidates.append((stair, 2 * len(stair.levels) - 1))
+    # min keeps the first of equal scores: line, exponential, staircase
+    winner = min(candidates, key=lambda c: _bic(c[0].sse, nb, c[1]))[0]
 
     kind = ShapeKind.PLATEAU if value_range < params.flat else _kind_of(winner)
     # roughness of the sustained body; a transient jump is its own feature

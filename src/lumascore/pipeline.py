@@ -94,15 +94,12 @@ def compose_stage(report_data: bytes, config: PipelineConfig, source_name: str =
 
 
 def plot_stage(csv_data: bytes, report_data: bytes | None = None,
-               source_name: str = "<curves>") -> bytes:
+               source_name: str = "<curves>", report_name: str = "<analysis>") -> bytes:
     curves = read_curves_csv(csv_data, source_name)
-    if CurveChannel.LUMA in curves:
-        curve = curves[CurveChannel.LUMA]
-    else:
-        curve = next(iter(curves.values()))
+    curve = curves.get(CurveChannel.LUMA) or next(iter(curves.values()))
     segments = None
     if report_data is not None:
-        doc = parse_report(report_data)
+        doc = parse_report(report_data, report_name)
         segments = [
             (seg["start_s"], seg["end_s"], seg["archetype"])
             for seg in doc["segments"]
@@ -140,9 +137,10 @@ def run_pipeline(
     out = Path(out_dir)
     csv_name = str(out / "curves.csv")
     csv_data = extract_stage(input_path, (CurveChannel.LUMA,), workers=workers)
+    report_name = str(out / "analysis.json")
     report_data = analyze_stage(csv_data, config, csv_name)
-    midi_data = compose_stage(report_data, config, str(out / "analysis.json"))
-    svg_data = plot_stage(csv_data, report_data, csv_name)
+    midi_data = compose_stage(report_data, config, report_name)
+    svg_data = plot_stage(csv_data, report_data, csv_name, report_name)
     out.mkdir(parents=True, exist_ok=True)
     return _write_artifacts(out, {
         "curves.csv": csv_data,

@@ -146,10 +146,7 @@ def _fit_to_dict(fit: FitRecord) -> dict:
 
 
 def _fit_from_dict(doc: dict) -> FitRecord:
-    model = doc.get("model")
-    cls = _FIT_MODELS.get(model) if isinstance(model, str) else None
-    if cls is None:
-        raise ReportFormatError("unknown fit model %r" % model)
+    cls = _FIT_MODELS[doc["model"]]
     # a field absent from the report, such as degenerate, keeps its default
     return cls(**{name: tuple(doc[name]) if kind == "numbers" else doc[name]
                   for name, kind in _FIT_JSON_TYPES[cls].items() if name in doc})
@@ -166,8 +163,6 @@ def build_report(
     composition stage needs nothing beyond this file."""
     segments = []
     for g in gestures:
-        start_s = g.segment.start_idx / rate_hz
-        end_s = g.segment.end_idx / rate_hz
         transient = None
         if g.transient is not None:
             transient = {
@@ -175,8 +170,8 @@ def build_report(
                 "amplitude": float(g.transient.amplitude),
             }
         segments.append({
-            "start_s": start_s,
-            "end_s": end_s,
+            "start_s": g.segment.start_idx / rate_hz,
+            "end_s": g.segment.end_idx / rate_hz,
             "kind": g.kind.value,
             "archetype": g.archetype.value,
             "transient": transient,
@@ -204,20 +199,22 @@ def report_to_bytes(report: dict) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-# the fields of a report that compose and plot read, by JSON type
-_CHANNEL_FIELDS = {"channel": "string", "sample_rate_hz": "number", "t0": "number",
+# the fields of a report that compose and plot read, by JSON type; a name
+# field holds the value of one member of its Enum
+_CHANNEL_FIELDS = {"channel": CurveChannel, "sample_rate_hz": "number", "t0": "number",
                    "values": "numbers"}
-_SEGMENT_FIELDS = {"start_s": "number", "end_s": "number", "kind": "string",
-                   "archetype": "string", "granularity": "number", "fit": "object",
+_SEGMENT_FIELDS = {"start_s": "number", "end_s": "number", "kind": ShapeKind,
+                   "archetype": Archetype, "granularity": "number", "fit": "object",
                    "mean_brightness": "number"}
 _TRANSIENT_FIELDS = {"t_s": "number", "amplitude": "number"}
 _TYPE_NAMES = {"number": "a finite number", "integer": "an integer",
-               "string": "a string", "object": "an object", "list": "a list",
-               "numbers": "a list of finite numbers", "boolean": "a boolean"}
+               "object": "an object", "list": "a list",
+               "numbers": "a list of finite numbers", "boolean": "a boolean",
+               CurveChannel: "a known channel", ShapeKind: "a known kind",
+               Archetype: "a known archetype"}
 # exact types, as json.loads builds them; a JSON true/false is a bool, which
 # isinstance would count as an int
-_JSON_TYPES = {"integer": {int}, "string": {str}, "object": {dict}, "list": {list},
-               "boolean": {bool}}
+_JSON_TYPES = {"integer": {int}, "object": {dict}, "list": {list}, "boolean": {bool}}
 
 
 def _finite_numbers(values: list) -> bool:
@@ -230,15 +227,23 @@ def _finite_numbers(values: list) -> bool:
         return False
 
 
-def _has_type(value, kind: str) -> bool:
+def _has_type(value, kind) -> bool:
     if kind == "number":
         return _finite_numbers([value])
     if kind == "numbers":
         return type(value) is list and _finite_numbers(value)
-    return type(value) in _JSON_TYPES[kind]
+    if kind in _JSON_TYPES:
+        return type(value) in _JSON_TYPES[kind]
+    return type(value) is str and value in {member.value for member in kind}
 
 
-def _check_fields(obj, types: dict[str, str], where: str, optional=()) -> None:
+def _sample(t_s: float, rate: float) -> int | float:
+    """The sample index of a time, halves rounded up; inf when it overflows."""
+    x = float(t_s) * rate + 0.5
+    return math.floor(x) if math.isfinite(x) else math.inf
+
+
+def _check_fields(obj, types: dict, where: str, optional=()) -> None:
     if not isinstance(obj, dict):
         raise ReportFormatError("%s must be an object" % where)
     for key, kind in types.items():
@@ -247,7 +252,9 @@ def _check_fields(obj, types: dict[str, str], where: str, optional=()) -> None:
 
 
 def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
-    """Parse a report and check the type of every field compose and plot read."""
+    """Parse a report and check every field compose and plot read: its type,
+    the names of kinds, archetypes and channels, and that each segment and
+    transient lies inside the embedded curve."""
     try:
         doc = json.loads(data.decode("utf-8"))
     # json.loads raises ValueError on 4300+ digit integers, RecursionError on deep nesting
@@ -265,11 +272,20 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
     if not doc["channels"]:
         raise ReportFormatError("%s: channels is empty" % source_path)
     _check_fields(doc["channels"][0], _CHANNEL_FIELDS, "%s: channels[0]" % source_path)
+    n = len(doc["channels"][0]["values"])
+    rate = float(doc["rate_hz"])
     for i, seg in enumerate(doc["segments"]):
         where = "%s: segments[%d]" % (source_path, i)
         _check_fields(seg, _SEGMENT_FIELDS, where)
+        start, end = _sample(seg["start_s"], rate), _sample(seg["end_s"], rate)
+        if not 0 <= start < end <= n:
+            raise ReportFormatError("%s: start_s and end_s must give a non-empty span "
+                                    "inside the %d-sample curve" % (where, n))
         if seg.get("transient") is not None:
             _check_fields(seg["transient"], _TRANSIENT_FIELDS, where + ".transient")
+            if not start <= _sample(seg["transient"]["t_s"], rate) < end:
+                raise ReportFormatError("%s: transient t_s must lie inside the segment"
+                                        % where)
         motif = seg.get("motif_id")
         if motif is not None and not _has_type(motif, "integer"):
             raise ReportFormatError("%s: motif_id must be an integer or null" % where)
@@ -284,17 +300,11 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
     return doc
 
 
-_KIND_NAMES = {k.value: k for k in ShapeKind}
-_ARCHETYPE_NAMES = {a.value: a for a in Archetype}
-
-
 def gestures_from_report(doc: dict) -> tuple[list[Gesture], BrightnessCurve]:
-    """Rebuild the gesture list and analysis curve a report was built from."""
+    """Rebuild the gesture list and analysis curve of a report that
+    `parse_report` has checked."""
     rate = float(doc["rate_hz"])
-    channels = doc["channels"]
-    if not channels:
-        raise ReportFormatError("report carries no curve data")
-    entry = channels[0]
+    entry = doc["channels"][0]
     curve = BrightnessCurve(
         CurveChannel(entry["channel"]),
         float(entry["sample_rate_hz"]),
@@ -303,27 +313,20 @@ def gestures_from_report(doc: dict) -> tuple[list[Gesture], BrightnessCurve]:
     )
     gestures = []
     for seg in doc["segments"]:
-        start_idx = int(math.floor(seg["start_s"] * rate + 0.5))
-        end_idx = int(math.floor(seg["end_s"] * rate + 0.5))
+        start_idx = _sample(seg["start_s"], rate)
         transient = None
         if seg.get("transient") is not None:
-            onset_abs = int(math.floor(seg["transient"]["t_s"] * rate + 0.5))
-            transient = TransientInfo(onset_abs - start_idx, seg["transient"]["amplitude"])
-        kind = _KIND_NAMES.get(seg["kind"])
-        archetype = _ARCHETYPE_NAMES.get(seg["archetype"])
-        if kind is None or archetype is None:
-            raise ReportFormatError(
-                "segment at %gs: unknown kind or archetype" % seg["start_s"]
-            )
+            transient = TransientInfo(_sample(seg["transient"]["t_s"], rate) - start_idx,
+                                      seg["transient"]["amplitude"])
         gestures.append(Gesture(
-            segment=Segment(start_idx, end_idx),
-            kind=kind,
+            segment=Segment(start_idx, _sample(seg["end_s"], rate)),
+            kind=ShapeKind(seg["kind"]),
             transient=transient,
             granularity=float(seg["granularity"]),
             fit=_fit_from_dict(seg["fit"]),
             fit_rrmse=0.0,
             mean_brightness=float(seg["mean_brightness"]),
-            archetype=archetype,
+            archetype=Archetype(seg["archetype"]),
             motif_id=seg.get("motif_id"),
         ))
     return gestures, curve

@@ -19,7 +19,6 @@ def plot_svg(
     All coordinates are fixed to two decimals so the bytes are stable.
     """
     duration = curve.duration
-    n = len(curve.values)
     points = []
     for i, v in enumerate(curve.values):
         x = (i / curve.sample_rate) / duration * WIDTH if duration > 0 else 0.0

@@ -287,6 +287,30 @@ class TestMalformedReport:
         self._assert_one_error_line(code, capsys)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("stage", ["compose", "plot"])
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["segments"][0].update(kind="spline"),
+        lambda doc: doc["segments"][0].update(archetype="a & <b>"),
+        lambda doc: doc.update(rate_hz=1e308),
+        lambda doc: doc["segments"][0].update(transient={"t_s": 1e308, "amplitude": 0.3}),
+        lambda doc: doc["segments"][-1].update(end_s=2e4),
+        lambda doc: doc["segments"][-1].update(end_s=1e300),
+    ], ids=["unknown kind", "unknown archetype", "huge rate", "huge transient time",
+            "end past the film", "huge end"])
+    def test_unchecked_report_exits_1_naming_it(self, report, config_file, tmp_path,
+                                                capsys, stage, edit):
+        self._edit(report, edit)
+        if stage == "compose":
+            argv = ["compose", "--analysis", str(report), "--config", str(config_file)]
+        else:
+            argv = ["plot", "--curves", str(tmp_path / "curves.csv"),
+                    "--analysis", str(report)]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: %s: segments[" % report) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 # a JSON array nested far deeper than the interpreter's recursion limit
 DEEP_JSON = "[" * 100000 + "]" * 100000
@@ -390,6 +414,18 @@ class TestPipeline:
         assert code == 2
         assert err.startswith("error: config") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ['["x"]', '{"a": 1}'])
+    def test_override_archetype_of_wrong_type_exits_2(self, shot_video, tmp_path, capsys,
+                                                      name):
+        config = tmp_path / "config.json"
+        config.write_text('{"overrides": [{"segment_index": 0, "archetype": %s}]}' % name)
+        code = main(["pipeline", "--input", str(shot_video),
+                     "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: config: overrides[0].archetype")
+        assert err.count("\n") == 1
 
     def test_failing_stage_writes_no_artifact(self, shot_video, config_file, tmp_path,
                                               capsys):

@@ -4,7 +4,9 @@ Every input the CLI accepts must end either in exit 0 or in exit 1 or 2 with
 exactly one ``error:`` line on stderr.  Each case takes one small valid
 input (a Y4M clip, a PPM image, a raw RGB24 file or its sidecar, a curve
 CSV, an analysis report or a config), applies a few byte mutations and runs
-the commands that read it.  An exception escaping ``main`` fails the case.
+the commands that read it.  An exception escaping ``main`` fails the case,
+and so does an exit 0 whose score does not read back as MIDI or whose plot
+does not parse as XML.
 """
 
 import contextlib
@@ -12,12 +14,14 @@ import functools
 import io
 import json
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumascore.cli import main
+from lumascore.midi import read_smf
 
 from _synth import build_ppm, build_y4m, unit_noise, y4m_frame_420
 
@@ -57,6 +61,13 @@ def seeds() -> dict[str, bytes]:
         "report": report,
         "config": json.dumps(config).encode(),
     }
+
+
+def edited(kind: str, edit) -> tuple[str, bytes]:
+    """(kind, bytes): a seed input with one edit of its JSON document."""
+    doc = json.loads(seeds()[kind])
+    edit(doc)
+    return kind, json.dumps(doc).encode()
 
 
 @st.composite
@@ -109,9 +120,24 @@ def _commands(kind: str, tmp: Path) -> list[list[str]]:
     return [["pipeline", "--input", path["y4m"]] + config + ["--out-dir", str(tmp / "dir")]]
 
 
+# what an exit 0 of each command must have written to --out
+READ_BACK = {"compose": read_smf, "plot": ET.fromstring}
+
+
 @given(mutated())
 @example(("report", DEEP_JSON))
 @example(("sidecar", DEEP_JSON))
+# reports and configs that once ended in a traceback, a plot that is not XML
+# or a score that runs far past the film
+@example(edited("report", lambda doc: doc["segments"][0].update(archetype="a & <b>")))
+@example(edited("report", lambda doc: doc["segments"][0].update(kind="spline")))
+@example(edited("report", lambda doc: doc.update(rate_hz=1e308)))
+@example(edited("report", lambda doc: doc["segments"][0].update(
+    transient={"t_s": 1e308, "amplitude": 0.3})))
+@example(edited("report", lambda doc: doc["segments"][-1].update(end_s=2e4)))
+@example(edited("report", lambda doc: doc["segments"][-1].update(end_s=1e300)))
+@example(edited("config", lambda doc: doc["overrides"][0].update(archetype=["x"])))
+@example(edited("config", lambda doc: doc["overrides"][0].update(archetype={"a": 1})))
 @settings(max_examples=300, deadline=None)
 def test_mutated_input_ends_in_artifacts_or_one_error_line(case):
     kind, data = case
@@ -128,3 +154,5 @@ def test_mutated_input_ends_in_artifacts_or_one_error_line(case):
                 assert message.startswith("error:") and message.count("\n") == 1, message
             else:
                 assert message == ""
+                if argv[0] in READ_BACK:
+                    READ_BACK[argv[0]]((tmp / "out").read_bytes())

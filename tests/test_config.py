@@ -203,6 +203,11 @@ class TestStructuredFields:
         with pytest.raises(ConfigError, match="archetype"):
             parse_config({"overrides": [{"segment_index": 0, "archetype": "banjo"}]})
 
+    @pytest.mark.parametrize("name", [["x"], {"a": 1}, 3, None])
+    def test_override_archetype_of_wrong_type(self, name):
+        with pytest.raises(ConfigError, match=r"overrides\[0\]\.archetype"):
+            parse_config({"overrides": [{"segment_index": 0, "archetype": name}]})
+
     def test_override_negative_index(self):
         with pytest.raises(ConfigError, match="segment_index"):
             parse_config({"overrides": [{"segment_index": -1, "archetype": "chord_held"}]})

@@ -421,6 +421,15 @@ class TestClassifyDetails:
         assert gesture.kind is ShapeKind.CHAOTIC
         assert gesture.fit is not None
 
+    def test_non_monotone_staircase_is_set_aside(self):
+        # the exact up-then-down staircase has zero error, so it would win
+        # under BIC; it is no candidate, and the next best fit wins instead
+        body = np.repeat([0.2, 0.8, 0.5], 40)
+        assert fit_staircase(body, RATE).sse == 0.0
+        gesture = classify(body, body, RATE)
+        assert gesture.kind is ShapeKind.EXPONENTIAL_RISE
+        assert gesture.fit == fit_exponential(body, RATE)
+
 
 def make_gesture(kind, slope, duration_s=5.0, granularity=0.1, amplitude=0.0):
     n = int(duration_s * RATE)

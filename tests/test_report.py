@@ -141,7 +141,7 @@ class TestReadCurvesCsv:
             read_curves_csv(b"time_s,luma\n")
 
 
-def make_report(gestures, n=100, rate=50.0):
+def make_report(gestures, n=300, rate=50.0):
     curve = BrightnessCurve(
         CurveChannel.LUMA, rate, 0.0, np.linspace(0.2, 0.8, n)
     )
@@ -199,7 +199,7 @@ class TestReportRoundTrip:
             assert got.mean_brightness == want.mean_brightness
             assert got.motif_id == want.motif_id
         assert curve.sample_rate == 50.0
-        assert len(curve.values) == 100
+        assert len(curve.values) == 300
 
     def test_segment_times_in_seconds(self):
         doc = parse_report(report_to_bytes(make_report(SAMPLE_GESTURES)))
@@ -248,6 +248,18 @@ SEGMENT_EDITS = {
     "transient not an object": _set("transient", 0.1),
     "string motif": _set("motif_id", "2"),
     "fractional motif": _set("motif_id", 1.5),
+    "unknown kind": _set("kind", "spline"),
+    "unknown archetype": _set("archetype", "a & <b>"),
+    "archetype as a list": _set("archetype", ["chord_held"]),
+    "end past the curve": _set("end_s", 6.02),
+    "end far past the curve": _set("end_s", 2e4),
+    "end that overflows the index": _set("end_s", 1e300),
+    "negative start": _set("start_s", -0.02),
+    "empty span": _set("end_s", 0.0),
+    "transient before the segment": _set("transient", {"t_s": -0.02, "amplitude": 0.3}),
+    "transient at the segment end": _set("transient", {"t_s": 2.0, "amplitude": 0.3}),
+    "transient that overflows the index": _set("transient", {"t_s": 1e308,
+                                                             "amplitude": 0.3}),
 }
 
 
@@ -307,3 +319,24 @@ class TestReportSchema:
         del doc["segments"][1]["fit"]["degenerate"]
         gestures, _ = gestures_from_report(parse_report(report_to_bytes(doc)))
         assert [g.motif_id for g in gestures] == [None, None, 2]
+
+
+class TestReportRanges:
+    def test_rate_that_overflows_the_index_rejected(self):
+        doc = make_report(SAMPLE_GESTURES)
+        doc["rate_hz"] = 1e308
+        with pytest.raises(ReportFormatError, match=r"segments\[0\]: start_s and end_s"):
+            parse_report(report_to_bytes(doc))
+
+    def test_unknown_channel_rejected(self):
+        doc = make_report(SAMPLE_GESTURES)
+        doc["channels"][0]["channel"] = "loudness"
+        with pytest.raises(ReportFormatError, match=r"channels\[0\]: channel"):
+            parse_report(report_to_bytes(doc))
+
+    def test_segment_may_end_at_the_curve_end(self):
+        doc = make_report(SAMPLE_GESTURES)
+        doc["segments"][2]["transient"] = {"t_s": 5.98, "amplitude": 0.3}
+        gestures, curve = gestures_from_report(parse_report(report_to_bytes(doc)))
+        assert gestures[2].segment == Segment(200, len(curve.values))
+        assert gestures[2].transient == TransientInfo(99, 0.3)
