@@ -59,8 +59,6 @@ def _parse_channels(raw: str) -> list[CurveChannel]:
         if name not in names:
             raise ValueError("unknown channel %r" % name)
         out.append(names[name])
-    if not out:
-        raise ValueError("empty channel list")
     return out
 
 

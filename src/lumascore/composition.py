@@ -11,17 +11,13 @@ import math
 from dataclasses import dataclass, field
 
 from .gestures import Archetype, ExpFit, Gesture, StaircaseFit
-from .photometry import BrightnessCurve
+from .photometry import MAX_CURVE_SAMPLES, BrightnessCurve
 
 MASK64 = (1 << 64) - 1
 DEFAULT_LAMBDA_MAX = 40.0
 DEFAULT_GRAIN_S = 0.060
 ARPEGGIO_RHO = 0.8
 TEXTURE_GRID_S = 0.01
-
-
-class NotADecay(ValueError):
-    pass
 
 
 class SplitMix64:
@@ -129,10 +125,10 @@ def arpeggio_times(fit: ExpFit, duration_s: float, rho: float = ARPEGGIO_RHO) ->
     """Onsets where the decay envelope loses another factor of rho.
 
     Times are relative to the fit's own origin and truncated to the given
-    duration, at most 32 of them.
+    duration, at most 32 of them; a fit that does not decay gives none.
     """
     if fit.scale <= 0 or fit.degenerate:
-        raise NotADecay("arpeggio onsets need a decaying exponential fit")
+        return []
     spacing = fit.tau_s * math.log(1.0 / rho)
     times = []
     for k in range(1, 33):
@@ -214,7 +210,7 @@ def render_gesture(
         for pitch in chord:
             events.append(_note(onset, chord_dur, pitch, vel, channel))
         fit = gesture.fit
-        if isinstance(fit, ExpFit) and fit.scale > 0 and not fit.degenerate:
+        if isinstance(fit, ExpFit):
             times = arpeggio_times(fit, seg_end - body_start)
             spacing = fit.tau_s * math.log(1.0 / ARPEGGIO_RHO)
             pitches = _descending_pitches(chord, motif, harmony, len(times))
@@ -273,7 +269,11 @@ def expression_track(curve: BrightnessCurve, rate: float = 20.0, channel: int = 
     """Controller 11 following the curve, duplicate values suppressed."""
     if rate <= 0:
         raise ValueError("expression rate must be positive")
-    steps = int(math.floor(curve.duration * rate + 1e-9))
+    last = curve.duration * rate + 1e-9  # inf for a tiny curve rate, which `<` rejects
+    if not last < MAX_CURVE_SAMPLES:
+        raise ValueError("a %.6g s curve needs more than %d expression steps"
+                         % (curve.duration, MAX_CURVE_SAMPLES))
+    steps = int(math.floor(last))
     events: list[ControlEvent] = []
     previous = -1
     for k in range(steps + 1):
@@ -297,6 +297,8 @@ def compose(
     """Render all gestures against one rng stream and assemble the score."""
     if harmony is None:
         harmony = HarmonyConfig()
+    # first, so a curve too long to follow is refused before any rendering
+    controls = expression_track(curve, channel=harmony.channel)
     rng = SplitMix64(seed)
     notes: list[MusicalEvent] = []
     for gesture in sorted(gestures, key=lambda g: g.segment.start_idx):
@@ -304,5 +306,4 @@ def compose(
             render_gesture(gesture, curve, harmony, rng, lambda_max, grain_s)
         )
     notes.sort(key=lambda e: (e.onset_s, e.pitch))
-    controls = expression_track(curve, channel=harmony.channel)
     return Score(notes, controls, harmony.tempo_bpm, harmony.ppq, curve.duration)

@@ -188,12 +188,12 @@ def parse_config(doc: dict) -> PipelineConfig:
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     try:
-        text = path.read_text()
+        raw = path.read_bytes()
     except OSError as exc:
         raise ConfigError("config %s: %s" % (path, exc)) from exc
     try:
-        doc = json.loads(text)
-    # json.loads raises ValueError on 4300+ digit integers, RecursionError on deep nesting
+        doc = json.loads(raw.decode("utf-8"))
+    # a bad byte and 4300+ digit integers raise ValueError, deep nesting RecursionError
     except (ValueError, RecursionError) as exc:
         raise ConfigError("config %s: invalid JSON (%s)" % (path, exc)) from exc
     return parse_config(doc)

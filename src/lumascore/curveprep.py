@@ -1,4 +1,4 @@
-"""Resampling, smoothing and roughness for brightness curves."""
+"""Resampling, smoothing and residual RMS of brightness curves."""
 
 from __future__ import annotations
 
@@ -6,13 +6,9 @@ import math
 
 import numpy as np
 
-from .photometry import BrightnessCurve
+from .photometry import MAX_CURVE_SAMPLES, BrightnessCurve
 
 ROUGHNESS_SCALE = 0.05
-
-
-class NonPositiveRate(ValueError):
-    pass
 
 
 def _round_half_up(x: float) -> int:
@@ -25,14 +21,18 @@ def resample(curve: BrightnessCurve, rate: float) -> BrightnessCurve:
     Resampling to the curve's own rate reproduces its values exactly.
     """
     if rate <= 0:
-        raise NonPositiveRate("resample rate must be positive")
+        raise ValueError("resample rate must be positive")
     y = curve.values
     n = len(y)
     if n == 1:
         return BrightnessCurve(curve.channel, rate, curve.t0, y.copy())
-    # count of output samples on [0, (n-1)/rate_in]; the epsilon keeps
-    # rational rate ratios from losing the endpoint to float rounding
-    m = int(math.floor((n - 1) * rate / curve.sample_rate + 1e-9)) + 1
+    # floor(last) + 1 samples span [0, (n-1)/rate_in]; the epsilon keeps rational
+    # rate ratios from losing the endpoint to rounding, and `<` also rejects inf
+    last = (n - 1) * rate / curve.sample_rate + 1e-9
+    if not last < MAX_CURVE_SAMPLES:
+        raise ValueError("resampling at %.6g Hz gives more than %d samples"
+                         % (rate, MAX_CURVE_SAMPLES))
+    m = int(math.floor(last)) + 1
     # a step past n only ever meets m == 1; capping it keeps 0 * step finite
     pos = np.arange(m, dtype=np.float64) * min(curve.sample_rate / rate, n)
     pos = np.clip(pos, 0.0, float(n - 1))

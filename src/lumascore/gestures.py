@@ -24,10 +24,6 @@ STAIRCASE_BLOCK = 64  # piece ends per cost block of the staircase DP
 STAIRCASE_MAX_LEVELS = 6
 
 
-class TooFewSamples(ValueError):
-    pass
-
-
 class ShapeKind(Enum):
     LINEAR_RISE = "linear_rise"
     LINEAR_DECAY = "linear_decay"
@@ -127,7 +123,7 @@ def fit_linear(samples: np.ndarray, rate: float) -> LinearFit:
     y = np.asarray(samples, dtype=np.float64)
     n = len(y)
     if n < 2:
-        raise TooFewSamples("linear fit needs at least 2 samples")
+        raise ValueError("linear fit needs at least 2 samples")
     if np.ptp(y) == 0.0:
         # a constant is its own fit; the normal equations would round it
         return LinearFit(float(y[0]), 0.0, 0.0)
@@ -157,7 +153,7 @@ def fit_exponential(samples: np.ndarray, rate: float, tau_grid: np.ndarray | Non
     y = np.asarray(samples, dtype=np.float64)
     n = len(y)
     if n < 3:
-        raise TooFewSamples("exponential fit needs at least 3 samples")
+        raise ValueError("exponential fit needs at least 3 samples")
     if tau_grid is None:
         tau_grid = make_tau_grid((n - 1) / rate if n > 1 else 1.0 / rate)
     if float(y.max() - y.min()) < 1e-12:
@@ -194,9 +190,7 @@ def fit_staircase(samples: np.ndarray, rate: float,
     y = np.asarray(samples, dtype=np.float64)
     n = len(y)
     if n < 2 * max_levels:
-        raise TooFewSamples(
-            "staircase fit needs at least %d samples" % (2 * max_levels)
-        )
+        raise ValueError("staircase fit needs at least %d samples" % (2 * max_levels))
     cy = np.concatenate(([0.0], np.cumsum(y)))
     cyy = np.concatenate(([0.0], np.cumsum(y * y)))
     pos = np.arange(n + 1, dtype=np.float64)
@@ -281,7 +275,7 @@ def classify(
     raw = np.asarray(raw, dtype=np.float64)
     n = len(smoothed)
     if n < 2:
-        raise TooFewSamples("classification needs at least 2 samples")
+        raise ValueError("classification needs at least 2 samples")
     if segment is None:
         segment = Segment(0, n)
 

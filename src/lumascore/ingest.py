@@ -19,42 +19,6 @@ class MediaFormatError(ValueError):
     """Malformed or unsupported media input."""
 
 
-class MissingSignature(MediaFormatError):
-    pass
-
-
-class MissingRequiredToken(MediaFormatError):
-    pass
-
-
-class UnsupportedColorspace(MediaFormatError):
-    pass
-
-
-class BadFrameMarker(MediaFormatError):
-    pass
-
-
-class TruncatedFrame(MediaFormatError):
-    pass
-
-
-class UnsupportedMagic(MediaFormatError):
-    pass
-
-
-class UnsupportedMaxval(MediaFormatError):
-    pass
-
-
-class TruncatedPixelData(MediaFormatError):
-    pass
-
-
-class SidecarError(MediaFormatError):
-    pass
-
-
 class PixelFormat(Enum):
     RGB24 = "rgb24"
     GRAY8 = "gray8"
@@ -76,6 +40,9 @@ class StreamInfo:
             raise MediaFormatError("stream dimensions must be positive")
         if self.fps_num < 1 or self.fps_den < 1:
             raise MediaFormatError("frame rate must be positive")
+        # a rate hundreds of digits long would overflow a float or round to 0
+        if abs(math.log10(self.fps_num) - math.log10(self.fps_den)) > 300:
+            raise MediaFormatError("frame rate must lie between 1e-300 and 1e300")
 
     @property
     def fps(self) -> float:
@@ -119,7 +86,7 @@ def parse_y4m_header(data: bytes) -> StreamInfo:
     """
     line = data.split(b"\n", 1)[0]
     if not line.startswith(b"YUV4MPEG2"):
-        raise MissingSignature("y4m: missing YUV4MPEG2 signature")
+        raise MediaFormatError("y4m: missing YUV4MPEG2 signature")
     width = height = None
     fps_num = fps_den = None
     colorspace = b"C420"
@@ -134,20 +101,17 @@ def parse_y4m_header(data: bytes) -> StreamInfo:
         elif tag == b"F":
             num, sep, den = rest.partition(b":")
             if not sep:
-                raise MissingRequiredToken("y4m: malformed F token")
+                raise MediaFormatError("y4m: malformed F token")
             fps_num = _int_token(num, "F")
             fps_den = _int_token(den, "F")
         elif tag == b"C":
             colorspace = token
         # interlacing, aspect and X extensions carry nothing we use
-    if width is None:
-        raise MissingRequiredToken("y4m: missing required token W")
-    if height is None:
-        raise MissingRequiredToken("y4m: missing required token H")
-    if fps_num is None:
-        raise MissingRequiredToken("y4m: missing required token F")
+    for tag, value in (("W", width), ("H", height), ("F", fps_num)):
+        if value is None:
+            raise MediaFormatError("y4m: missing required token %s" % tag)
     if colorspace not in _Y4M_COLORSPACES:
-        raise UnsupportedColorspace(
+        raise MediaFormatError(
             "y4m: unsupported colorspace %s" % colorspace.decode("ascii", "replace")
         )
     return StreamInfo(width, height, fps_num, fps_den, _Y4M_COLORSPACES[colorspace])
@@ -157,7 +121,7 @@ def _int_token(raw: bytes, tag: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise MissingRequiredToken("y4m: malformed %s token" % tag) from None
+        raise MediaFormatError("y4m: malformed %s token" % tag) from None
 
 
 _READ_CHUNK = 1 << 20
@@ -222,12 +186,12 @@ class Y4MReader(FrameSource):
             if marker == b"":
                 return
             if not marker.endswith(b"\n"):
-                raise BadFrameMarker("y4m: unterminated frame marker")
+                raise MediaFormatError("y4m: unterminated frame marker")
             if marker != b"FRAME\n" and not marker.startswith(b"FRAME "):
-                raise BadFrameMarker("y4m: expected FRAME marker, got %r" % marker[:16])
+                raise MediaFormatError("y4m: expected FRAME marker, got %r" % marker[:16])
             data = _read_chunked(self._file, bpf)
             if len(data) < bpf:
-                raise TruncatedFrame(
+                raise MediaFormatError(
                     "y4m: frame %d truncated (%d of %d bytes)" % (index, len(data), bpf)
                 )
             yield Frame(index, self.info.width, self.info.height,
@@ -242,7 +206,7 @@ class Y4MReader(FrameSource):
 def read_ppm(data: bytes, index: int = 0) -> Frame:
     """Decode one binary PPM (P6) or PGM (P5) image, maxval 255 only."""
     if len(data) < 2:
-        raise UnsupportedMagic("ppm: file too short for magic")
+        raise MediaFormatError("ppm: file too short for magic")
     magic = data[:2]
     if magic == b"P6":
         pixel_format = PixelFormat.RGB24
@@ -251,7 +215,7 @@ def read_ppm(data: bytes, index: int = 0) -> Frame:
         pixel_format = PixelFormat.GRAY8
         channels = 1
     else:
-        raise UnsupportedMagic("ppm: unsupported magic %r" % magic)
+        raise MediaFormatError("ppm: unsupported magic %r" % magic)
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -259,7 +223,7 @@ def read_ppm(data: bytes, index: int = 0) -> Frame:
         fields.append(value)
     width, height, maxval = fields
     if maxval != 255:
-        raise UnsupportedMaxval("ppm: maxval %d not supported" % maxval)
+        raise MediaFormatError("ppm: maxval %d not supported" % maxval)
     if width < 1 or height < 1:
         raise MediaFormatError("ppm: non-positive dimensions")
     # exactly one whitespace byte separates the header from the raster
@@ -267,7 +231,7 @@ def read_ppm(data: bytes, index: int = 0) -> Frame:
     expected = width * height * channels
     raster = data[pos:pos + expected]
     if len(raster) < expected:
-        raise TruncatedPixelData(
+        raise MediaFormatError(
             "ppm: raster truncated (%d of %d bytes)" % (len(raster), expected)
         )
     return Frame(index, width, height, pixel_format, raster)
@@ -288,7 +252,8 @@ def _next_ppm_int(data: bytes, pos: int) -> tuple[int, int]:
     start = pos
     while pos < n and data[pos] in b"0123456789":
         pos += 1
-    if pos == start:
+    # no image needs a ten-digit field, and int() refuses 4300+ digits
+    if not 0 < pos - start < 10:
         raise MediaFormatError("ppm: malformed header near byte %d" % pos)
     return int(data[start:pos]), pos
 
@@ -330,23 +295,23 @@ _SIDECAR_KEYS = {"width", "height", "fps_num", "fps_den"}
 def read_sidecar(path: Path) -> StreamInfo:
     """Load the JSON descriptor sitting next to a raw RGB24 dump."""
     try:
-        raw = path.read_text()
+        raw = path.read_bytes()
     except OSError as exc:
-        raise SidecarError("sidecar %s: %s" % (path, exc)) from exc
+        raise MediaFormatError("sidecar %s: %s" % (path, exc)) from exc
     try:
-        doc = json.loads(raw)
-    # json.loads raises ValueError on 4300+ digit integers, RecursionError on deep nesting
+        doc = json.loads(raw.decode("utf-8"))
+    # a bad byte and 4300+ digit integers raise ValueError, deep nesting RecursionError
     except (ValueError, RecursionError) as exc:
-        raise SidecarError("sidecar %s: invalid JSON (%s)" % (path, exc)) from exc
+        raise MediaFormatError("sidecar %s: invalid JSON (%s)" % (path, exc)) from exc
     if not isinstance(doc, dict) or set(doc) != _SIDECAR_KEYS:
-        raise SidecarError(
+        raise MediaFormatError(
             "sidecar %s: keys must be exactly width, height, fps_num, fps_den" % path
         )
     values = {}
     for key in sorted(_SIDECAR_KEYS):
         value = doc[key]
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise SidecarError("sidecar %s: %s must be a positive integer" % (path, key))
+            raise MediaFormatError("sidecar %s: %s must be a positive integer" % (path, key))
         values[key] = value
     return StreamInfo(values["width"], values["height"], values["fps_num"],
                       values["fps_den"], PixelFormat.RGB24)
@@ -373,7 +338,7 @@ class RawRgbReader(FrameSource):
                 if data == b"" and self._trailing == 0:
                     return
                 if len(data) < bpf:
-                    raise TruncatedFrame(
+                    raise MediaFormatError(
                         "raw rgb24: frame %d truncated (%d of %d bytes)"
                         % (index, len(data), bpf)
                     )

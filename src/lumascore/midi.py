@@ -19,10 +19,6 @@ _CLASS_CONTROL = 1
 _CLASS_ON = 2
 
 
-class ValueTooLarge(ValueError):
-    pass
-
-
 class MidiFormatError(ValueError):
     pass
 
@@ -30,7 +26,7 @@ class MidiFormatError(ValueError):
 def encode_vlq(value: int) -> bytes:
     """Variable-length quantity: big-endian 7-bit groups, minimal length."""
     if value < 0 or value > MAX_VLQ:
-        raise ValueTooLarge("value %.6g outside VLQ range" % value)
+        raise ValueError("value %.6g outside VLQ range" % value)
     groups = [value & 0x7F]
     value >>= 7
     while value:
@@ -43,7 +39,7 @@ def ticks(t_s: float, tempo_bpm: float, ppq: int) -> int:
     """Seconds to MIDI ticks, rounding half up."""
     exact = t_s * tempo_bpm / 60.0 * ppq + 0.5
     if math.isinf(exact):
-        raise ValueTooLarge("time %.6g s outside the MIDI tick range" % t_s)
+        raise ValueError("time %.6g s outside the MIDI tick range" % t_s)
     return int(math.floor(exact))
 
 
@@ -96,6 +92,8 @@ def read_smf(data: bytes) -> dict:
     """
     if data[:4] != b"MThd":
         raise MidiFormatError("missing MThd chunk")
+    if len(data) < 14:
+        raise MidiFormatError("truncated MThd chunk")
     length, fmt, ntrks, division = struct.unpack(">IHHH", data[4:14])
     if length != 6:
         raise MidiFormatError("unexpected MThd length %d" % length)
@@ -106,6 +104,8 @@ def read_smf(data: bytes) -> dict:
     for _ in range(ntrks):
         if data[pos:pos + 4] != b"MTrk":
             raise MidiFormatError("missing MTrk chunk at byte %d" % pos)
+        if len(data) < pos + 8:
+            raise MidiFormatError("truncated track chunk")
         (size,) = struct.unpack(">I", data[pos + 4:pos + 8])
         body = data[pos + 8:pos + 8 + size]
         if len(body) < size:
@@ -142,10 +142,14 @@ def _read_track(body: bytes) -> list[tuple[int, tuple]]:
         status = body[pos]
         pos += 1
         if status == 0xFF:
+            if pos >= len(body):
+                raise MidiFormatError("truncated meta event")
             meta = body[pos]
-            size, pos2 = _read_vlq(body, pos + 1)
-            payload = body[pos2:pos2 + size]
-            pos = pos2 + size
+            size, pos = _read_vlq(body, pos + 1)
+            payload = body[pos:pos + size]
+            if len(payload) < size:
+                raise MidiFormatError("truncated meta event")
+            pos += size
             if meta == 0x51 and size == 3:
                 events.append((tick, ("tempo", int.from_bytes(payload, "big"))))
             elif meta == 0x2F and size == 0:

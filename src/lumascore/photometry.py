@@ -29,15 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ingest import Frame, PixelFormat, StreamInfo
-
-
-class ChannelUnavailable(ValueError):
-    pass
-
-
-class EmptyStream(ValueError):
-    pass
+from .ingest import Frame, MediaFormatError, PixelFormat, StreamInfo
 
 
 class CurveChannel(Enum):
@@ -69,6 +61,10 @@ _RGB_INDEX = {
     CurveChannel.GREEN: 1,
     CurveChannel.BLUE: 2,
 }
+
+
+# the most samples of a curve the program builds, checked before allocating
+MAX_CURVE_SAMPLES = 2 ** 24
 
 
 @dataclass
@@ -230,10 +226,8 @@ def _measure(frame: Frame, channels: tuple[CurveChannel, ...]) -> tuple[float, .
             keys = keys or _luma_keys(frame)
             out.append(_lane_sums(keys[0], 1)[0] / (keys[1] * pixels))
         else:
-            raise ChannelUnavailable(
-                "channel %s requires RGB24 input, got %s"
-                % (channel.value, frame.pixel_format.value)
-            )
+            raise ValueError("channel %s requires RGB24 input, got %s"
+                             % (channel.value, frame.pixel_format.value))
     return tuple(out)
 
 
@@ -243,7 +237,7 @@ def frame_luma_mean(frame: Frame) -> float:
 
 def frame_channel_mean(frame: Frame, channel: CurveChannel) -> float:
     if channel not in _RGB_INDEX:
-        raise ChannelUnavailable("channel %s is not an RGB plane" % channel.value)
+        raise ValueError("channel %s is not an RGB plane" % channel.value)
     return _measure(frame, (channel,))[0]
 
 
@@ -276,7 +270,7 @@ def extract_curves(
             while pending:
                 rows.append(pending.popleft().result())
     if not rows:
-        raise EmptyStream("no frames in input stream")
+        raise MediaFormatError("no frames in input stream")
     table = np.array(rows, dtype=np.float64)
     rate = info.fps
     curves = {

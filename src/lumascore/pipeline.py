@@ -19,6 +19,7 @@ from .ingest import open_source
 from .midi import write_smf
 from .photometry import CurveChannel, extract_curves
 from .report import (
+    CsvFormatError,
     build_report,
     gestures_from_report,
     parse_report,
@@ -39,7 +40,7 @@ def extract_stage(input_path: str | Path, channels, workers: int = 1) -> bytes:
 def analyze_stage(csv_data: bytes, config: PipelineConfig, source_name: str = "<curves>") -> bytes:
     curves = read_curves_csv(csv_data, source_name)
     if CurveChannel.LUMA not in curves:
-        raise ValueError("%s: analysis needs a luma column" % source_name)
+        raise CsvFormatError("%s: analysis needs a luma column" % source_name)
     luma = curves[CurveChannel.LUMA]
     raw = resample(luma, config.analysis.rate_hz)
     smoothed = smooth(raw, config.analysis.smooth_window_s)

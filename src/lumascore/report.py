@@ -253,11 +253,12 @@ def _check_fields(obj, types: dict, where: str, optional=()) -> None:
 
 def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
     """Parse a report and check every field compose and plot read: its type,
-    the names of kinds, archetypes and channels, and that each segment and
-    transient lies inside the embedded curve."""
+    the names of kinds, archetypes and channels, that each segment and
+    transient lies inside the embedded curve, and that the curve is sampled
+    at rate_hz."""
     try:
         doc = json.loads(data.decode("utf-8"))
-    # json.loads raises ValueError on 4300+ digit integers, RecursionError on deep nesting
+    # a bad byte and 4300+ digit integers raise ValueError, deep nesting RecursionError
     except (ValueError, RecursionError) as exc:
         raise ReportFormatError("%s: %s" % (source_path, exc)) from exc
     if not isinstance(doc, dict):
@@ -297,6 +298,10 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
         optional = [f.name for f in dataclasses.fields(cls)
                     if f.default is not dataclasses.MISSING]
         _check_fields(seg["fit"], _FIT_JSON_TYPES[cls], where + ".fit", optional)
+    # segments are indexed at rate_hz and their notes timed at the curve's rate
+    if float(doc["channels"][0]["sample_rate_hz"]) != rate or rate <= 0 or n == 0:
+        raise ReportFormatError("%s: channels[0] must hold samples at rate_hz, a "
+                                "positive rate" % source_path)
     return doc
 
 
@@ -307,7 +312,7 @@ def gestures_from_report(doc: dict) -> tuple[list[Gesture], BrightnessCurve]:
     entry = doc["channels"][0]
     curve = BrightnessCurve(
         CurveChannel(entry["channel"]),
-        float(entry["sample_rate_hz"]),
+        rate,
         float(entry["t0"]),
         np.array(entry["values"], dtype=np.float64),
     )

@@ -15,22 +15,6 @@ NOISE_FLOOR = 1e-4
 _MAD_SCALE = 0.6745 * math.sqrt(2.0)
 
 
-class CurveTooShort(ValueError):
-    pass
-
-
-class UnsortedBoundaries(ValueError):
-    pass
-
-
-class BoundaryOutOfRange(ValueError):
-    pass
-
-
-class SegmentBelowMinimum(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class Segment:
     start_idx: int
@@ -57,7 +41,7 @@ def estimate_noise(curve: BrightnessCurve) -> float:
     """
     y = curve.values
     if len(y) < 3:
-        raise CurveTooShort("noise estimation needs at least 3 samples")
+        raise ValueError("noise estimation needs at least 3 samples")
     diffs = np.sort(np.abs(np.diff(y)))
     half = len(diffs) // 2
     if len(diffs) % 2:
@@ -111,9 +95,8 @@ def segment(curve: BrightnessCurve, params: SegmentationParams | None = None) ->
     # a float until checked: a huge min_segment_s rounds up to infinity
     block = max(float(np.ceil(params.min_segment_s * curve.sample_rate - 1e-9)), 2.0)
     if n < 2 * block:
-        raise CurveTooShort(
-            "curve has %d samples, need at least %.6g for segmentation" % (n, 2 * block)
-        )
+        raise ValueError("curve has %d samples, need at least %.6g for segmentation"
+                         % (n, 2 * block))
     block = int(block)
     sigma = estimate_noise(curve)
     lam = params.penalty_beta * max(sigma, NOISE_FLOOR) ** 2 * math.log(n)
@@ -166,25 +149,21 @@ def apply_manual_boundaries(curve: BrightnessCurve, times_s: list[float]) -> lis
     """Cut the curve at the given times instead of detecting changepoints."""
     n = len(curve.values)
     if n < 2:
-        raise CurveTooShort("curve has %d samples, need at least 2" % n)
+        raise ValueError("curve has %d samples, need at least 2" % n)
     duration = n / curve.sample_rate
     previous = 0.0
     cuts = []
     for t in times_s:
         if cuts and t <= previous:
-            raise UnsortedBoundaries("boundary %g s is not strictly increasing" % t)
+            raise ValueError("boundary %g s is not strictly increasing" % t)
         if not 0.0 < t < duration:
-            raise BoundaryOutOfRange(
-                "boundary %g s outside (0, %g)" % (t, duration)
-            )
+            raise ValueError("boundary %g s outside (0, %g)" % (t, duration))
         cuts.append(int(math.floor(t * curve.sample_rate + 0.5)))
         previous = t
     edges = [0] + cuts + [n]
     segments = []
     for a, b in zip(edges, edges[1:]):
         if b - a < 2:
-            raise SegmentBelowMinimum(
-                "segment [%d, %d) is shorter than 2 samples" % (a, b)
-            )
+            raise ValueError("segment [%d, %d) is shorter than 2 samples" % (a, b))
         segments.append(Segment(a, b))
     return segments

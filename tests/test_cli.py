@@ -339,6 +339,33 @@ class TestDeepNesting:
         assert not (tmp_path / "x.csv").exists()
 
 
+class TestNotUtf8:
+    """A byte that is not UTF-8 once escaped as a bare UnicodeDecodeError."""
+
+    def test_config_exits_2_naming_it(self, shot_video, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": 1, "\xff": 2}')
+        code = main(["pipeline", "--input", str(shot_video), "--config", str(config),
+                     "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: config %s: invalid JSON" % config)
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_sidecar_exits_1_naming_it(self, tmp_path, capsys):
+        raw = tmp_path / "clip.rgb"
+        raw.write_bytes(bytes(3))
+        sidecar = tmp_path / "clip.rgb.json"
+        sidecar.write_bytes(b'{"width": 1\xff}')
+        code = main(["extract", "--input", str(raw), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: sidecar %s: invalid JSON" % sidecar)
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestPipeline:
     def test_writes_all_four_artifacts(self, shot_video, config_file, tmp_path):
         out_dir = tmp_path / "artifacts"

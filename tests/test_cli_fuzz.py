@@ -7,12 +7,17 @@ CSV, an analysis report or a config), applies a few byte mutations and runs
 the commands that read it.  An exception escaping ``main`` fails the case,
 and so does an exit 0 whose score does not read back as MIDI or whose plot
 does not parse as XML.
+
+Below the CLI, each reader of an outside input raises only the one error
+class of that input, whatever bytes it is given.
 """
 
 import contextlib
 import functools
+import importlib
 import io
 import json
+import pkgutil
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -20,8 +25,13 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lumascore
 from lumascore.cli import main
-from lumascore.midi import read_smf
+from lumascore.config import ConfigError, load_config
+from lumascore.ingest import MediaFormatError, open_source
+from lumascore.midi import MidiFormatError, read_smf
+from lumascore.photometry import CHANNEL_ORDER, CurveChannel, extract_curves
+from lumascore.report import CsvFormatError, ReportFormatError, parse_report, read_curves_csv
 
 from _synth import build_ppm, build_y4m, unit_noise, y4m_frame_420
 
@@ -36,8 +46,8 @@ TOKENS = [b"9" * 8, b"-", b"0.", b"e308", b"NaN", b"Infinity", b"[", b"{", b'"',
 
 @functools.cache
 def seeds() -> dict[str, bytes]:
-    """One small valid input per kind; the CSV and the report come from a
-    pipeline run over the clip."""
+    """One small valid input per kind; the CSV, the report and the MIDI score
+    come from a pipeline run over the clip."""
     levels = [40 + int(u * 160) for u in unit_noise(12, 72)]
     clip = build_y4m(4, 4, [y4m_frame_420(4, 4, v) for v in levels])
     raster = bytes(int(u * 256) % 256 for u in unit_noise(13, 3 * 4 * 3))
@@ -49,6 +59,7 @@ def seeds() -> dict[str, bytes]:
                      str(tmp / "config.json"), "--out-dir", str(tmp / "out")]) == 0
         curves = (tmp / "out" / "curves.csv").read_bytes()
         report = (tmp / "out" / "analysis.json").read_bytes()
+        score = (tmp / "out" / "score.mid").read_bytes()
     config = {"analysis": {"rate_hz": 50.0, "min_segment_s": 0.5},
               "texture": {"grain_ms": 60.0}, "seed": 3,
               "overrides": [{"segment_index": 0, "archetype": "granular_texture"}]}
@@ -60,6 +71,7 @@ def seeds() -> dict[str, bytes]:
         "csv": curves,
         "report": report,
         "config": json.dumps(config).encode(),
+        "midi": score,
     }
 
 
@@ -70,10 +82,17 @@ def edited(kind: str, edit) -> tuple[str, bytes]:
     return kind, json.dumps(doc).encode()
 
 
+# where each kind of input the CLI reads is written
+FILES = {"y4m": "clip.y4m", "ppm": "image.ppm", "raw": "clip.rgb",
+         "sidecar": "clip.rgb.json", "csv": "curves.csv", "report": "analysis.json",
+         "config": "config.json"}
+
+
 @st.composite
-def mutated(draw):
-    """(kind, bytes): a seed input with one to four byte mutations."""
-    kind = draw(st.sampled_from(sorted(seeds())))
+def mutated(draw, kinds=tuple(sorted(FILES))):
+    """(kind, bytes): a seed input of one of ``kinds`` with one to four byte
+    mutations."""
+    kind = draw(st.sampled_from(kinds))
     data = bytearray(seeds()[kind])
     for _ in range(draw(st.integers(1, 4))):
         op = draw(st.sampled_from(("replace", "insert", "delete", "truncate")))
@@ -90,19 +109,16 @@ def mutated(draw):
     return kind, bytes(data)
 
 
-# where each kind of input is written
-FILES = {"y4m": "clip.y4m", "ppm": "image.ppm", "raw": "clip.rgb",
-         "sidecar": "clip.rgb.json", "csv": "curves.csv", "report": "analysis.json",
-         "config": "config.json"}
-
-
-def _commands(kind: str, tmp: Path) -> list[list[str]]:
-    """Write the valid seed of every other kind into ``tmp``; the argv lists
-    that read the input of ``kind``."""
+def _write(kind: str, data: bytes, tmp: Path) -> dict[str, str]:
+    """Write ``data`` as the input of ``kind`` and the valid seed of every
+    other kind into ``tmp``; the path of each kind."""
     for other, name in FILES.items():
-        if other != kind:
-            (tmp / name).write_bytes(seeds()[other])
-    path = {k: str(tmp / name) for k, name in FILES.items()}
+        (tmp / name).write_bytes(data if other == kind else seeds()[other])
+    return {k: str(tmp / name) for k, name in FILES.items()}
+
+
+def _commands(kind: str, path: dict[str, str], tmp: Path) -> list[list[str]]:
+    """The argv lists that read the input of ``kind``."""
     config = ["--config", path["config"]]
     out = ["--out", str(tmp / "out")]
     if kind in ("y4m", "ppm", "raw", "sidecar"):
@@ -118,6 +134,13 @@ def _commands(kind: str, tmp: Path) -> list[list[str]]:
         return [["compose", "--analysis", path["report"]] + config + out,
                 ["plot", "--curves", path["csv"], "--analysis", path["report"]] + out]
     return [["pipeline", "--input", path["y4m"]] + config + ["--out-dir", str(tmp / "dir")]]
+
+
+def _one_long_segment(doc: dict) -> None:
+    """Four samples at 1e-300 Hz, one segment over all of them: 4e300 s."""
+    doc.update(rate_hz=1e-300, channels=[dict(doc["channels"][0], sample_rate_hz=1e-300,
+                                              values=[0.5] * 4)],
+               segments=[dict(doc["segments"][0], start_s=0.0, end_s=4e300, transient=None)])
 
 
 # what an exit 0 of each command must have written to --out
@@ -138,13 +161,16 @@ READ_BACK = {"compose": read_smf, "plot": ET.fromstring}
 @example(edited("report", lambda doc: doc["segments"][-1].update(end_s=1e300)))
 @example(edited("config", lambda doc: doc["overrides"][0].update(archetype=["x"])))
 @example(edited("config", lambda doc: doc["overrides"][0].update(archetype={"a": 1})))
+# curves too long to build: a 373 GiB resample, and two scores that did not finish
+@example(("csv", b"time_s,luma\n0.000000,0.500000\n1000000000.000000,0.500000\n"))
+@example(edited("report", lambda doc: doc["channels"][0].update(sample_rate_hz=1e-300)))
+@example(edited("report", _one_long_segment))
 @settings(max_examples=300, deadline=None)
 def test_mutated_input_ends_in_artifacts_or_one_error_line(case):
     kind, data = case
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / FILES[kind]).write_bytes(data)
-        for argv in _commands(kind, tmp):
+        for argv in _commands(kind, _write(kind, data, tmp), tmp):
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = main(argv)
@@ -156,3 +182,55 @@ def test_mutated_input_ends_in_artifacts_or_one_error_line(case):
                 assert message == ""
                 if argv[0] in READ_BACK:
                     READ_BACK[argv[0]]((tmp / "out").read_bytes())
+
+
+# the one error class of each outside input; a MIDI score is read back only
+# by the tests
+ERRORS = {"y4m": MediaFormatError, "ppm": MediaFormatError, "raw": MediaFormatError,
+          "sidecar": MediaFormatError, "csv": CsvFormatError, "report": ReportFormatError,
+          "config": ConfigError, "midi": MidiFormatError}
+# red, green and blue need RGB24, which a mutated PPM magic can take away; asking
+# for them then is an error in the arguments, not in the media
+ANY_FORMAT = (CurveChannel.LUMA, CurveChannel.CONTRAST_RMS, CurveChannel.CONTRAST_SPREAD)
+
+
+def _read(kind: str, data: bytes, tmp: Path) -> None:
+    """Read ``data`` as an input of ``kind`` with the library's reader for it."""
+    if kind == "midi":
+        read_smf(data)
+    elif kind == "csv":
+        read_curves_csv(data)
+    elif kind == "report":
+        parse_report(data)
+    elif kind == "config":
+        load_config(_write(kind, data, tmp)["config"])
+    else:
+        path = _write(kind, data, tmp)
+        with open_source(path["raw" if kind == "sidecar" else kind]) as source:
+            extract_curves(source, CHANNEL_ORDER if kind in ("raw", "sidecar") else ANY_FORMAT)
+
+
+@given(mutated(kinds=tuple(sorted(ERRORS))))
+# a config or sidecar that is not UTF-8 once raised a bare UnicodeDecodeError
+@example(("config", b'{"seed": 1, "\xff": 2}'))
+@example(("sidecar", b'{"width": 4\xff}'))
+@settings(max_examples=300, deadline=None)
+def test_each_reader_raises_only_its_own_class(case):
+    kind, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            _read(kind, data, Path(tmp))
+        except ERRORS[kind]:
+            pass
+
+
+def test_the_library_defines_one_error_class_per_input():
+    defined = set()
+    for info in pkgutil.iter_modules(lumascore.__path__):
+        module = importlib.import_module("lumascore." + info.name)
+        defined |= {"%s.%s" % (info.name, name) for name, obj in vars(module).items()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+    assert defined == {"ingest.MediaFormatError", "report.CsvFormatError",
+                       "report.ReportFormatError", "config.ConfigError",
+                       "midi.MidiFormatError"}

@@ -7,10 +7,10 @@ import pathlib
 import numpy as np
 import pytest
 
+from lumascore import composition
 from lumascore.composition import (
     ControlEvent,
     HarmonyConfig,
-    NotADecay,
     Score,
     SplitMix64,
     arpeggio_times,
@@ -170,12 +170,10 @@ class TestArpeggioTimes:
         assert len(arpeggio_times(fit, 1000.0)) == 32
 
     def test_rising_fit_rejected(self):
-        with pytest.raises(NotADecay):
-            arpeggio_times(ExpFit(0.9, -0.5, 1.0, 0.0), 5.0)
+        assert arpeggio_times(ExpFit(0.9, -0.5, 1.0, 0.0), 5.0) == []
 
     def test_degenerate_fit_rejected(self):
-        with pytest.raises(NotADecay):
-            arpeggio_times(ExpFit(0.5, 0.0, 1.0, 0.0, degenerate=True), 5.0)
+        assert arpeggio_times(ExpFit(0.5, 0.0, 1.0, 0.0, degenerate=True), 5.0) == []
 
 
 class TestRenderGesture:
@@ -387,6 +385,19 @@ class TestExpressionTrack:
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ValueError):
             expression_track(make_curve([0.5] * 10), rate=0.0)
+
+    def test_cap_admits_exactly_max_steps(self, monkeypatch):
+        monkeypatch.setattr(composition, "MAX_CURVE_SAMPLES", 10)
+        # 9 samples at 20 Hz take steps 0..9, ten of them; 10 samples take eleven
+        expression_track(make_curve([0.5] * 9, rate=20.0))
+        with pytest.raises(ValueError, match="needs more than 10 expression steps"):
+            expression_track(make_curve([0.5] * 10, rate=20.0))
+
+    # four samples at 1e-300 Hz last 4e300 s; at 5e-324 Hz the duration is inf
+    @pytest.mark.parametrize("rate", [1e-300, 5e-324])
+    def test_curve_past_the_cap_rejected(self, rate):
+        with pytest.raises(ValueError, match="needs more than 16777216 expression steps"):
+            expression_track(make_curve([0.5] * 4, rate=rate))
 
 
 class TestCompose:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lumascore import curveprep
 from lumascore.curveprep import (
     ROUGHNESS_SCALE,
-    NonPositiveRate,
     resample,
     residual_rms,
     smooth,
@@ -67,8 +67,21 @@ class TestResample:
         assert out.sample_rate == 50.0
 
     def test_nonpositive_rate_rejected(self):
-        with pytest.raises(NonPositiveRate):
+        with pytest.raises(ValueError, match="resample rate must be positive"):
             resample(curve([0.1, 0.2]), 0.0)
+
+    def test_cap_admits_exactly_max_samples(self, monkeypatch):
+        monkeypatch.setattr(curveprep, "MAX_CURVE_SAMPLES", 10)
+        assert len(resample(curve([0.1, 0.2], rate=1.0), 9.0).values) == 10
+        with pytest.raises(ValueError, match="^resampling at 10 Hz gives more than 10 samples$"):
+            resample(curve([0.1, 0.2], rate=1.0), 10.0)
+
+    # two samples 1e9 s apart would be 5e10 samples (373 GiB) at 50 Hz; at
+    # 5e-324 Hz the count overflows to inf before it can be made an integer
+    @pytest.mark.parametrize("rate_in", [1e-9, 5e-324])
+    def test_output_past_the_cap_rejected(self, rate_in):
+        with pytest.raises(ValueError, match="gives more than 16777216 samples"):
+            resample(curve([0.5, 0.5], rate=rate_in), 50.0)
 
     @given(
         st.lists(

@@ -10,12 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumascore import photometry
-from lumascore.ingest import Frame, PixelFormat, StreamInfo
+from lumascore.ingest import Frame, MediaFormatError, PixelFormat, StreamInfo
 from lumascore.photometry import (
     CHANNEL_ORDER,
-    ChannelUnavailable,
     CurveChannel,
-    EmptyStream,
     _contrast,
     _luma_keys,
     _lane_sums,
@@ -214,11 +212,11 @@ class TestFrameChannelMean:
         )
 
     def test_gray_frame_has_no_color_planes(self):
-        with pytest.raises(ChannelUnavailable):
+        with pytest.raises(ValueError, match="channel blue requires RGB24 input"):
             frame_channel_mean(gray_frame([7, 7]), CurveChannel.BLUE)
 
     def test_luma_is_not_a_plane_channel(self):
-        with pytest.raises(ChannelUnavailable):
+        with pytest.raises(ValueError, match="channel luma is not an RGB plane"):
             frame_channel_mean(rgb_frame([(1, 2, 3)]), CurveChannel.LUMA)
 
 
@@ -488,7 +486,7 @@ class TestExtractCurves:
 
     def test_empty_stream_rejected(self):
         info = StreamInfo(2, 2, 24, 1, PixelFormat.GRAY8)
-        with pytest.raises(EmptyStream):
+        with pytest.raises(MediaFormatError, match="no frames in input stream"):
             extract_curves(ListSource(info, []), [CurveChannel.LUMA])
 
     def test_ramp_video_gives_increasing_curve(self):

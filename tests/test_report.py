@@ -334,6 +334,19 @@ class TestReportRanges:
         with pytest.raises(ReportFormatError, match=r"channels\[0\]: channel"):
             parse_report(report_to_bytes(doc))
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["channels"][0].update(sample_rate_hz=1e-300),
+        lambda doc: doc.update(rate_hz=-50.0, segments=[],
+                               channels=[dict(doc["channels"][0], sample_rate_hz=-50.0)]),
+        lambda doc: doc.update(segments=[], channels=[dict(doc["channels"][0], values=[])]),
+    ], ids=["rates differ", "negative rate", "no samples"])
+    def test_channel_must_hold_samples_at_rate_hz(self, edit):
+        doc = make_report(SAMPLE_GESTURES)
+        edit(doc)
+        with pytest.raises(ReportFormatError,
+                           match=r"channels\[0\] must hold samples at rate_hz, a positive rate"):
+            parse_report(report_to_bytes(doc))
+
     def test_segment_may_end_at_the_curve_end(self):
         doc = make_report(SAMPLE_GESTURES)
         doc["segments"][2]["transient"] = {"t_s": 5.98, "amplitude": 0.3}

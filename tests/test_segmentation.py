@@ -13,12 +13,8 @@ from hypothesis import strategies as st
 
 from lumascore.segmentation import (
     NOISE_FLOOR,
-    BoundaryOutOfRange,
-    CurveTooShort,
     Segment,
     SegmentationParams,
-    SegmentBelowMinimum,
-    UnsortedBoundaries,
     _LineCost,
     apply_manual_boundaries,
     estimate_noise,
@@ -81,7 +77,7 @@ class TestEstimateNoise:
         assert 0.015 <= estimate <= 0.025
 
     def test_too_short_rejected(self):
-        with pytest.raises(CurveTooShort):
+        with pytest.raises(ValueError, match="noise estimation needs at least 3 samples"):
             estimate_noise(curve([0.1, 0.2]))
 
     @given(st.integers(3, 60), st.integers(0, 2 ** 32 - 1), st.booleans())
@@ -145,7 +141,7 @@ class TestSegment:
         assert abs(segments[0].end_idx - 250) <= 5
 
     def test_too_short_rejected(self):
-        with pytest.raises(CurveTooShort):
+        with pytest.raises(ValueError, match="curve has 40 samples, need at least 50 for"):
             segment(curve([0.0] * 40))  # needs 50 samples at 50 Hz
 
     @pytest.mark.parametrize("min_segment_s,need", [
@@ -154,7 +150,7 @@ class TestSegment:
     def test_need_is_printed_short(self, min_segment_s, need):
         # 1e300 s at 50 Hz used to print a 303-digit integer, and 1.7e308 s
         # overflowed converting an infinite block length to an integer
-        with pytest.raises(CurveTooShort,
+        with pytest.raises(ValueError,
                            match="^curve has 40 samples, need at least %s for" % need):
             segment(curve([0.0] * 40), SegmentationParams(min_segment_s, 4.0))
 
@@ -234,7 +230,7 @@ class TestSegmentAgainstScan:
         c = curve(values)
         params = SegmentationParams(block / 50.0, beta)
         if n < 2 * block:
-            with pytest.raises(CurveTooShort):
+            with pytest.raises(ValueError, match="samples, need at least"):
                 segment(c, params)
         else:
             assert segment(c, params) == segment_scan_oracle(c, params)
@@ -278,23 +274,23 @@ class TestManualBoundaries:
         assert segments[0].end_idx == 51
 
     def test_unsorted_rejected(self):
-        with pytest.raises(UnsortedBoundaries):
+        with pytest.raises(ValueError, match="boundary 4 s is not strictly increasing"):
             apply_manual_boundaries(curve([0.0] * 500), [5.0, 4.0])
 
     def test_zero_rejected(self):
-        with pytest.raises(BoundaryOutOfRange):
+        with pytest.raises(ValueError, match="boundary 0 s outside"):
             apply_manual_boundaries(curve([0.0] * 500), [0.0])
 
     def test_duration_rejected(self):
-        with pytest.raises(BoundaryOutOfRange):
+        with pytest.raises(ValueError, match="boundary 10 s outside"):
             apply_manual_boundaries(curve([0.0] * 500), [10.0])
 
     def test_tiny_piece_rejected(self):
-        with pytest.raises(SegmentBelowMinimum):
+        with pytest.raises(ValueError, match="shorter than 2 samples"):
             apply_manual_boundaries(curve([0.0] * 500), [0.01])
 
     def test_close_cuts_collapse_to_tiny_piece(self):
-        with pytest.raises(SegmentBelowMinimum):
+        with pytest.raises(ValueError, match="shorter than 2 samples"):
             apply_manual_boundaries(curve([0.0] * 500), [5.001, 5.012])
 
 
