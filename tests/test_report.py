@@ -140,6 +140,24 @@ class TestReadCurvesCsv:
         with pytest.raises(CsvFormatError):
             read_curves_csv(b"time_s,luma\n")
 
+    @pytest.mark.parametrize("data, message", [
+        (b"\xff", "<curves>: not ASCII ('ascii' codec can't decode byte 0xff in position 0: "
+                  "ordinal not in range(128))"),
+        (b"", "<curves>: empty file"),
+        (b"frame,luma\n", "<curves>: header must start with time_s"),
+        (b"time_s,loudness\n0,0.5\n", "<curves>: unknown channel 'loudness'"),
+        (b"time_s,luma\n0,0.5\n0.1\n", "<curves>: line 3 has 1 fields, expected 2"),
+        (b"time_s,luma\n0,x\n", "<curves>: line 2: could not convert string to float: 'x'"),
+        (b"time_s,luma\n", "<curves>: no samples"),
+        (b"time_s,luma\n0,nan\n", "<curves>: line 2: value is not finite"),
+        (b"time_s,luma\n0,2\n", "<curves>: line 2: luma value 2.0 is outside [0, 1]"),
+        (b"time_s,luma\n0,0.5\n0,0.5\n", "<curves>: line 3: time_s is not strictly increasing"),
+    ])
+    def test_each_fault_gives_its_message(self, data, message):
+        with pytest.raises(CsvFormatError) as err:
+            read_curves_csv(data)
+        assert str(err.value) == message
+
 
 def make_report(gestures, n=300, rate=50.0):
     curve = BrightnessCurve(
@@ -232,44 +250,133 @@ def _set(key, value):
     return edit
 
 
+# each edit to segments[0] of a sample report and the whole message it must give,
+# written out in full so that no table of the reader can generate it
+SPAN = ("<analysis>: segments[0]: start_s and end_s must give a non-empty span "
+        "inside the 300-sample curve")
+OUTSIDE = "<analysis>: segments[0]: transient t_s must lie inside the segment"
 SEGMENT_EDITS = {
-    "missing granularity": _drop("granularity"),
-    "string granularity": _set("granularity", "0.1"),
-    "boolean start": _set("start_s", True),
-    "infinite start": _set("start_s", float("inf")),
-    "integer start too large for a float": _set("start_s", 10 ** 400),
-    "NaN granularity": _set("granularity", float("nan")),
-    "numeric kind": _set("kind", 3),
-    "fit not an object": _set("fit", [1.0]),
-    "fit without sse": lambda seg: seg["fit"].pop("sse"),
-    "unknown fit model": lambda seg: seg["fit"].update(model="spline"),
-    "fit model as a list": lambda seg: seg["fit"].update(model=["linear"]),
-    "transient without amplitude": lambda seg: seg["transient"].pop("amplitude"),
-    "transient not an object": _set("transient", 0.1),
-    "string motif": _set("motif_id", "2"),
-    "fractional motif": _set("motif_id", 1.5),
-    "unknown kind": _set("kind", "spline"),
-    "unknown archetype": _set("archetype", "a & <b>"),
-    "archetype as a list": _set("archetype", ["chord_held"]),
-    "end past the curve": _set("end_s", 6.02),
-    "end far past the curve": _set("end_s", 2e4),
-    "end that overflows the index": _set("end_s", 1e300),
-    "negative start": _set("start_s", -0.02),
-    "empty span": _set("end_s", 0.0),
-    "transient before the segment": _set("transient", {"t_s": -0.02, "amplitude": 0.3}),
-    "transient at the segment end": _set("transient", {"t_s": 2.0, "amplitude": 0.3}),
-    "transient that overflows the index": _set("transient", {"t_s": 1e308,
-                                                             "amplitude": 0.3}),
+    "missing granularity": (_drop("granularity"),
+                            "<analysis>: segments[0]: granularity must be a finite number"),
+    "string granularity": (_set("granularity", "0.1"),
+                           "<analysis>: segments[0]: granularity must be a finite number"),
+    "boolean start": (_set("start_s", True),
+                      "<analysis>: segments[0]: start_s must be a finite number"),
+    "infinite start": (_set("start_s", float("inf")),
+                       "<analysis>: segments[0]: start_s must be a finite number"),
+    "integer start too large for a float": (
+        _set("start_s", 10 ** 400), "<analysis>: segments[0]: start_s must be a finite number"),
+    "NaN granularity": (_set("granularity", float("nan")),
+                        "<analysis>: segments[0]: granularity must be a finite number"),
+    "numeric kind": (_set("kind", 3), "<analysis>: segments[0]: kind must be a known kind"),
+    "fit not an object": (_set("fit", [1.0]), "<analysis>: segments[0]: fit must be an object"),
+    "fit without sse": (lambda seg: seg["fit"].pop("sse"),
+                        "<analysis>: segments[0].fit: sse must be a finite number"),
+    "unknown fit model": (lambda seg: seg["fit"].update(model="spline"),
+                          "<analysis>: segments[0]: unknown fit model 'spline'"),
+    "fit model as a list": (lambda seg: seg["fit"].update(model=["linear"]),
+                            "<analysis>: segments[0]: unknown fit model ['linear']"),
+    "transient without amplitude": (
+        lambda seg: seg["transient"].pop("amplitude"),
+        "<analysis>: segments[0].transient: amplitude must be a finite number"),
+    "transient not an object": (_set("transient", 0.1),
+                                "<analysis>: segments[0].transient must be an object"),
+    "string motif": (_set("motif_id", "2"),
+                     "<analysis>: segments[0]: motif_id must be an integer or null"),
+    "fractional motif": (_set("motif_id", 1.5),
+                         "<analysis>: segments[0]: motif_id must be an integer or null"),
+    "unknown kind": (_set("kind", "spline"), "<analysis>: segments[0]: kind must be a known kind"),
+    "unknown archetype": (_set("archetype", "a & <b>"),
+                          "<analysis>: segments[0]: archetype must be a known archetype"),
+    "archetype as a list": (_set("archetype", ["chord_held"]),
+                            "<analysis>: segments[0]: archetype must be a known archetype"),
+    "end past the curve": (_set("end_s", 6.02), SPAN),
+    "end far past the curve": (_set("end_s", 2e4), SPAN),
+    "end that overflows the index": (_set("end_s", 1e300), SPAN),
+    "negative start": (_set("start_s", -0.02), SPAN),
+    "empty span": (_set("end_s", 0.0), SPAN),
+    "transient before the segment": (_set("transient", {"t_s": -0.02, "amplitude": 0.3}),
+                                     OUTSIDE),
+    "transient at the segment end": (_set("transient", {"t_s": 2.0, "amplitude": 0.3}),
+                                     OUTSIDE),
+    "transient that overflows the index": (_set("transient", {"t_s": 1e308, "amplitude": 0.3}),
+                                           OUTSIDE),
+}
+
+
+def _channel(**fields):
+    def edit(doc):
+        doc["channels"][0].update(fields)
+    return edit
+
+
+# each edit to a whole sample report and the whole message it must give
+REPORT_EDITS = {
+    "missing version": (lambda doc: doc.pop("version"), "<analysis>: missing key version"),
+    "missing rate": (lambda doc: doc.pop("rate_hz"), "<analysis>: missing key rate_hz"),
+    "missing channels": (lambda doc: doc.pop("channels"), "<analysis>: missing key channels"),
+    "missing segments": (lambda doc: doc.pop("segments"), "<analysis>: missing key segments"),
+    "unknown version": (lambda doc: doc.update(version="99"),
+                        "<analysis>: unsupported version '99'"),
+    "numeric version": (lambda doc: doc.update(version=1), "<analysis>: unsupported version 1"),
+    "string rate": (lambda doc: doc.update(rate_hz="50"),
+                    "<analysis>: rate_hz must be a finite number"),
+    "channels not a list": (lambda doc: doc.update(channels="abc"),
+                            "<analysis>: channels must be a list"),
+    "segments not a list": (lambda doc: doc.update(segments={"start_s": 0}),
+                            "<analysis>: segments must be a list"),
+    "no channels": (lambda doc: doc.update(channels=[]), "<analysis>: channels is empty"),
+    "channel not an object": (lambda doc: doc.update(channels=[[]]),
+                              "<analysis>: channels[0] must be an object"),
+    "segment not an object": (lambda doc: doc.update(segments=[1.0]),
+                              "<analysis>: segments[0] must be an object"),
+    "unknown channel": (_channel(channel="loudness"),
+                        "<analysis>: channels[0]: channel must be a known channel"),
+    "string channel rate": (_channel(sample_rate_hz="50"),
+                            "<analysis>: channels[0]: sample_rate_hz must be a finite number"),
+    "missing t0": (lambda doc: doc["channels"][0].pop("t0"),
+                   "<analysis>: channels[0]: t0 must be a finite number"),
+    "values not a list": (_channel(values="abc"),
+                          "<analysis>: channels[0]: values must be a list of finite numbers"),
+    "null value": (lambda doc: doc["channels"][0]["values"].__setitem__(7, None),
+                   "<analysis>: channels[0]: values must be a list of finite numbers"),
+    "rates differ": (_channel(sample_rate_hz=1e-300),
+                     "<analysis>: channels[0] must hold samples at rate_hz, a positive rate"),
+    "string staircase level": (lambda doc: doc["segments"][2]["fit"]["levels"].append("x"),
+                               "<analysis>: segments[2].fit: levels must be a list of finite "
+                               "numbers"),
+    "string degenerate": (lambda doc: doc["segments"][1]["fit"].update(degenerate="no"),
+                          "<analysis>: segments[1].fit: degenerate must be a boolean"),
+    "rate that overflows the index": (lambda doc: doc.update(rate_hz=1e308), SPAN),
 }
 
 
 class TestReportSchema:
-    @pytest.mark.parametrize("edit", SEGMENT_EDITS.values(), ids=SEGMENT_EDITS.keys())
-    def test_segment_field_of_wrong_type_rejected(self, edit):
+    @pytest.mark.parametrize("edit, message", SEGMENT_EDITS.values(), ids=SEGMENT_EDITS.keys())
+    def test_segment_field_of_wrong_type_rejected(self, edit, message):
         doc = make_report(SAMPLE_GESTURES)
         edit(doc["segments"][0])
-        with pytest.raises(ReportFormatError, match=r"segments\[0\]"):
+        with pytest.raises(ReportFormatError) as err:
             parse_report(report_to_bytes(doc))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("edit, message", REPORT_EDITS.values(), ids=REPORT_EDITS.keys())
+    def test_report_edit_gives_its_message(self, edit, message):
+        doc = make_report(SAMPLE_GESTURES)
+        edit(doc)
+        with pytest.raises(ReportFormatError) as err:
+            parse_report(report_to_bytes(doc))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("data, message", [
+        (b"{", "<analysis>: Expecting property name enclosed in double quotes: "
+               "line 1 column 2 (char 1)"),
+        (b"[1, 2]", "<analysis>: top level must be an object"),
+    ])
+    def test_unreadable_report_gives_its_message(self, data, message):
+        with pytest.raises(ReportFormatError) as err:
+            parse_report(data)
+        assert str(err.value) == message
 
     def test_staircase_levels_must_be_numbers(self):
         doc = make_report(SAMPLE_GESTURES)
