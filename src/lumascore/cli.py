@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
-from .photometry import CHANNEL_ORDER, CurveChannel
+from .photometry import CurveChannel
 from .pipeline import analyze_stage, compose_stage, extract_stage, plot_stage, run_pipeline
 
 
@@ -52,13 +52,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_channels(raw: str) -> list[CurveChannel]:
-    names = {c.value: c for c in CHANNEL_ORDER}
     out = []
     for name in raw.split(","):
         name = name.strip()
-        if name not in names:
-            raise ValueError("unknown channel %r" % name)
-        out.append(names[name])
+        try:
+            out.append(CurveChannel(name))
+        except ValueError:
+            raise ValueError("unknown channel %r" % name) from None
     return out
 
 

@@ -18,6 +18,9 @@ DEFAULT_LAMBDA_MAX = 40.0
 DEFAULT_GRAIN_S = 0.060
 ARPEGGIO_RHO = 0.8
 TEXTURE_GRID_S = 0.01
+# the longest curve a report may hold, about 46.6 h: a granular texture over
+# all of it draws MAX_CURVE_SAMPLES times, the step cap of the other loops
+MAX_FILM_S = MAX_CURVE_SAMPLES * TEXTURE_GRID_S
 
 
 class SplitMix64:

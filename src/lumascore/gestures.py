@@ -98,7 +98,6 @@ class Gesture:
     transient: TransientInfo | None
     granularity: float
     fit: FitRecord
-    fit_rrmse: float
     mean_brightness: float
     archetype: Archetype
     motif_id: int | None = None
@@ -326,7 +325,6 @@ def classify(
         transient=transient,
         granularity=granularity,
         fit=fit,
-        fit_rrmse=rrmse,
         mean_brightness=float(raw.mean()),
         archetype=archetype,
     )

@@ -32,6 +32,7 @@ import numpy as np
 from .ingest import Frame, MediaFormatError, PixelFormat, StreamInfo
 
 
+# the declaration order is the column order of the curve CSV
 class CurveChannel(Enum):
     LUMA = "luma"
     RED = "red"
@@ -40,16 +41,6 @@ class CurveChannel(Enum):
     CONTRAST_RMS = "contrast_rms"
     CONTRAST_SPREAD = "contrast_spread"
 
-
-# fixed column order used by the CSV writer
-CHANNEL_ORDER = (
-    CurveChannel.LUMA,
-    CurveChannel.RED,
-    CurveChannel.GREEN,
-    CurveChannel.BLUE,
-    CurveChannel.CONTRAST_RMS,
-    CurveChannel.CONTRAST_SPREAD,
-)
 
 # Rec.601 luma weights times 1000, which make an RGB24 pixel's luma key; the
 # key of white is 255 times their sum

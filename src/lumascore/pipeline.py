@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .composition import compose
+from .composition import MAX_FILM_S, compose
 from .config import ConfigError, PipelineConfig
 from .curveprep import resample, smooth
 from .gestures import assign_motifs, classify
@@ -43,6 +43,11 @@ def analyze_stage(csv_data: bytes, config: PipelineConfig, source_name: str = "<
         raise CsvFormatError("%s: analysis needs a luma column" % source_name)
     luma = curves[CurveChannel.LUMA]
     raw = resample(luma, config.analysis.rate_hz)
+    # the rule parse_report applies to the curve the report embeds, so that
+    # analyze writes no report that compose refuses
+    if raw.duration > MAX_FILM_S:
+        raise ValueError("the luma curve at %.6g Hz lasts %.10g s, longer than the %.10g s "
+                         "limit" % (raw.sample_rate, raw.duration, MAX_FILM_S))
     smoothed = smooth(raw, config.analysis.smooth_window_s)
     if config.manual_boundaries_s is not None:
         segments = apply_manual_boundaries(smoothed, config.manual_boundaries_s)

@@ -1,31 +1,39 @@
 """Curve CSV exchange and the canonical analysis report.
 
-The report is serialized with sorted keys, two-space indentation and
-shortest round-trip float formatting, so parsing and re-serializing a
-report reproduces it byte for byte.
+The report, ``analysis.json``, has sorted keys, two-space indentation and
+shortest round-trip floats, so re-serializing a parsed report reproduces it
+byte for byte.  Beside ``version``, ``rate_hz``, ``source``, ``config`` and
+the analysis curve as ``channels[0]``, it holds one object per segment:
+``start_s`` and ``end_s`` (numbers, seconds at ``rate_hz``), ``kind`` (a
+ShapeKind name), ``archetype`` (an Archetype name), ``granularity`` and
+``mean_brightness`` (numbers), ``fit`` (an object: its ``model`` and that
+fit's fields), ``transient`` (null, or the numbers ``t_s`` and
+``amplitude``) and ``motif_id`` (null or an integer).  The curve lasts at
+most composition.MAX_FILM_S seconds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-import dataclasses
-from typing import get_type_hints
+from operator import attrgetter
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
+from .composition import MAX_FILM_S
 from .config import PipelineConfig
 from .gestures import (
     Archetype,
     ExpFit,
-    FitRecord,
     Gesture,
     LinearFit,
     ShapeKind,
     StaircaseFit,
     TransientInfo,
 )
-from .photometry import CHANNEL_ORDER, BrightnessCurve, CurveChannel, CurveSet
+from .photometry import BrightnessCurve, CurveChannel, CurveSet
 from .segmentation import Segment
 
 REPORT_VERSION = "1"
@@ -43,7 +51,7 @@ class CsvFormatError(ValueError):
 
 def write_curves_csv(curves: CurveSet) -> bytes:
     """Six-decimal CSV, one row per sample, channels in fixed order."""
-    present = [c for c in CHANNEL_ORDER if c in curves.curves]
+    present = [c for c in CurveChannel if c in curves.curves]
     if not present:
         raise ValueError("no curves to write")
     columns = [curves.curves[c].values for c in present]
@@ -77,11 +85,12 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     header = lines[0].split(",")
     if header[:1] != ["time_s"] or len(header) < 2:
         raise CsvFormatError("%s: header must start with time_s" % source_path)
-    names = {c.value: c for c in CHANNEL_ORDER}
-    try:
-        channels = [names[name] for name in header[1:]]
-    except KeyError as exc:
-        raise CsvFormatError("%s: unknown channel %s" % (source_path, exc)) from exc
+    channels = []
+    for name in header[1:]:
+        try:
+            channels.append(CurveChannel(name))
+        except ValueError:
+            raise CsvFormatError("%s: unknown channel %r" % (source_path, name)) from None
     rows = []
     times = []
     for ln, line in enumerate(lines[1:], start=2):
@@ -125,96 +134,10 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     }
 
 
-# each fit model's tag in a report and the dataclass that holds it; writing,
-# checking and reading a fit all follow the dataclass's fields
-_FIT_MODELS = {"linear": LinearFit, "exponential": ExpFit, "staircase": StaircaseFit}
-_FIT_TAGS = {cls: tag for tag, cls in _FIT_MODELS.items()}
-_ANNOTATION_TYPES = {float: "number", bool: "boolean", tuple[float, ...]: "numbers"}
-# the JSON type of each field of each fit dataclass, in field order
-_FIT_JSON_TYPES = {
-    cls: {name: _ANNOTATION_TYPES[hint] for name, hint in get_type_hints(cls).items()}
-    for cls in _FIT_TAGS
-}
-_TO_JSON = {"number": float, "boolean": bool, "numbers": lambda v: [float(x) for x in v]}
-
-
-def _fit_to_dict(fit: FitRecord) -> dict:
-    doc = {"model": _FIT_TAGS[type(fit)]}
-    for name, kind in _FIT_JSON_TYPES[type(fit)].items():
-        doc[name] = _TO_JSON[kind](getattr(fit, name))
-    return doc
-
-
-def _fit_from_dict(doc: dict) -> FitRecord:
-    cls = _FIT_MODELS[doc["model"]]
-    # a field absent from the report, such as degenerate, keeps its default
-    return cls(**{name: tuple(doc[name]) if kind == "numbers" else doc[name]
-                  for name, kind in _FIT_JSON_TYPES[cls].items() if name in doc})
-
-
-def build_report(
-    source: dict,
-    rate_hz: float,
-    analysis_curve: BrightnessCurve,
-    gestures: list[Gesture],
-    config: PipelineConfig,
-) -> dict:
-    """Assemble the report document; the analysis curve is embedded so the
-    composition stage needs nothing beyond this file."""
-    segments = []
-    for g in gestures:
-        transient = None
-        if g.transient is not None:
-            transient = {
-                "t_s": (g.segment.start_idx + g.transient.onset_idx) / rate_hz,
-                "amplitude": float(g.transient.amplitude),
-            }
-        segments.append({
-            "start_s": g.segment.start_idx / rate_hz,
-            "end_s": g.segment.end_idx / rate_hz,
-            "kind": g.kind.value,
-            "archetype": g.archetype.value,
-            "transient": transient,
-            "granularity": float(g.granularity),
-            "fit": _fit_to_dict(g.fit),
-            "mean_brightness": float(g.mean_brightness),
-            "motif_id": g.motif_id,
-        })
-    return {
-        "version": REPORT_VERSION,
-        "source": source,
-        "rate_hz": float(rate_hz),
-        "channels": [{
-            "channel": analysis_curve.channel.value,
-            "sample_rate_hz": float(analysis_curve.sample_rate),
-            "t0": float(analysis_curve.t0),
-            "values": [float(v) for v in analysis_curve.values],
-        }],
-        "segments": segments,
-        "config": config.to_dict(),
-    }
-
-
-def report_to_bytes(report: dict) -> bytes:
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("ascii")
-
-
-# the fields of a report that compose and plot read, by JSON type; a name
-# field holds the value of one member of its Enum
-_CHANNEL_FIELDS = {"channel": CurveChannel, "sample_rate_hz": "number", "t0": "number",
-                   "values": "numbers"}
-_SEGMENT_FIELDS = {"start_s": "number", "end_s": "number", "kind": ShapeKind,
-                   "archetype": Archetype, "granularity": "number", "fit": "object",
-                   "mean_brightness": "number"}
-_TRANSIENT_FIELDS = {"t_s": "number", "amplitude": "number"}
-_TYPE_NAMES = {"number": "a finite number", "integer": "an integer",
-               "object": "an object", "list": "a list",
-               "numbers": "a list of finite numbers", "boolean": "a boolean",
-               CurveChannel: "a known channel", ShapeKind: "a known kind",
-               Archetype: "a known archetype"}
-# exact types, as json.loads builds them; a JSON true/false is a bool, which
-# isinstance would count as an int
-_JSON_TYPES = {"integer": {int}, "object": {dict}, "list": {list}, "boolean": {bool}}
+def _sample(t_s: float, rate: float) -> int | float:
+    """The sample index of a time, halves rounded up; inf when it overflows."""
+    x = float(t_s) * rate + 0.5
+    return math.floor(x) if math.isfinite(x) else math.inf
 
 
 def _finite_numbers(values: list) -> bool:
@@ -227,35 +150,160 @@ def _finite_numbers(values: list) -> bool:
         return False
 
 
-def _has_type(value, kind) -> bool:
-    if kind == "number":
-        return _finite_numbers([value])
-    if kind == "numbers":
-        return type(value) is list and _finite_numbers(value)
-    if kind in _JSON_TYPES:
-        return type(value) in _JSON_TYPES[kind]
-    return type(value) is str and value in {member.value for member in kind}
+class _Type(NamedTuple):
+    """A JSON type: its noun in a message, the test a JSON value passes, and
+    the converters from a record's attribute to JSON and back."""
+
+    noun: str
+    test: Callable
+    to_json: Callable | None = None
+    from_json: Callable | None = None
 
 
-def _sample(t_s: float, rate: float) -> int | float:
-    """The sample index of a time, halves rounded up; inf when it overflows."""
-    x = float(t_s) * rate + 0.5
-    return math.floor(x) if math.isfinite(x) else math.inf
+# types are exact, as json.loads builds them: isinstance counts a bool as an int
+_NUMBER = _Type("a finite number", lambda v: _finite_numbers([v]), float, float)
+_NUMBERS = _Type("a list of finite numbers", lambda v: type(v) is list and _finite_numbers(v),
+                 lambda values: [float(v) for v in values], tuple)
+_INTEGER = _Type("an integer", lambda v: type(v) is int, int, int)
+_BOOLEAN = _Type("a boolean", lambda v: type(v) is bool, bool, bool)
+_LIST = _Type("a list", lambda v: type(v) is list)
 
 
-def _check_fields(obj, types: dict, where: str, optional=()) -> None:
-    if not isinstance(obj, dict):
-        raise ReportFormatError("%s must be an object" % where)
-    for key, kind in types.items():
-        if (key in obj or key not in optional) and not _has_type(obj.get(key), kind):
-            raise ReportFormatError("%s: %s must be %s" % (where, key, _TYPE_NAMES[kind]))
+def _known(cls: type, noun: str) -> _Type:
+    """The type of the name of one member of the Enum `cls`."""
+    return _Type("a known " + noun, lambda v: type(v) is str and v in {m.value for m in cls},
+                 attrgetter("value"), cls)
+
+
+class _Field(NamedTuple):
+    """A field of a record: its JSON name and type, and the attribute it maps
+    onto when that has another name.  A field with a default may be absent;
+    one whose default is None may also be null."""
+
+    name: str
+    type: _Type | _Record
+    attr: str | None = None
+    default: object = dataclasses.MISSING
+
+
+class _Record(NamedTuple):
+    """The JSON object of a record, which `make` builds from its attributes."""
+
+    make: Callable
+    fields: tuple[_Field, ...]
+
+    def to_json(self, attrs: dict) -> dict:
+        """The object of a record's attributes, as `vars` gives them."""
+        values = [(f, attrs[f.attr or f.name]) for f in self.fields]
+        return {f.name: None if v is None else f.type.to_json(v) for f, v in values}
+
+    def from_json(self, doc: dict):
+        """The record of an object that `check` passed; a field that is absent
+        or null takes its default."""
+        return self.make(**{f.attr or f.name: f.default if doc.get(f.name) is None
+                            else f.type.from_json(doc[f.name]) for f in self.fields})
+
+    def check(self, doc, where: str) -> None:
+        if not isinstance(doc, dict):
+            raise ReportFormatError("%s must be an object" % where)
+        for f in self.fields:
+            absent = f.name not in doc and f.default is not dataclasses.MISSING
+            if absent or doc.get(f.name) is None and f.default is None:
+                continue
+            if isinstance(f.type, _Record):
+                f.type.check(doc[f.name], "%s.%s" % (where, f.name))
+            elif not f.type.test(doc.get(f.name)):
+                raise ReportFormatError("%s: %s must be %s%s" % (
+                    where, f.name, f.type.noun, " or null" if f.default is None else ""))
+
+
+# each fit model's tag and the record of its dataclass, whose type hints give
+# the fields' types; a field with a default, such as degenerate, may be absent
+_HINTS = {float: _NUMBER, bool: _BOOLEAN, tuple[float, ...]: _NUMBERS}
+_FITS = {
+    tag: _Record(cls, tuple(_Field(f.name, _HINTS[get_type_hints(cls)[f.name]], default=f.default)
+                            for f in dataclasses.fields(cls)))
+    for tag, cls in (("linear", LinearFit), ("exponential", ExpFit), ("staircase", StaircaseFit))
+}
+_FIT_TAGS = {record.make: tag for tag, record in _FITS.items()}
+_FIT = _Type("an object", lambda v: type(v) is dict,
+             lambda fit: dict(_FITS[_FIT_TAGS[type(fit)]].to_json(vars(fit)),
+                              model=_FIT_TAGS[type(fit)]),
+             lambda doc: _FITS[doc["model"]].from_json(doc))
+
+_CHANNEL = _Record(BrightnessCurve, (
+    _Field("channel", _known(CurveChannel, "channel")),
+    _Field("sample_rate_hz", _NUMBER, "sample_rate"),
+    _Field("t0", _NUMBER),
+    _Field("values", _NUMBERS),
+))
+# a segment's times stay in seconds here; _segment_to_json and _gesture
+# convert them to and from the gesture's sample indices
+_TRANSIENT = _Record(dict, (_Field("t_s", _NUMBER), _Field("amplitude", _NUMBER)))
+_SEGMENT = _Record(dict, (
+    _Field("start_s", _NUMBER),
+    _Field("end_s", _NUMBER),
+    _Field("kind", _known(ShapeKind, "kind")),
+    _Field("archetype", _known(Archetype, "archetype")),
+    _Field("granularity", _NUMBER),
+    _Field("fit", _FIT),
+    _Field("mean_brightness", _NUMBER),
+    _Field("transient", _TRANSIENT, default=None),
+    _Field("motif_id", _INTEGER, default=None),
+))
+# the top-level fields parse_report checks before the curve and the segments
+_TOP = _Record(dict, (_Field("rate_hz", _NUMBER), _Field("channels", _LIST),
+                      _Field("segments", _LIST)))
+
+
+def _segment_to_json(g: Gesture, rate: float) -> dict:
+    start = g.segment.start_idx
+    transient = None if g.transient is None else {
+        "t_s": (start + g.transient.onset_idx) / rate, "amplitude": g.transient.amplitude}
+    return _SEGMENT.to_json(dict(vars(g), start_s=start / rate,
+                                 end_s=g.segment.end_idx / rate, transient=transient))
+
+
+def _gesture(seg: dict, rate: float) -> Gesture:
+    attrs = _SEGMENT.from_json(seg)
+    start = _sample(attrs.pop("start_s"), rate)
+    attrs["segment"] = Segment(start, _sample(attrs.pop("end_s"), rate))
+    if attrs["transient"] is not None:
+        # a transient's index counts from its segment's start
+        t_s, amplitude = attrs["transient"]["t_s"], attrs["transient"]["amplitude"]
+        attrs["transient"] = TransientInfo(_sample(t_s, rate) - start, amplitude)
+    return Gesture(**attrs)
+
+
+def build_report(
+    source: dict,
+    rate_hz: float,
+    analysis_curve: BrightnessCurve,
+    gestures: list[Gesture],
+    config: PipelineConfig,
+) -> dict:
+    """Assemble the report document; the analysis curve is embedded so the
+    composition stage needs nothing beyond this file."""
+    rate = float(rate_hz)
+    return {
+        "version": REPORT_VERSION,
+        "source": source,
+        "rate_hz": rate,
+        "channels": [_CHANNEL.to_json(vars(analysis_curve))],
+        "segments": [_segment_to_json(g, rate) for g in gestures],
+        "config": config.to_dict(),
+    }
+
+
+def report_to_bytes(report: dict) -> bytes:
+    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
 def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
     """Parse a report and check every field compose and plot read: its type,
     the names of kinds, archetypes and channels, that each segment and
-    transient lies inside the embedded curve, and that the curve is sampled
-    at rate_hz."""
+    transient lies inside the embedded curve, that the curve is sampled at
+    rate_hz and that it lasts at most MAX_FILM_S."""
     try:
         doc = json.loads(data.decode("utf-8"))
     # a bad byte and 4300+ digit integers raise ValueError, deep nesting RecursionError
@@ -268,40 +316,34 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
             raise ReportFormatError("%s: missing key %s" % (source_path, key))
     if doc["version"] != REPORT_VERSION:
         raise ReportFormatError("%s: unsupported version %r" % (source_path, doc["version"]))
-    _check_fields(doc, {"rate_hz": "number", "channels": "list", "segments": "list"},
-                  source_path)
+    _TOP.check(doc, source_path)
     if not doc["channels"]:
         raise ReportFormatError("%s: channels is empty" % source_path)
-    _check_fields(doc["channels"][0], _CHANNEL_FIELDS, "%s: channels[0]" % source_path)
+    _CHANNEL.check(doc["channels"][0], "%s: channels[0]" % source_path)
     n = len(doc["channels"][0]["values"])
     rate = float(doc["rate_hz"])
     for i, seg in enumerate(doc["segments"]):
         where = "%s: segments[%d]" % (source_path, i)
-        _check_fields(seg, _SEGMENT_FIELDS, where)
+        _SEGMENT.check(seg, where)
         start, end = _sample(seg["start_s"], rate), _sample(seg["end_s"], rate)
         if not 0 <= start < end <= n:
             raise ReportFormatError("%s: start_s and end_s must give a non-empty span "
                                     "inside the %d-sample curve" % (where, n))
-        if seg.get("transient") is not None:
-            _check_fields(seg["transient"], _TRANSIENT_FIELDS, where + ".transient")
-            if not start <= _sample(seg["transient"]["t_s"], rate) < end:
-                raise ReportFormatError("%s: transient t_s must lie inside the segment"
-                                        % where)
-        motif = seg.get("motif_id")
-        if motif is not None and not _has_type(motif, "integer"):
-            raise ReportFormatError("%s: motif_id must be an integer or null" % where)
+        transient = seg.get("transient")
+        if transient is not None and not start <= _sample(transient["t_s"], rate) < end:
+            raise ReportFormatError("%s: transient t_s must lie inside the segment" % where)
         model = seg["fit"].get("model")
         # a JSON list or object is not hashable, so it cannot be looked up
-        cls = _FIT_MODELS.get(model) if isinstance(model, str) else None
-        if cls is None:
+        if not isinstance(model, str) or model not in _FITS:
             raise ReportFormatError("%s: unknown fit model %r" % (where, model))
-        optional = [f.name for f in dataclasses.fields(cls)
-                    if f.default is not dataclasses.MISSING]
-        _check_fields(seg["fit"], _FIT_JSON_TYPES[cls], where + ".fit", optional)
+        _FITS[model].check(seg["fit"], where + ".fit")
     # segments are indexed at rate_hz and their notes timed at the curve's rate
     if float(doc["channels"][0]["sample_rate_hz"]) != rate or rate <= 0 or n == 0:
         raise ReportFormatError("%s: channels[0] must hold samples at rate_hz, a "
                                 "positive rate" % source_path)
+    if n / rate > MAX_FILM_S:
+        raise ReportFormatError("%s: channels[0] lasts %.10g s, longer than the %.10g s limit"
+                                % (source_path, n / rate, MAX_FILM_S))
     return doc
 
 
@@ -309,29 +351,4 @@ def gestures_from_report(doc: dict) -> tuple[list[Gesture], BrightnessCurve]:
     """Rebuild the gesture list and analysis curve of a report that
     `parse_report` has checked."""
     rate = float(doc["rate_hz"])
-    entry = doc["channels"][0]
-    curve = BrightnessCurve(
-        CurveChannel(entry["channel"]),
-        rate,
-        float(entry["t0"]),
-        np.array(entry["values"], dtype=np.float64),
-    )
-    gestures = []
-    for seg in doc["segments"]:
-        start_idx = _sample(seg["start_s"], rate)
-        transient = None
-        if seg.get("transient") is not None:
-            transient = TransientInfo(_sample(seg["transient"]["t_s"], rate) - start_idx,
-                                      seg["transient"]["amplitude"])
-        gestures.append(Gesture(
-            segment=Segment(start_idx, _sample(seg["end_s"], rate)),
-            kind=ShapeKind(seg["kind"]),
-            transient=transient,
-            granularity=float(seg["granularity"]),
-            fit=_fit_from_dict(seg["fit"]),
-            fit_rrmse=0.0,
-            mean_brightness=float(seg["mean_brightness"]),
-            archetype=Archetype(seg["archetype"]),
-            motif_id=seg.get("motif_id"),
-        ))
-    return gestures, curve
+    return [_gesture(seg, rate) for seg in doc["segments"]], _CHANNEL.from_json(doc["channels"][0])

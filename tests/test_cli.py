@@ -1,6 +1,7 @@
 """Command line behaviour: subcommands, artifacts, and exit codes."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -69,9 +70,9 @@ class TestExtract:
 
     def test_unknown_channel_exits_1(self, shot_video, tmp_path, capsys):
         code = main(["extract", "--input", str(shot_video),
-                     "--channels", "loudness", "--out", str(tmp_path / "x.csv")])
+                     "--channels", "luma, loudness", "--out", str(tmp_path / "x.csv")])
         assert code == 1
-        assert "loudness" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: unknown channel 'loudness'\n"
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         code = main(["extract", "--input", str(tmp_path / "absent.y4m"),
@@ -311,6 +312,22 @@ class TestMalformedReport:
         assert err.startswith("error: %s: segments[" % report) and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_curve_longer_than_a_film_exits_1_at_once(self, report, config_file, tmp_path,
+                                                      capsys):
+        # four samples at 5e-6 Hz last 8e5 s; a granular texture over them
+        # draws once per 10 ms and did not finish
+        self._edit(report, lambda doc: doc.update(
+            rate_hz=5e-6,
+            channels=[dict(doc["channels"][0], sample_rate_hz=5e-6, values=[0.5] * 4)],
+            segments=[dict(doc["segments"][0], start_s=0.0, end_s=8e5, transient=None,
+                           archetype="granular_texture")]))
+        start = time.perf_counter()
+        code = main(["compose", "--analysis", str(report), "--config", str(config_file),
+                     "--out", str(tmp_path / "s.mid")])
+        assert time.perf_counter() - start < 1.0
+        self._assert_one_error_line(code, capsys)
+        assert not (tmp_path / "s.mid").exists()
+
 
 # a JSON array nested far deeper than the interpreter's recursion limit
 DEEP_JSON = "[" * 100000 + "]" * 100000
@@ -478,8 +495,9 @@ class TestPipeline:
          "curve has 148 samples, need at least 1e+302 for segmentation"),
         ('{"analysis": {"min_segment_s": 1.7e308}}',
          "curve has 148 samples, need at least inf for segmentation"),
+        # one sample at this rate lasts longer than any film, checked before segmenting
         ('{"analysis": {"rate_hz": 5e-324}}',
-         "curve has 1 samples, need at least 4 for segmentation"),
+         "the luma curve at 4.94066e-324 Hz lasts inf s, longer than the 167772.16 s limit"),
         ('{"texture": {"grain_ms": 1e300}, "overrides": '
          '[{"segment_index": 0, "archetype": "granular_texture"}]}',
          "outside VLQ range"),

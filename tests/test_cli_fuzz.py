@@ -30,7 +30,7 @@ from lumascore.cli import main
 from lumascore.config import ConfigError, load_config
 from lumascore.ingest import MediaFormatError, open_source
 from lumascore.midi import MidiFormatError, read_smf
-from lumascore.photometry import CHANNEL_ORDER, CurveChannel, extract_curves
+from lumascore.photometry import CurveChannel, extract_curves
 from lumascore.report import CsvFormatError, ReportFormatError, parse_report, read_curves_csv
 
 from _synth import build_ppm, build_y4m, unit_noise, y4m_frame_420
@@ -143,6 +143,14 @@ def _one_long_segment(doc: dict) -> None:
                segments=[dict(doc["segments"][0], start_s=0.0, end_s=4e300, transient=None)])
 
 
+def _long_texture(doc: dict) -> None:
+    """Four samples at 5e-6 Hz, an 8e5 s curve, under one granular texture."""
+    doc.update(rate_hz=5e-6, channels=[dict(doc["channels"][0], sample_rate_hz=5e-6,
+                                            values=[0.5] * 4)],
+               segments=[dict(doc["segments"][0], start_s=0.0, end_s=8e5, transient=None,
+                              archetype="granular_texture")])
+
+
 # what an exit 0 of each command must have written to --out
 READ_BACK = {"compose": read_smf, "plot": ET.fromstring}
 
@@ -165,6 +173,8 @@ READ_BACK = {"compose": read_smf, "plot": ET.fromstring}
 @example(("csv", b"time_s,luma\n0.000000,0.500000\n1000000000.000000,0.500000\n"))
 @example(edited("report", lambda doc: doc["channels"][0].update(sample_rate_hz=1e-300)))
 @example(edited("report", _one_long_segment))
+# a curve under the sample cap whose texture drew for longer than any test waited
+@example(edited("report", _long_texture))
 @settings(max_examples=300, deadline=None)
 def test_mutated_input_ends_in_artifacts_or_one_error_line(case):
     kind, data = case
@@ -207,7 +217,8 @@ def _read(kind: str, data: bytes, tmp: Path) -> None:
     else:
         path = _write(kind, data, tmp)
         with open_source(path["raw" if kind == "sidecar" else kind]) as source:
-            extract_curves(source, CHANNEL_ORDER if kind in ("raw", "sidecar") else ANY_FORMAT)
+            extract_curves(source,
+                           tuple(CurveChannel) if kind in ("raw", "sidecar") else ANY_FORMAT)
 
 
 @given(mutated(kinds=tuple(sorted(ERRORS))))

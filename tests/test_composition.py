@@ -57,7 +57,6 @@ def make_gesture(
         transient=transient,
         granularity=granularity,
         fit=fit if fit is not None else LinearFit(mean_brightness, 0.0, 0.0),
-        fit_rrmse=0.0,
         mean_brightness=mean_brightness,
         archetype=archetype,
         motif_id=motif_id,

@@ -439,7 +439,6 @@ def make_gesture(kind, slope, duration_s=5.0, granularity=0.1, amplitude=0.0):
         transient=transient,
         granularity=granularity,
         fit=LinearFit(0.5, slope, 0.0),
-        fit_rrmse=0.0,
         mean_brightness=0.5,
         archetype=Archetype.DIMINUENDO_HELD,
     )

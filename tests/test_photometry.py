@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from lumascore import photometry
 from lumascore.ingest import Frame, MediaFormatError, PixelFormat, StreamInfo
 from lumascore.photometry import (
-    CHANNEL_ORDER,
     CurveChannel,
     _contrast,
     _luma_keys,
@@ -531,9 +530,9 @@ class TestExtractCurves:
         frames = [Frame(i, 16, 9, PixelFormat.RGB24,
                         rng.integers(0, 256, info.bytes_per_frame, dtype=np.uint8).tobytes())
                   for i in range(120)]
-        serial = extract_curves(ListSource(info, frames), CHANNEL_ORDER, workers=1)
-        threaded = extract_curves(ListSource(info, frames), CHANNEL_ORDER, workers=4)
-        for channel in CHANNEL_ORDER:
+        serial = extract_curves(ListSource(info, frames), tuple(CurveChannel), workers=1)
+        threaded = extract_curves(ListSource(info, frames), tuple(CurveChannel), workers=4)
+        for channel in CurveChannel:
             assert (serial[channel].values.tobytes()
                     == threaded[channel].values.tobytes())
 
@@ -543,13 +542,13 @@ class TestExtractCurves:
         frames = [Frame(i, 7, 5, PixelFormat.RGB24,
                         rng.integers(0, 256, info.bytes_per_frame, dtype=np.uint8).tobytes())
                   for i in range(40)]
-        curves = extract_curves(ListSource(info, frames), CHANNEL_ORDER)
+        curves = extract_curves(ListSource(info, frames), tuple(CurveChannel))
         single = {
             CurveChannel.LUMA: frame_luma_mean,
             CurveChannel.CONTRAST_RMS: lambda f: frame_contrast(f, "rms"),
             CurveChannel.CONTRAST_SPREAD: lambda f: frame_contrast(f, "spread"),
         }
-        for channel in CHANNEL_ORDER:
+        for channel in CurveChannel:
             measure = single.get(channel, lambda f, c=channel: frame_channel_mean(f, c))
             expected = np.array([measure(f) for f in frames])
             assert curves[channel].values.tobytes() == expected.tobytes()
@@ -595,7 +594,7 @@ class TestExtractCurves:
     @pytest.mark.parametrize("fmt,wanted", [
         (PixelFormat.GRAY8, (CurveChannel.LUMA,)),
         (PixelFormat.Y4M_420, (CurveChannel.LUMA,)),
-        (PixelFormat.RGB24, CHANNEL_ORDER[:4]),
+        (PixelFormat.RGB24, tuple(CurveChannel)[:4]),
     ])
     def test_means_alone_stay_on_the_calling_thread(self, pools, fmt, wanted):
         rng = np.random.default_rng(55)

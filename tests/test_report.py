@@ -4,7 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lumascore import pipeline, report
+from lumascore.composition import MAX_FILM_S
 from lumascore.config import parse_config
 from lumascore.gestures import (
     Archetype,
@@ -17,6 +21,7 @@ from lumascore.gestures import (
 )
 from lumascore.ingest import PixelFormat, StreamInfo
 from lumascore.photometry import BrightnessCurve, CurveChannel, CurveSet
+from lumascore.pipeline import analyze_stage
 from lumascore.report import (
     CsvFormatError,
     ReportFormatError,
@@ -170,13 +175,13 @@ def make_report(gestures, n=300, rate=50.0):
 
 SAMPLE_GESTURES = [
     Gesture(Segment(0, 100), ShapeKind.PLATEAU, TransientInfo(5, 0.4),
-            0.12, LinearFit(0.5, 0.0, 1e-6), 0.01, 0.55,
+            0.12, LinearFit(0.5, 0.0, 1e-6), 0.55,
             Archetype.CHORD_HELD, motif_id=0),
     Gesture(Segment(100, 200), ShapeKind.EXPONENTIAL_DECAY, None,
-            0.05, ExpFit(0.2, 0.6, 1.25, 2e-5, False), 0.02, 0.4,
+            0.05, ExpFit(0.2, 0.6, 1.25, 2e-5, False), 0.4,
             Archetype.CHORD_RESONANCE, motif_id=1),
     Gesture(Segment(200, 300), ShapeKind.STAIRCASE, None,
-            0.02, StaircaseFit((0.2, 0.5, 0.8), (4.5, 5.2), 3e-5), 0.0, 0.5,
+            0.02, StaircaseFit((0.2, 0.5, 0.8), (4.5, 5.2), 3e-5), 0.5,
             Archetype.ARPEGGIO_DETACHED, motif_id=2),
 ]
 
@@ -460,3 +465,141 @@ class TestReportRanges:
         gestures, curve = gestures_from_report(parse_report(report_to_bytes(doc)))
         assert gestures[2].segment == Segment(200, len(curve.values))
         assert gestures[2].transient == TransientInfo(99, 0.3)
+
+
+def csv_at(rate: float, rows: int) -> bytes:
+    """A luma CSV of ``rows`` samples at ``rate``, written as extract writes it."""
+    return ("time_s,luma\n" + "".join("%.6f,0.500000\n" % (i / rate) for i in range(rows))
+            ).encode("ascii")
+
+
+def report_at(rate: float, n: int) -> bytes:
+    curve = BrightnessCurve(CurveChannel.LUMA, rate, 0.0, np.full(n, 0.5))
+    return report_to_bytes(build_report({}, rate, curve, [], parse_config({})))
+
+
+def analysis_config(rate: float):
+    return parse_config({"analysis": {"rate_hz": rate}})
+
+
+class TestFilmLength:
+    def test_report_past_the_limit_rejected(self):
+        # 83,886 samples at 0.5 Hz last 167,772 s, just inside the limit
+        assert MAX_FILM_S == 167772.16
+        parse_report(report_at(0.5, 83886))
+        with pytest.raises(ReportFormatError) as err:
+            parse_report(report_at(0.5, 83887))
+        assert str(err.value) == ("<analysis>: channels[0] lasts 167774 s, longer than the "
+                                  "167772.16 s limit")
+
+    def test_analysis_past_the_limit_rejected(self):
+        # the CSV is read whole, for plot composes nothing; analyze refuses
+        # the 83,887 samples it would embed, before it segments them
+        data = csv_at(1.0, 167773)
+        assert read_curves_csv(data)[CurveChannel.LUMA].duration == 167773.0
+        with pytest.raises(ValueError) as err:
+            analyze_stage(data, analysis_config(0.5))
+        assert str(err.value) == ("the luma curve at 0.5 Hz lasts 167774 s, longer than the "
+                                  "167772.16 s limit")
+
+    # resampling may add a sample, so a CSV inside the limit may give a curve
+    # past it: a 1 Hz CSV of 10,800 rows at 0.3333 Hz gives 3,600 samples,
+    # 10,801 s.  Any limit shows that analyze and parse_report agree.
+    @given(limit=st.floats(1.0, 20.0), csv_rate=st.floats(0.25, 4.0),
+           analysis_rate=st.floats(0.0, 1000.0, exclude_min=True), extra=st.integers(-1, 1))
+    @example(limit=10800.0, csv_rate=1.0, analysis_rate=0.3333, extra=0)
+    @settings(max_examples=40, deadline=None)
+    def test_analyze_writes_no_report_that_parse_report_refuses(self, limit, csv_rate,
+                                                                analysis_rate, extra):
+        data = csv_at(csv_rate, max(1, int(limit * csv_rate) + extra))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "MAX_FILM_S", limit)
+            patch.setattr(report, "MAX_FILM_S", limit)
+            try:
+                out = analyze_stage(data, analysis_config(analysis_rate))
+            except ValueError:
+                # a curve too long to embed, or too short to segment
+                return
+            parse_report(out)
+
+
+def finite_floats():
+    return st.floats(allow_nan=False, allow_infinity=False)
+
+
+FITS = st.one_of(
+    st.builds(LinearFit, finite_floats(), finite_floats(), finite_floats()),
+    st.builds(ExpFit, finite_floats(), finite_floats(), finite_floats(), finite_floats(),
+              st.booleans()),
+    st.builds(StaircaseFit, st.lists(finite_floats(), max_size=6).map(tuple),
+              st.lists(finite_floats(), max_size=5).map(tuple), finite_floats()),
+)
+
+
+@st.composite
+def gestures_on(draw, n: int, kinds=None):
+    """A gesture on a curve of ``n`` samples: its (ShapeKind, Archetype) pair
+    one of ``kinds``, or any pair, and every other field drawn freely."""
+    start = draw(st.integers(0, n - 1))
+    end = draw(st.integers(start + 1, n))
+    kind, archetype = draw(st.sampled_from(kinds)) if kinds else (
+        draw(st.sampled_from(ShapeKind)), draw(st.sampled_from(Archetype)))
+    transient = draw(st.none() | st.builds(TransientInfo, st.integers(0, end - start - 1),
+                                           finite_floats()))
+    return Gesture(Segment(start, end), kind, transient, draw(finite_floats()), draw(FITS),
+                   draw(finite_floats()), archetype,
+                   draw(st.none() | st.integers(-2 ** 70, 2 ** 70)))
+
+
+EVERY_PAIR = [(kind, archetype) for kind in ShapeKind for archetype in Archetype]
+
+
+@st.composite
+def analyses(draw):
+    """(rate, curve, gestures): a report's contents, on a curve inside the limit."""
+    rate = draw(st.floats(0.5, 1000.0))
+    n = draw(st.integers(1, 300))
+    curve = BrightnessCurve(draw(st.sampled_from(CurveChannel)), rate, draw(finite_floats()),
+                            np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
+                                                   max_size=n))))
+    # now and then one gesture of every kind and archetype pair
+    pairs = draw(st.sampled_from([None, EVERY_PAIR]))
+    count = len(EVERY_PAIR) if pairs else draw(st.integers(0, 6))
+    gestures = [draw(gestures_on(n, [pairs[i]] if pairs else None)) for i in range(count)]
+    return rate, curve, gestures
+
+
+def every_pair_analysis():
+    """One gesture of each kind and archetype pair, the fit models, transients
+    and motif ids taking turns."""
+    fits = [LinearFit(0.5, -0.25, 1e-6), ExpFit(0.2, 0.6, 1.25, 2e-5, False),
+            ExpFit(0.1, 0.3, 0.5, 0.0, True), StaircaseFit((0.2, 0.5, 0.8), (4.5, 5.2), 3e-5)]
+    gestures = [Gesture(Segment(10 * i, 10 * i + 10), kind,
+                        TransientInfo(i % 10, 0.3) if i % 3 else None, 0.01 * i, fits[i % 4],
+                        0.5, archetype, i if i % 5 else None)
+                for i, (kind, archetype) in enumerate(EVERY_PAIR)]
+    n = 10 * len(gestures)
+    return 50.0, BrightnessCurve(CurveChannel.LUMA, 50.0, 0.0, np.linspace(0.2, 0.8, n)), gestures
+
+
+class TestWriteCheckReadAgree:
+    @given(analyses(), st.booleans())
+    @example(every_pair_analysis(), False)
+    @example(every_pair_analysis(), True)
+    @settings(max_examples=40, deadline=None)
+    def test_report_round_trips_to_the_same_bytes_and_gestures(self, analysis,
+                                                               drop_degenerate):
+        rate, curve, gestures = analysis
+        config = parse_config({})
+        data = report_to_bytes(build_report({"name": "x"}, rate, curve, gestures, config))
+        doc = parse_report(data)
+        if drop_degenerate:
+            # an ExpFit's degenerate flag may be absent when it is false
+            for seg in doc["segments"]:
+                if seg["fit"].get("degenerate") is False:
+                    del seg["fit"]["degenerate"]
+        rebuilt, back = gestures_from_report(doc)
+        assert rebuilt == gestures
+        assert (back.channel, back.sample_rate, back.t0) == (curve.channel, rate, curve.t0)
+        assert back.values.tobytes() == curve.values.tobytes()
+        assert report_to_bytes(build_report({"name": "x"}, rate, back, rebuilt, config)) == data
