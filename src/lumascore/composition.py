@@ -10,17 +10,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .curveprep import round_half_up
 from .gestures import Archetype, ExpFit, Gesture, StaircaseFit
 from .photometry import MAX_CURVE_SAMPLES, BrightnessCurve
 
 MASK64 = (1 << 64) - 1
-DEFAULT_LAMBDA_MAX = 40.0
-DEFAULT_GRAIN_S = 0.060
 ARPEGGIO_RHO = 0.8
+EXPRESSION_RATE_HZ = 20.0
 TEXTURE_GRID_S = 0.01
 # the longest curve a report may hold, about 46.6 h: a granular texture over
 # all of it draws MAX_CURVE_SAMPLES times, the step cap of the other loops
 MAX_FILM_S = MAX_CURVE_SAMPLES * TEXTURE_GRID_S
+
+
+def check_film_length(duration_s: float, curve: str, error: type = ValueError) -> None:
+    """Refuse a curve that lasts longer than MAX_FILM_S; `curve` names it."""
+    if duration_s > MAX_FILM_S:
+        raise error("%s lasts %.10g s, longer than the %.10g s limit"
+                    % (curve, duration_s, MAX_FILM_S))
 
 
 class SplitMix64:
@@ -53,6 +60,18 @@ class HarmonyConfig:
     channel: int = field(default=0, metadata={"range": "[0, 15]"})
 
 
+@dataclass
+class TextureConfig:
+    """Granular texture settings, each with the range a config may set."""
+
+    lambda_max: float = field(default=40.0, metadata={"range": "(0, inf)"})
+    grain_ms: float = field(default=60.0, metadata={"range": "(0, inf)"})
+
+    @property
+    def grain_s(self) -> float:
+        return self.grain_ms / 1000.0
+
+
 @dataclass(frozen=True)
 class MusicalEvent:
     onset_s: float
@@ -72,25 +91,24 @@ class ControlEvent:
 
 @dataclass
 class Score:
-    notes: list[MusicalEvent] = field(default_factory=list)
-    controls: list[ControlEvent] = field(default_factory=list)
-    tempo_bpm: float = 60.0
-    ppq: int = 480
-    duration_s: float = 0.0
+    notes: list[MusicalEvent]
+    controls: list[ControlEvent]
+    tempo_bpm: float
+    ppq: int
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def _clamp_unit(value: float) -> float:
+    return min(1.0, max(0.0, value))
 
 
 def register_center(mean_brightness: float, register: tuple[int, int]) -> int:
     """Map brightness in [0, 1] onto a pitch inside the register."""
     low, high = register
-    return low + _round_half_up(mean_brightness * (high - low))
+    return low + round_half_up(mean_brightness * (high - low))
 
 
 def velocity_at(value: float) -> int:
-    return max(1, min(127, _round_half_up(20.0 + 100.0 * value)))
+    return max(1, min(127, round_half_up(20.0 + 100.0 * _clamp_unit(value))))
 
 
 def _voice_near(pitch_class: int, center: int) -> int:
@@ -124,15 +142,15 @@ def chord_for(motif_id: int, center: int, harmony: HarmonyConfig) -> list[int]:
     return sorted(notes)
 
 
-def arpeggio_times(fit: ExpFit, duration_s: float, rho: float = ARPEGGIO_RHO) -> list[float]:
-    """Onsets where the decay envelope loses another factor of rho.
+def arpeggio_times(fit: ExpFit, duration_s: float) -> list[float]:
+    """Onsets where the decay envelope loses another factor of ARPEGGIO_RHO.
 
     Times are relative to the fit's own origin and truncated to the given
     duration, at most 32 of them; a fit that does not decay gives none.
     """
     if fit.scale <= 0 or fit.degenerate:
         return []
-    spacing = fit.tau_s * math.log(1.0 / rho)
+    spacing = fit.tau_s * math.log(1.0 / ARPEGGIO_RHO)
     times = []
     for k in range(1, 33):
         t = spacing * k
@@ -143,7 +161,7 @@ def arpeggio_times(fit: ExpFit, duration_s: float, rho: float = ARPEGGIO_RHO) ->
 
 
 def _value_at(curve: BrightnessCurve, t: float) -> float:
-    idx = _round_half_up((t - curve.t0) * curve.sample_rate)
+    idx = round_half_up((t - curve.t0) * curve.sample_rate)
     idx = max(0, min(len(curve.values) - 1, idx))
     return float(curve.values[idx])
 
@@ -182,8 +200,8 @@ def render_gesture(
     curve: BrightnessCurve,
     harmony: HarmonyConfig,
     rng: SplitMix64,
-    lambda_max: float = DEFAULT_LAMBDA_MAX,
-    grain_s: float = DEFAULT_GRAIN_S,
+    lambda_max: float = TextureConfig.lambda_max,
+    grain_s: float = TextureConfig().grain_s,
 ) -> list[MusicalEvent]:
     """Render one gesture; only the granular texture consumes the rng."""
     rate = curve.sample_rate
@@ -215,13 +233,12 @@ def render_gesture(
         fit = gesture.fit
         if isinstance(fit, ExpFit):
             times = arpeggio_times(fit, seg_end - body_start)
-            spacing = fit.tau_s * math.log(1.0 / ARPEGGIO_RHO)
             pitches = _descending_pitches(chord, motif, harmony, len(times))
             for t, pitch in zip(times, pitches):
                 at = body_start + t
-                # 80% of the inter-onset gap, but a slowly fitted decay must
+                # 80% of the inter-onset gap, times[0], but a slowly fitted decay must
                 # not ring past the one-second tail allowed after the segment
-                dur = min(0.8 * spacing, seg_end + 1.0 - at)
+                dur = min(0.8 * times[0], seg_end + 1.0 - at)
                 events.append(
                     _note(at, dur, pitch, velocity_at(_value_at(curve, at)), channel)
                 )
@@ -244,7 +261,7 @@ def render_gesture(
             onsets = (0.0,) + fit.step_times_s
             for k, (t, level) in enumerate(zip(onsets, fit.levels)):
                 pc = (scale[(j + k) % size] + harmony.root_pc) % 12
-                pitch = _voice_near(pc, register_center(min(1.0, max(0.0, level)), harmony.register))
+                pitch = _voice_near(pc, register_center(_clamp_unit(level), harmony.register))
                 events.append(
                     _note(body_start + t, 0.2, pitch, velocity_at(level), channel)
                 )
@@ -268,11 +285,10 @@ def render_gesture(
     return events
 
 
-def expression_track(curve: BrightnessCurve, rate: float = 20.0, channel: int = 0) -> list[ControlEvent]:
-    """Controller 11 following the curve, duplicate values suppressed."""
-    if rate <= 0:
-        raise ValueError("expression rate must be positive")
-    last = curve.duration * rate + 1e-9  # inf for a tiny curve rate, which `<` rejects
+def expression_track(curve: BrightnessCurve, channel: int = 0) -> list[ControlEvent]:
+    """Controller 11 following the curve at EXPRESSION_RATE_HZ, duplicate
+    values suppressed."""
+    last = curve.duration * EXPRESSION_RATE_HZ + 1e-9  # inf at a tiny curve rate; `<` rejects it
     if not last < MAX_CURVE_SAMPLES:
         raise ValueError("a %.6g s curve needs more than %d expression steps"
                          % (curve.duration, MAX_CURVE_SAMPLES))
@@ -280,9 +296,8 @@ def expression_track(curve: BrightnessCurve, rate: float = 20.0, channel: int = 
     events: list[ControlEvent] = []
     previous = -1
     for k in range(steps + 1):
-        t = k / rate
-        value = _round_half_up(_value_at(curve, t) * 127.0)
-        value = max(0, min(127, value))
+        t = k / EXPRESSION_RATE_HZ
+        value = round_half_up(_clamp_unit(_value_at(curve, t)) * 127.0)
         if k == 0 or value != previous:
             events.append(ControlEvent(t, 11, value, channel))
             previous = value
@@ -292,14 +307,12 @@ def expression_track(curve: BrightnessCurve, rate: float = 20.0, channel: int = 
 def compose(
     gestures: list[Gesture],
     curve: BrightnessCurve,
-    harmony: HarmonyConfig | None = None,
+    harmony: HarmonyConfig = HarmonyConfig(),
     seed: int = 0,
-    lambda_max: float = DEFAULT_LAMBDA_MAX,
-    grain_s: float = DEFAULT_GRAIN_S,
+    lambda_max: float = TextureConfig.lambda_max,
+    grain_s: float = TextureConfig().grain_s,
 ) -> Score:
     """Render all gestures against one rng stream and assemble the score."""
-    if harmony is None:
-        harmony = HarmonyConfig()
     # first, so a curve too long to follow is refused before any rendering
     controls = expression_track(curve, channel=harmony.channel)
     rng = SplitMix64(seed)
@@ -309,4 +322,4 @@ def compose(
             render_gesture(gesture, curve, harmony, rng, lambda_max, grain_s)
         )
     notes.sort(key=lambda e: (e.onset_s, e.pitch))
-    return Score(notes, controls, harmony.tempo_bpm, harmony.ppq, curve.duration)
+    return Score(notes, controls, harmony.tempo_bpm, harmony.ppq)

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from pathlib import Path
 
-from .composition import HarmonyConfig
+from .composition import HarmonyConfig, TextureConfig
 from .gestures import Archetype, ClassifyParams
+from .segmentation import SegmentationParams
 
 
 class ConfigError(ValueError):
@@ -23,19 +24,11 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class AnalysisConfig:
+class AnalysisConfig(SegmentationParams):
     # the analysis work grows with rate_hz, so it is capped at 1 kHz
     rate_hz: float = field(default=50.0, metadata={"range": "(0, 1000]"})
     smooth_window_s: float = field(default=0.25, metadata={"range": "[0, 3600]"})
-    min_segment_s: float = field(default=0.5, metadata={"range": "(0, inf)"})
-    penalty_beta: float = field(default=4.0, metadata={"range": "(0, inf)"})
     thresholds: ClassifyParams = field(default_factory=ClassifyParams)
-
-
-@dataclass
-class TextureConfig:
-    lambda_max: float = field(default=40.0, metadata={"range": "(0, inf)"})
-    grain_ms: float = field(default=60.0, metadata={"range": "(0, inf)"})
 
 
 @dataclass

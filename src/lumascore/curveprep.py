@@ -11,8 +11,9 @@ from .photometry import MAX_CURVE_SAMPLES, BrightnessCurve
 ROUGHNESS_SCALE = 0.05
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def round_half_up(x: float) -> int | float:
+    """The integer nearest ``x``, halves up; inf when ``x + 0.5`` is not finite."""
+    return math.floor(x + 0.5) if math.isfinite(x + 0.5) else math.inf
 
 
 def resample(curve: BrightnessCurve, rate: float) -> BrightnessCurve:
@@ -47,7 +48,7 @@ def smooth_values(values: np.ndarray, rate: float, window_s: float) -> np.ndarra
     """Centered moving average; the window shrinks symmetrically at the edges."""
     y = np.asarray(values, dtype=np.float64)
     n = len(y)
-    w = max(1, _round_half_up(window_s * rate))
+    w = max(1, round_half_up(window_s * rate))
     if w % 2 == 0:
         w += 1
     if w == 1 or n == 0:

@@ -22,6 +22,7 @@ TAU_GRID_LO = 1.0 / 50.0  # grid bounds as fractions of the body duration
 TAU_GRID_HI = 5.0
 STAIRCASE_BLOCK = 64  # piece ends per cost block of the staircase DP
 STAIRCASE_MAX_LEVELS = 6
+MOTIF_EPSILON = 0.25  # feature distance within which a gesture joins a motif
 
 
 class ShapeKind(Enum):
@@ -154,7 +155,7 @@ def fit_exponential(samples: np.ndarray, rate: float, tau_grid: np.ndarray | Non
     if n < 3:
         raise ValueError("exponential fit needs at least 3 samples")
     if tau_grid is None:
-        tau_grid = make_tau_grid((n - 1) / rate if n > 1 else 1.0 / rate)
+        tau_grid = make_tau_grid((n - 1) / rate)
     if float(y.max() - y.min()) < 1e-12:
         return _degenerate_exp(y, rate, tau_grid)
     t = np.arange(n, dtype=np.float64) / rate
@@ -388,18 +389,18 @@ def _features(gesture: Gesture, rate: float) -> np.ndarray:
     return vec
 
 
-def assign_motifs(gestures: list[Gesture], rate: float, epsilon: float = 0.25) -> None:
+def assign_motifs(gestures: list[Gesture], rate: float) -> None:
     """Greedy online clustering of gestures into recurring motifs.
 
     A gesture joins the earliest motif of the same kind whose first member
-    lies within ``epsilon`` of it in feature space; otherwise it founds a new
+    lies within MOTIF_EPSILON of it in feature space; otherwise it founds a new
     motif.  Ids count up from 0 in order of first appearance.
     """
     representatives: list[tuple[ShapeKind, np.ndarray]] = []
     for gesture in gestures:
         vec = _features(gesture, rate)
         for motif_id, (kind, ref) in enumerate(representatives):
-            if kind is gesture.kind and float(np.linalg.norm(vec - ref)) <= epsilon:
+            if kind is gesture.kind and float(np.linalg.norm(vec - ref)) <= MOTIF_EPSILON:
                 gesture.motif_id = motif_id
                 break
         else:

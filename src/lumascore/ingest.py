@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterator
@@ -33,7 +33,6 @@ class StreamInfo:
     fps_num: int
     fps_den: int
     pixel_format: PixelFormat
-    frame_count: int | None = None
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
@@ -51,12 +50,10 @@ class StreamInfo:
     @property
     def bytes_per_frame(self) -> int:
         w, h = self.width, self.height
-        if self.pixel_format is PixelFormat.RGB24:
+        if self.pixel_format in (PixelFormat.RGB24, PixelFormat.Y4M_444):
             return 3 * w * h
         if self.pixel_format is PixelFormat.GRAY8:
             return w * h
-        if self.pixel_format is PixelFormat.Y4M_444:
-            return 3 * w * h
         # 4:2:0 chroma planes are ceil-divided so odd sizes round up
         return w * h + 2 * math.ceil(w / 2) * math.ceil(h / 2)
 
@@ -143,6 +140,14 @@ def _read_chunked(handle: BinaryIO, count: int) -> bytes:
     return b"".join(parts)
 
 
+def _frame(info: StreamInfo, index: int, data: bytes, container: str) -> Frame:
+    """Frame ``index`` of ``data``, which must hold the whole frame."""
+    if len(data) < info.bytes_per_frame:
+        raise MediaFormatError("%s: frame %d truncated (%d of %d bytes)"
+                               % (container, index, len(data), info.bytes_per_frame))
+    return Frame(index, info.width, info.height, info.pixel_format, data)
+
+
 class FrameSource:
     """Frames described by ``info``, iterated in order.  As a context manager
     a source closes what it opened; most open files only while iterating."""
@@ -189,13 +194,7 @@ class Y4MReader(FrameSource):
                 raise MediaFormatError("y4m: unterminated frame marker")
             if marker != b"FRAME\n" and not marker.startswith(b"FRAME "):
                 raise MediaFormatError("y4m: expected FRAME marker, got %r" % marker[:16])
-            data = _read_chunked(self._file, bpf)
-            if len(data) < bpf:
-                raise MediaFormatError(
-                    "y4m: frame %d truncated (%d of %d bytes)" % (index, len(data), bpf)
-                )
-            yield Frame(index, self.info.width, self.info.height,
-                        self.info.pixel_format, data)
+            yield _frame(self.info, index, _read_chunked(self._file, bpf), "y4m")
             index += 1
 
     def close(self) -> None:
@@ -272,8 +271,7 @@ class ImageSequenceReader(FrameSource):
             raise MediaFormatError("image sequence: no input files")
         self._paths = sorted(paths, key=lambda p: p.name)
         first = read_ppm(self._paths[0].read_bytes())
-        self.info = StreamInfo(first.width, first.height, *_SEQUENCE_FPS,
-                               first.pixel_format, frame_count=len(self._paths))
+        self.info = StreamInfo(first.width, first.height, *_SEQUENCE_FPS, first.pixel_format)
 
     def __iter__(self) -> Iterator[Frame]:
         for index, path in enumerate(self._paths):
@@ -318,32 +316,18 @@ def read_sidecar(path: Path) -> StreamInfo:
 
 
 class RawRgbReader(FrameSource):
-    """Frame source over a file of concatenated RGB24 frames plus sidecar."""
+    """Frame source over a file or pipe of RGB24 frames described by a sidecar."""
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
-        info = read_sidecar(Path(str(self._path) + ".json"))
-        size = self._path.stat().st_size
-        self.info = replace(info, frame_count=size // info.bytes_per_frame)
-        self._trailing = size % info.bytes_per_frame
+        self.info = read_sidecar(Path(str(self._path) + ".json"))
 
     def __iter__(self) -> Iterator[Frame]:
         bpf = self.info.bytes_per_frame
         with open(self._path, "rb") as handle:
             index = 0
-            while True:
-                # the trailing part frame is read as what the file holds: a
-                # sidecar can claim a frame far larger than memory
-                data = handle.read(bpf if index < self.info.frame_count else self._trailing)
-                if data == b"" and self._trailing == 0:
-                    return
-                if len(data) < bpf:
-                    raise MediaFormatError(
-                        "raw rgb24: frame %d truncated (%d of %d bytes)"
-                        % (index, len(data), bpf)
-                    )
-                yield Frame(index, self.info.width, self.info.height,
-                            PixelFormat.RGB24, data)
+            while data := _read_chunked(handle, bpf):
+                yield _frame(self.info, index, data, "raw rgb24")
                 index += 1
 
 

@@ -10,6 +10,7 @@ import math
 import struct
 
 from .composition import Score
+from .curveprep import round_half_up
 
 MAX_VLQ = 0x0FFFFFFF
 
@@ -37,10 +38,10 @@ def encode_vlq(value: int) -> bytes:
 
 def ticks(t_s: float, tempo_bpm: float, ppq: int) -> int:
     """Seconds to MIDI ticks, rounding half up."""
-    exact = t_s * tempo_bpm / 60.0 * ppq + 0.5
-    if math.isinf(exact):
+    tick = round_half_up(t_s * tempo_bpm / 60.0 * ppq)
+    if math.isinf(tick):
         raise ValueError("time %.6g s outside the MIDI tick range" % t_s)
-    return int(math.floor(exact))
+    return tick
 
 
 def _track_chunk(payload: bytes) -> bytes:
@@ -49,7 +50,7 @@ def _track_chunk(payload: bytes) -> bytes:
 
 def write_smf(score: Score) -> bytes:
     ppq = score.ppq
-    tempo_us = int(math.floor(60_000_000.0 / score.tempo_bpm + 0.5))
+    tempo_us = round_half_up(60_000_000.0 / score.tempo_bpm)
     header = b"MThd" + struct.pack(">IHHH", 6, 1, 2, ppq)
 
     tempo_track = (

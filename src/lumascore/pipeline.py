@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from .composition import MAX_FILM_S, compose
+from .composition import check_film_length, compose
 from .config import ConfigError, PipelineConfig
 from .curveprep import resample, smooth
 from .gestures import assign_motifs, classify
@@ -27,7 +27,7 @@ from .report import (
     report_to_bytes,
     write_curves_csv,
 )
-from .segmentation import SegmentationParams, apply_manual_boundaries, segment
+from .segmentation import apply_manual_boundaries, segment
 from .svgplot import plot_svg
 
 
@@ -45,16 +45,12 @@ def analyze_stage(csv_data: bytes, config: PipelineConfig, source_name: str = "<
     raw = resample(luma, config.analysis.rate_hz)
     # the rule parse_report applies to the curve the report embeds, so that
     # analyze writes no report that compose refuses
-    if raw.duration > MAX_FILM_S:
-        raise ValueError("the luma curve at %.6g Hz lasts %.10g s, longer than the %.10g s "
-                         "limit" % (raw.sample_rate, raw.duration, MAX_FILM_S))
+    check_film_length(raw.duration, "the luma curve at %.6g Hz" % raw.sample_rate)
     smoothed = smooth(raw, config.analysis.smooth_window_s)
     if config.manual_boundaries_s is not None:
         segments = apply_manual_boundaries(smoothed, config.manual_boundaries_s)
     else:
-        segments = segment(smoothed, SegmentationParams(
-            config.analysis.min_segment_s, config.analysis.penalty_beta
-        ))
+        segments = segment(smoothed, config.analysis)
     params = config.classify_params()
     rate = config.analysis.rate_hz
     gestures = [
@@ -94,7 +90,7 @@ def compose_stage(report_data: bytes, config: PipelineConfig, source_name: str =
         config.harmony,
         seed=config.seed,
         lambda_max=config.texture.lambda_max,
-        grain_s=config.texture.grain_ms / 1000.0,
+        grain_s=config.texture.grain_s,
     )
     return write_smf(score)
 

@@ -3,13 +3,14 @@
 The report, ``analysis.json``, has sorted keys, two-space indentation and
 shortest round-trip floats, so re-serializing a parsed report reproduces it
 byte for byte.  Beside ``version``, ``rate_hz``, ``source``, ``config`` and
-the analysis curve as ``channels[0]``, it holds one object per segment:
-``start_s`` and ``end_s`` (numbers, seconds at ``rate_hz``), ``kind`` (a
-ShapeKind name), ``archetype`` (an Archetype name), ``granularity`` and
-``mean_brightness`` (numbers), ``fit`` (an object: its ``model`` and that
-fit's fields), ``transient`` (null, or the numbers ``t_s`` and
-``amplitude``) and ``motif_id`` (null or an integer).  The curve lasts at
-most composition.MAX_FILM_S seconds.
+the analysis curve as ``channels[0]`` (``t0`` 0), it holds one object per
+segment, in time order and not overlapping: ``start_s`` and ``end_s``
+(numbers, seconds at ``rate_hz``), ``kind`` (a ShapeKind name),
+``archetype`` (an Archetype name), ``granularity`` and ``mean_brightness``
+(numbers in [0, 1]), ``fit`` (an object: its ``model`` and that fit's
+fields), ``transient`` (null, or the numbers ``t_s`` and ``amplitude``) and
+``motif_id`` (null or an integer).  The curve lasts at most
+composition.MAX_FILM_S seconds.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
-from .composition import MAX_FILM_S
+from .composition import check_film_length
 from .config import PipelineConfig
+from .curveprep import round_half_up
 from .gestures import (
     Archetype,
     ExpFit,
@@ -134,12 +136,6 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     }
 
 
-def _sample(t_s: float, rate: float) -> int | float:
-    """The sample index of a time, halves rounded up; inf when it overflows."""
-    x = float(t_s) * rate + 0.5
-    return math.floor(x) if math.isfinite(x) else math.inf
-
-
 def _finite_numbers(values: list) -> bool:
     # json.loads also reads NaN, Infinity and integers too large for a float
     if not set(map(type, values)) <= {int, float}:
@@ -176,14 +172,16 @@ def _known(cls: type, noun: str) -> _Type:
 
 
 class _Field(NamedTuple):
-    """A field of a record: its JSON name and type, and the attribute it maps
-    onto when that has another name.  A field with a default may be absent;
-    one whose default is None may also be null."""
+    """A field of a record: its JSON name and type, the attribute it maps
+    onto when that has another name, and the closed interval a number must
+    lie in.  A field with a default may be absent; one whose default is None
+    may also be null."""
 
     name: str
     type: _Type | _Record
     attr: str | None = None
     default: object = dataclasses.MISSING
+    bounds: tuple[float, float] | None = None
 
 
 class _Record(NamedTuple):
@@ -215,6 +213,9 @@ class _Record(NamedTuple):
             elif not f.type.test(doc.get(f.name)):
                 raise ReportFormatError("%s: %s must be %s%s" % (
                     where, f.name, f.type.noun, " or null" if f.default is None else ""))
+            elif f.bounds and not f.bounds[0] <= doc[f.name] <= f.bounds[1]:
+                raise ReportFormatError("%s: %s must lie in [%g, %g]"
+                                        % (where, f.name, *f.bounds))
 
 
 # each fit model's tag and the record of its dataclass, whose type hints give
@@ -234,7 +235,7 @@ _FIT = _Type("an object", lambda v: type(v) is dict,
 _CHANNEL = _Record(BrightnessCurve, (
     _Field("channel", _known(CurveChannel, "channel")),
     _Field("sample_rate_hz", _NUMBER, "sample_rate"),
-    _Field("t0", _NUMBER),
+    _Field("t0", _NUMBER, bounds=(0, 0)),
     _Field("values", _NUMBERS),
 ))
 # a segment's times stay in seconds here; _segment_to_json and _gesture
@@ -245,9 +246,9 @@ _SEGMENT = _Record(dict, (
     _Field("end_s", _NUMBER),
     _Field("kind", _known(ShapeKind, "kind")),
     _Field("archetype", _known(Archetype, "archetype")),
-    _Field("granularity", _NUMBER),
+    _Field("granularity", _NUMBER, bounds=(0, 1)),
     _Field("fit", _FIT),
-    _Field("mean_brightness", _NUMBER),
+    _Field("mean_brightness", _NUMBER, bounds=(0, 1)),
     _Field("transient", _TRANSIENT, default=None),
     _Field("motif_id", _INTEGER, default=None),
 ))
@@ -266,12 +267,12 @@ def _segment_to_json(g: Gesture, rate: float) -> dict:
 
 def _gesture(seg: dict, rate: float) -> Gesture:
     attrs = _SEGMENT.from_json(seg)
-    start = _sample(attrs.pop("start_s"), rate)
-    attrs["segment"] = Segment(start, _sample(attrs.pop("end_s"), rate))
+    start = round_half_up(attrs.pop("start_s") * rate)
+    attrs["segment"] = Segment(start, round_half_up(attrs.pop("end_s") * rate))
     if attrs["transient"] is not None:
         # a transient's index counts from its segment's start
         t_s, amplitude = attrs["transient"]["t_s"], attrs["transient"]["amplitude"]
-        attrs["transient"] = TransientInfo(_sample(t_s, rate) - start, amplitude)
+        attrs["transient"] = TransientInfo(round_half_up(t_s * rate) - start, amplitude)
     return Gesture(**attrs)
 
 
@@ -300,10 +301,11 @@ def report_to_bytes(report: dict) -> bytes:
 
 
 def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
-    """Parse a report and check every field compose and plot read: its type,
-    the names of kinds, archetypes and channels, that each segment and
-    transient lies inside the embedded curve, that the curve is sampled at
-    rate_hz and that it lasts at most MAX_FILM_S."""
+    """Parse a report and check every field compose and plot read: its type
+    and range, the names of kinds, archetypes and channels, that each segment
+    and transient lies inside the embedded curve, that no segment starts
+    before the previous one ends, that the curve is sampled at rate_hz and
+    that it lasts at most MAX_FILM_S."""
     try:
         doc = json.loads(data.decode("utf-8"))
     # a bad byte and 4300+ digit integers raise ValueError, deep nesting RecursionError
@@ -322,15 +324,21 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
     _CHANNEL.check(doc["channels"][0], "%s: channels[0]" % source_path)
     n = len(doc["channels"][0]["values"])
     rate = float(doc["rate_hz"])
+    previous_end = 0
     for i, seg in enumerate(doc["segments"]):
         where = "%s: segments[%d]" % (source_path, i)
         _SEGMENT.check(seg, where)
-        start, end = _sample(seg["start_s"], rate), _sample(seg["end_s"], rate)
+        start, end = round_half_up(seg["start_s"] * rate), round_half_up(seg["end_s"] * rate)
         if not 0 <= start < end <= n:
             raise ReportFormatError("%s: start_s and end_s must give a non-empty span "
                                     "inside the %d-sample curve" % (where, n))
+        # analyze writes a partition; overlapping segments would multiply the work
+        if start < previous_end:
+            raise ReportFormatError("%s: start_s must not precede the end of segments[%d]"
+                                    % (where, i - 1))
+        previous_end = end
         transient = seg.get("transient")
-        if transient is not None and not start <= _sample(transient["t_s"], rate) < end:
+        if transient is not None and not start <= round_half_up(transient["t_s"] * rate) < end:
             raise ReportFormatError("%s: transient t_s must lie inside the segment" % where)
         model = seg["fit"].get("model")
         # a JSON list or object is not hashable, so it cannot be looked up
@@ -341,9 +349,7 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
     if float(doc["channels"][0]["sample_rate_hz"]) != rate or rate <= 0 or n == 0:
         raise ReportFormatError("%s: channels[0] must hold samples at rate_hz, a "
                                 "positive rate" % source_path)
-    if n / rate > MAX_FILM_S:
-        raise ReportFormatError("%s: channels[0] lasts %.10g s, longer than the %.10g s limit"
-                                % (source_path, n / rate, MAX_FILM_S))
+    check_film_length(n / rate, "%s: channels[0]" % source_path, ReportFormatError)
     return doc
 
 

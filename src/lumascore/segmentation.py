@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .curveprep import round_half_up
 from .photometry import BrightnessCurve
 
 NOISE_FLOOR = 1e-4
@@ -27,8 +28,10 @@ class Segment:
 
 @dataclass
 class SegmentationParams:
-    min_segment_s: float = 0.5
-    penalty_beta: float = 4.0
+    """Segmentation settings, each with the range a config may set."""
+
+    min_segment_s: float = field(default=0.5, metadata={"range": "(0, inf)"})
+    penalty_beta: float = field(default=4.0, metadata={"range": "(0, inf)"})
 
 
 def estimate_noise(curve: BrightnessCurve) -> float:
@@ -158,7 +161,7 @@ def apply_manual_boundaries(curve: BrightnessCurve, times_s: list[float]) -> lis
             raise ValueError("boundary %g s is not strictly increasing" % t)
         if not 0.0 < t < duration:
             raise ValueError("boundary %g s outside (0, %g)" % (t, duration))
-        cuts.append(int(math.floor(t * curve.sample_rate + 0.5)))
+        cuts.append(round_half_up(t * curve.sample_rate))
         previous = t
     edges = [0] + cuts + [n]
     segments = []

@@ -1,6 +1,7 @@
 """Command line behaviour: subcommands, artifacts, and exit codes."""
 
 import json
+import math
 import time
 
 import numpy as np
@@ -327,6 +328,52 @@ class TestMalformedReport:
         assert time.perf_counter() - start < 1.0
         self._assert_one_error_line(code, capsys)
         assert not (tmp_path / "s.mid").exists()
+
+
+class TestReportBeyondAnalyze:
+    """A report of a 10 s sine with one number analyze never writes: each
+    once gave a traceback or a compose that did not end."""
+
+    @pytest.fixture
+    def report(self, config_file, tmp_path):
+        curves = tmp_path / "sine.csv"
+        curves.write_text("time_s,luma\n" + "".join(
+            "%.6f,%.6f\n" % (i / 24, 0.5 + 0.4 * math.sin(2 * math.pi * i / 120))
+            for i in range(240)))
+        report = tmp_path / "analysis.json"
+        assert main(["analyze", "--curves", str(curves), "--config", str(config_file),
+                     "--out", str(report)]) == 0
+        return report
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda doc: doc["channels"][0].update(t0=-1.7e308), 1),
+        (lambda doc: doc["segments"][0].update(mean_brightness=1.7e308), 1),
+        (lambda doc: doc["segments"][0].update(archetype="tremolo_scratch", granularity=2.0), 1),
+        (lambda doc: doc.update(segments=[doc["segments"][0]] * 20), 1),
+        # curve values and staircase levels are clamped where they are rounded
+        (lambda doc: doc["channels"][0]["values"].__setitem__(0, 1.7e308), 0),
+        (lambda doc: doc["segments"][0].update(archetype="arpeggio_detached", fit={
+            "model": "staircase", "levels": [1.7e308, 0.5], "step_times_s": [0.25],
+            "sse": 0.0}), 0),
+    ], ids=["huge negative t0", "huge mean brightness", "granularity past one",
+            "twenty copies of one segment", "huge curve value", "huge staircase level"])
+    def test_compose_ends_at_once(self, report, config_file, tmp_path, capsys, edit, code):
+        doc = json.loads(report.read_text())
+        edit(doc)
+        report.write_text(json.dumps(doc))
+        out = tmp_path / "s.mid"
+        start = time.perf_counter()
+        got = main(["compose", "--analysis", str(report), "--config", str(config_file),
+                    "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert got == code
+        if code:
+            assert err.startswith("error: %s: " % report) and err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert err == ""
+            read_smf(out.read_bytes())
 
 
 # a JSON array nested far deeper than the interpreter's recursion limit

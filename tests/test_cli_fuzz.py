@@ -175,6 +175,17 @@ READ_BACK = {"compose": read_smf, "plot": ET.fromstring}
 @example(edited("report", _one_long_segment))
 # a curve under the sample cap whose texture drew for longer than any test waited
 @example(edited("report", _long_texture))
+# numbers no report of analyze holds: four tracebacks, a tremolo that did not
+# end and overlapping segments that multiplied the work
+@example(edited("report", lambda doc: doc["channels"][0].update(t0=-1.7e308)))
+@example(edited("report", lambda doc: doc["segments"][0].update(mean_brightness=1.7e308)))
+@example(edited("report", lambda doc: doc["channels"][0]["values"].__setitem__(0, 1.7e308)))
+@example(edited("report", lambda doc: doc["segments"][0].update(
+    archetype="arpeggio_detached",
+    fit={"model": "staircase", "levels": [1.7e308, 0.5], "step_times_s": [0.25], "sse": 0.0})))
+@example(edited("report", lambda doc: doc["segments"][0].update(archetype="tremolo_scratch",
+                                                                granularity=2.0)))
+@example(edited("report", lambda doc: doc.update(segments=[doc["segments"][0]] * 20)))
 @settings(max_examples=300, deadline=None)
 def test_mutated_input_ends_in_artifacts_or_one_error_line(case):
     kind, data = case

@@ -9,6 +9,7 @@ import pytest
 
 from lumascore import composition
 from lumascore.composition import (
+    ARPEGGIO_RHO,
     ControlEvent,
     HarmonyConfig,
     Score,
@@ -117,6 +118,13 @@ class TestMappings:
         values = [velocity_at(v / 100.0) for v in range(101)]
         assert values == sorted(values)
 
+    # a report's curve values and staircase levels are smoothed means, which
+    # may stray an ulp outside [0, 1]; the clamp changes no velocity for them
+    @pytest.mark.parametrize("value,expected", [
+        (-1.7e308, 20), (-0.0049, 20), (1.0049, 120), (1.7e308, 120)])
+    def test_velocity_clamps_the_value_to_the_unit_range(self, value, expected):
+        assert velocity_at(value) == expected
+
 
 class TestChordFor:
     def test_motif_zero_at_middle_c(self):
@@ -146,9 +154,9 @@ class TestChordFor:
 
 
 class TestArpeggioTimes:
-    def test_half_life_tau_gives_integer_onsets(self):
-        fit = ExpFit(0.0, 0.5, 1.0 / math.log(2.0), 0.0)
-        times = arpeggio_times(fit, 3.5, rho=0.5)
+    def test_tau_of_one_rho_step_per_second_gives_integer_onsets(self):
+        fit = ExpFit(0.0, 0.5, 1.0 / math.log(1.0 / ARPEGGIO_RHO), 0.0)
+        times = arpeggio_times(fit, 3.5)
         assert times == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
 
     def test_default_rho_spacing_is_uniform(self):
@@ -381,9 +389,9 @@ class TestExpressionTrack:
         assert len(track) == 2
         assert track[-1].time_s == pytest.approx(0.05, abs=1e-12)
 
-    def test_nonpositive_rate_rejected(self):
-        with pytest.raises(ValueError):
-            expression_track(make_curve([0.5] * 10), rate=0.0)
+    def test_values_outside_the_unit_range_are_clamped(self):
+        track = expression_track(make_curve([1.7e308, -1.7e308, 1.0039, -0.0039], rate=20.0))
+        assert [e.value for e in track] == [127, 0, 127, 0]
 
     def test_cap_admits_exactly_max_steps(self, monkeypatch):
         monkeypatch.setattr(composition, "MAX_CURVE_SAMPLES", 10)
@@ -405,7 +413,6 @@ class TestCompose:
         score = compose([], curve)
         assert score.notes == []
         assert score.controls == expression_track(curve)
-        assert score.duration_s == pytest.approx(2.0)
 
     def test_same_seed_reproduces_score(self):
         curve = make_curve([0.6] * 200)
@@ -537,7 +544,3 @@ class TestCompose:
         first = {e.pitch % 12 for e in score.notes if e.onset_s < 5.0}
         second = {e.pitch % 12 for e in score.notes if e.onset_s >= 5.0}
         assert first == second
-
-    def test_score_duration_is_curve_duration(self):
-        curve = make_curve([0.5] * 321)
-        assert compose([], curve).duration_s == pytest.approx(321 / RATE)

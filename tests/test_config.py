@@ -305,9 +305,10 @@ class TestSchemaWalker:
         assert cfg.classify_params().granular == 0.3
 
     def test_first_error_follows_declaration_order(self):
+        # AnalysisConfig declares the segmentation fields it inherits first
         doc = {"seed": -1, "texture": {"grain_ms": 0}, "analysis": {"penalty_beta": 0,
                                                                    "rate_hz": 0}}
-        with pytest.raises(ConfigError, match=r"analysis\.rate_hz"):
+        with pytest.raises(ConfigError, match=r"analysis\.penalty_beta"):
             parse_config(doc)
 
     def test_readme_schema_block_is_the_default_echo(self):

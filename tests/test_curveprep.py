@@ -12,11 +12,24 @@ from lumascore.curveprep import (
     ROUGHNESS_SCALE,
     resample,
     residual_rms,
+    round_half_up,
     smooth,
     smooth_values,
 )
 
 from _synth import curve, unit_noise
+
+
+class TestRoundHalfUp:
+    @pytest.mark.parametrize("x,expected", [
+        (0.5, 1), (1.5, 2), (-0.5, 0), (-1.5, -1), (2.4999, 2), (-2.5001, -3), (7.0, 7)])
+    def test_halves_round_up(self, x, expected):
+        assert round_half_up(x) == expected and type(round_half_up(x)) is int
+
+    # a product past the largest float is inf; x + 0.5 itself never overflows
+    @pytest.mark.parametrize("x", [1e308 * 10.0, -1e308 * 10.0, math.nan])
+    def test_overflow_gives_inf(self, x):
+        assert round_half_up(x) == math.inf
 
 
 def interp_oracle(values, rate_in, t):

@@ -16,8 +16,8 @@ from lumascore.midi import (
 )
 
 
-def make_score(notes=(), controls=(), tempo=60.0, ppq=480, duration=10.0):
-    return Score(list(notes), list(controls), tempo, ppq, duration)
+def make_score(notes=(), controls=(), tempo=60.0, ppq=480):
+    return Score(list(notes), list(controls), tempo, ppq)
 
 
 class TestEncodeVlq:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lumascore import pipeline, report
+from lumascore import composition
 from lumascore.composition import MAX_FILM_S
 from lumascore.config import parse_config
 from lumascore.gestures import (
@@ -306,6 +306,15 @@ SEGMENT_EDITS = {
                                      OUTSIDE),
     "transient that overflows the index": (_set("transient", {"t_s": 1e308, "amplitude": 0.3}),
                                            OUTSIDE),
+    # granularity and mean brightness lie in [0, 1] in every report analyze writes
+    "granularity above one": (_set("granularity", 2.0),
+                              "<analysis>: segments[0]: granularity must lie in [0, 1]"),
+    "negative granularity": (_set("granularity", -1e-300),
+                             "<analysis>: segments[0]: granularity must lie in [0, 1]"),
+    "huge mean brightness": (_set("mean_brightness", 1.7e308),
+                             "<analysis>: segments[0]: mean_brightness must lie in [0, 1]"),
+    "negative mean brightness": (_set("mean_brightness", -0.5),
+                                 "<analysis>: segments[0]: mean_brightness must lie in [0, 1]"),
 }
 
 
@@ -353,6 +362,18 @@ REPORT_EDITS = {
     "string degenerate": (lambda doc: doc["segments"][1]["fit"].update(degenerate="no"),
                           "<analysis>: segments[1].fit: degenerate must be a boolean"),
     "rate that overflows the index": (lambda doc: doc.update(rate_hz=1e308), SPAN),
+    # analyze writes t0 = 0 and a partition of the curve in time order
+    "huge negative t0": (_channel(t0=-1.7e308), "<analysis>: channels[0]: t0 must lie in [0, 0]"),
+    "positive t0": (_channel(t0=0.5), "<analysis>: channels[0]: t0 must lie in [0, 0]"),
+    "overlapping segments": (lambda doc: doc["segments"][1].update(start_s=1.0),
+                             "<analysis>: segments[1]: start_s must not precede the end of "
+                             "segments[0]"),
+    "segments out of order": (lambda doc: doc["segments"].reverse(),
+                              "<analysis>: segments[1]: start_s must not precede the end of "
+                              "segments[0]"),
+    "one segment twice": (lambda doc: doc["segments"].append(doc["segments"][2]),
+                          "<analysis>: segments[3]: start_s must not precede the end of "
+                          "segments[2]"),
 }
 
 
@@ -513,8 +534,7 @@ class TestFilmLength:
                                                                 analysis_rate, extra):
         data = csv_at(csv_rate, max(1, int(limit * csv_rate) + extra))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline, "MAX_FILM_S", limit)
-            patch.setattr(report, "MAX_FILM_S", limit)
+            patch.setattr(composition, "MAX_FILM_S", limit)
             try:
                 out = analyze_stage(data, analysis_config(analysis_rate))
             except ValueError:
@@ -536,19 +556,20 @@ FITS = st.one_of(
 )
 
 
+UNIT = st.floats(0.0, 1.0)
+
+
 @st.composite
-def gestures_on(draw, n: int, kinds=None):
-    """A gesture on a curve of ``n`` samples: its (ShapeKind, Archetype) pair
-    one of ``kinds``, or any pair, and every other field drawn freely."""
-    start = draw(st.integers(0, n - 1))
-    end = draw(st.integers(start + 1, n))
+def gestures_on(draw, start: int, end: int, kinds=None):
+    """A gesture over samples [start, end): its (ShapeKind, Archetype) pair
+    one of ``kinds``, or any pair, granularity and mean brightness in [0, 1]
+    and every other field drawn freely."""
     kind, archetype = draw(st.sampled_from(kinds)) if kinds else (
         draw(st.sampled_from(ShapeKind)), draw(st.sampled_from(Archetype)))
     transient = draw(st.none() | st.builds(TransientInfo, st.integers(0, end - start - 1),
                                            finite_floats()))
-    return Gesture(Segment(start, end), kind, transient, draw(finite_floats()), draw(FITS),
-                   draw(finite_floats()), archetype,
-                   draw(st.none() | st.integers(-2 ** 70, 2 ** 70)))
+    return Gesture(Segment(start, end), kind, transient, draw(UNIT), draw(FITS), draw(UNIT),
+                   archetype, draw(st.none() | st.integers(-2 ** 70, 2 ** 70)))
 
 
 EVERY_PAIR = [(kind, archetype) for kind in ShapeKind for archetype in Archetype]
@@ -556,16 +577,20 @@ EVERY_PAIR = [(kind, archetype) for kind in ShapeKind for archetype in Archetype
 
 @st.composite
 def analyses(draw):
-    """(rate, curve, gestures): a report's contents, on a curve inside the limit."""
+    """(rate, curve, gestures): a report's contents as analyze could write
+    them, on a curve inside the limit that starts at 0, the segments in time
+    order and not overlapping."""
     rate = draw(st.floats(0.5, 1000.0))
-    n = draw(st.integers(1, 300))
-    curve = BrightnessCurve(draw(st.sampled_from(CurveChannel)), rate, draw(finite_floats()),
-                            np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n,
-                                                   max_size=n))))
     # now and then one gesture of every kind and archetype pair
     pairs = draw(st.sampled_from([None, EVERY_PAIR]))
     count = len(EVERY_PAIR) if pairs else draw(st.integers(0, 6))
-    gestures = [draw(gestures_on(n, [pairs[i]] if pairs else None)) for i in range(count)]
+    n = draw(st.integers(max(1, count), 300))
+    curve = BrightnessCurve(draw(st.sampled_from(CurveChannel)), rate, 0.0,
+                            np.array(draw(st.lists(UNIT, min_size=n, max_size=n))))
+    # gesture i starts at cuts[i] and ends by cuts[i + 1], so gaps may fall between
+    cuts = sorted(draw(st.permutations(range(n + 1)))[:count + 1])
+    gestures = [draw(gestures_on(a, draw(st.integers(a + 1, b)), [pairs[i]] if pairs else None))
+                for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
     return rate, curve, gestures
 
 
@@ -603,3 +628,29 @@ class TestWriteCheckReadAgree:
         assert (back.channel, back.sample_rate, back.t0) == (curve.channel, rate, curve.t0)
         assert back.values.tobytes() == curve.values.tobytes()
         assert report_to_bytes(build_report({"name": "x"}, rate, back, rebuilt, config)) == data
+
+    # each value analyze never writes, and the whole message it gives
+    @given(analyses(), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_values_analyze_never_writes_are_refused(self, analysis, data):
+        rate, curve, gestures = analysis
+        doc = build_report({}, rate, curve, gestures, parse_config({}))
+        faults = ["t0"] + ["granularity", "mean_brightness"] * bool(gestures)
+        fault = data.draw(st.sampled_from(faults + ["overlap"] * (len(gestures) > 1)))
+        if fault == "t0":
+            doc["channels"][0]["t0"] = data.draw(finite_floats().filter(bool))
+            message = "<analysis>: channels[0]: t0 must lie in [0, 0]"
+        elif fault == "overlap":
+            i = data.draw(st.integers(1, len(gestures) - 1))
+            doc["segments"][i]["start_s"] = doc["segments"][i - 1]["start_s"]
+            message = ("<analysis>: segments[%d]: start_s must not precede the end of "
+                       "segments[%d]" % (i, i - 1))
+        else:
+            i = data.draw(st.integers(0, len(gestures) - 1))
+            doc["segments"][i][fault] = data.draw(
+                st.floats(max_value=-5e-324, allow_infinity=False)
+                | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False))
+            message = "<analysis>: segments[%d]: %s must lie in [0, 1]" % (i, fault)
+        with pytest.raises(ReportFormatError) as err:
+            parse_report(report_to_bytes(doc))
+        assert str(err.value) == message

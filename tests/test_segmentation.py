@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lumascore.config import parse_config
 from lumascore.segmentation import (
     NOISE_FLOOR,
     Segment,
@@ -153,6 +154,11 @@ class TestSegment:
         with pytest.raises(ValueError,
                            match="^curve has 40 samples, need at least %s for" % need):
             segment(curve([0.0] * 40), SegmentationParams(min_segment_s, 4.0))
+
+    def test_config_analysis_section_segments_as_the_defaults_do(self):
+        # AnalysisConfig inherits SegmentationParams, so its defaults are these
+        c = curve(list(unit_noise(8, 400)))
+        assert segment(c, parse_config({}).analysis) == segment(c, SegmentationParams())
 
     def test_deterministic(self):
         vals = list(unit_noise(3, 400))
