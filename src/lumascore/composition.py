@@ -49,11 +49,13 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class HarmonyConfig:
-    """Musical settings; each number carries the range a config may set."""
+    """Musical settings; each number and list carries the rules a config may set."""
 
-    scale: tuple[int, ...] = (0, 2, 3, 5, 7, 8, 10)
+    scale: tuple[int, ...] = field(default=(0, 2, 3, 5, 7, 8, 10), metadata={
+        "items": "[0, 11]", "increasing": True, "nonempty": True})
     root_pc: int = field(default=0, metadata={"range": "[0, 11]"})
-    register: tuple[int, int] = (36, 84)
+    register: tuple[int, int] = field(default=(36, 84), metadata={
+        "items": "[0, 127]", "increasing": True})
     # the SMF tempo is 60e6 / bpm microseconds in 24 bits, so at least ~3.58
     tempo_bpm: float = field(default=60.0, metadata={"range": "[4, 1000]"})
     ppq: int = field(default=480, metadata={"range": "[24, 32767]"})

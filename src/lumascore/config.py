@@ -1,18 +1,22 @@
 """Pipeline configuration: strict JSON with defaults for every field.
 
-The dataclasses are the schema; a number field keeps its range, an interval
-such as ``"(0, 1]"``, in its field metadata.  One walker rejects unknown keys
-by full path (so a typo never falls back to a default), checks that numbers
-are finite and in range, and echoes the resolved configuration.
+The dataclasses are the schema.  One walker reads each field's type hint and
+metadata (a number's ``"range"``, an interval such as ``"(0, 1]"``; a list's
+``"items"`` interval, ``"nonempty"`` and strictly ``"increasing"``), rejects
+unknown keys by full path (so a typo never falls back to a default), requires
+each record field with no default and echoes the resolved configuration.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
+from functools import cache
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .composition import HarmonyConfig, TextureConfig
 from .gestures import Archetype, ClassifyParams
@@ -33,14 +37,15 @@ class AnalysisConfig(SegmentationParams):
 
 @dataclass
 class Override:
-    segment_index: int
+    segment_index: int = field(metadata={"range": "[0, inf)"})
     archetype: Archetype
 
 
 @dataclass
 class PipelineConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
-    manual_boundaries_s: list[float] | None = None
+    manual_boundaries_s: list[float] | None = field(
+        default=None, metadata={"items": "(-inf, inf)", "increasing": True})
     overrides: list[Override] = field(default_factory=list)
     harmony: HarmonyConfig = field(default_factory=HarmonyConfig)
     texture: TextureConfig = field(default_factory=TextureConfig)
@@ -54,29 +59,20 @@ class PipelineConfig:
         return _echo(self)
 
 
+_hints = cache(get_type_hints)
+
+
 def _echo(value):
     if is_dataclass(value):
         # a number field is echoed as its declared kind, so 25 reads 25.0
-        return {f.name: type(f.default)(getattr(value, f.name)) if "range" in f.metadata
+        return {f.name: _hints(type(value))[f.name](getattr(value, f.name))
+                if "range" in f.metadata
                 else _echo(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (list, tuple)):
         return [_echo(v) for v in value]
     if isinstance(value, Enum):
         return value.value
     return value
-
-
-def _join(path: str, key: str) -> str:
-    return "%s.%s" % (path, key) if path else key
-
-
-def _check_keys(doc, allowed, path: str) -> None:
-    """Require a JSON object that holds only `allowed` keys."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config: %s must be an object" % (path or "top level"))
-    for key in doc:
-        if key not in allowed:
-            raise ConfigError("config: unknown key %r" % _join(path, key))
 
 
 def _number(value, where: str, interval: str, kind: type):
@@ -91,87 +87,65 @@ def _number(value, where: str, interval: str, kind: type):
             value = math.inf
         if not math.isfinite(value):
             raise ConfigError("config: %s must be a finite number" % where)
-    low, high = (kind(end) for end in interval[1:-1].split(","))
+    # an integer range may be open to inf; Python compares int and float exactly
+    low, high = (float(end) if "inf" in end else kind(end) for end in interval[1:-1].split(","))
     if ((value <= low if interval[0] == "(" else value < low)
             or (value >= high if interval[-1] == ")" else value > high)):
         raise ConfigError("config: %s out of range" % where)
     return value
 
 
-def _scale(raw) -> tuple[int, ...]:
-    if (not isinstance(raw, list) or not raw
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in raw)):
-        raise ConfigError("config: harmony.scale must be a non-empty integer list")
-    if any(not 0 <= v < 12 for v in raw) or any(b <= a for a, b in zip(raw, raw[1:])):
-        raise ConfigError("config: harmony.scale must be strictly increasing in [0, 12)")
-    return tuple(raw)
-
-
-def _register(raw) -> tuple[int, int]:
-    if (not isinstance(raw, list) or len(raw) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in raw)):
-        raise ConfigError("config: harmony.register must be a [low, high] integer pair")
-    if not (0 <= raw[0] < raw[1] <= 127):
-        raise ConfigError("config: harmony.register out of range")
-    return tuple(raw)
-
-
-def _boundaries(raw) -> list[float] | None:
-    if raw is None:
-        return None
-    if not isinstance(raw, list) or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                                        for v in raw):
-        raise ConfigError("config: manual_boundaries_s must be a number list")
-    times = [_number(v, "manual_boundaries_s[%d]" % i, "(-inf, inf)", float)
-             for i, v in enumerate(raw)]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ConfigError("config: manual_boundaries_s must be strictly increasing")
-    return times
-
-
-def _overrides(raw) -> list[Override]:
-    if not isinstance(raw, list):
-        raise ConfigError("config: overrides must be a list")
-    overrides = []
-    for i, entry in enumerate(raw):
-        where = "overrides[%d]" % i
-        _check_keys(entry, {"segment_index", "archetype"}, where)
-        if "segment_index" not in entry or "archetype" not in entry:
-            raise ConfigError("config: %s needs segment_index and archetype" % where)
-        index = entry["segment_index"]
-        if isinstance(index, bool) or not isinstance(index, int) or index < 0:
-            raise ConfigError("config: %s.segment_index must be a non-negative integer" % where)
-        try:
-            archetype = Archetype(entry["archetype"])
-        except ValueError:
-            raise ConfigError("config: %s.archetype unknown name %r"
-                              % (where, entry["archetype"])) from None
-        overrides.append(Override(index, archetype))
-    return overrides
-
-
-# the fields that are not a single number or a nested section, by key path
-_VALIDATORS = {
-    "manual_boundaries_s": _boundaries,
-    "overrides": _overrides,
-    "harmony.scale": _scale,
-    "harmony.register": _register,
-}
-
-
-def _parse(cls, doc, path: str):
-    """A `cls` from a JSON object, its fields checked in declaration order."""
-    _check_keys(doc, {f.name for f in fields(cls)}, path)
+def _parse(cls, doc, prefix: str):
+    """A `cls` from a JSON object of its fields, checked in declaration order."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config: %s must be an object" % (prefix[:-1] or "top level"))
+    for key in doc:
+        if key not in {f.name for f in fields(cls)}:
+            raise ConfigError("config: unknown key %r" % (prefix + key))
     values = {}
-    for f in (f for f in fields(cls) if f.name in doc):
-        where, raw = _join(path, f.name), doc[f.name]
-        if where in _VALIDATORS:
-            values[f.name] = _VALIDATORS[where](raw)
-        elif "range" in f.metadata:
-            values[f.name] = _number(raw, where, f.metadata["range"], type(f.default))
-        else:
-            values[f.name] = _parse(f.default_factory, raw, where)
+    for f in fields(cls):
+        where = prefix + f.name
+        if f.name in doc:
+            values[f.name] = _value(doc[f.name], _hints(cls)[f.name], f.metadata, where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError("config: %s is required" % where)
     return cls(**values)
+
+
+def _value(raw, hint, meta, where: str):
+    """`raw` checked as the type hint and metadata of its field say."""
+    if get_origin(hint) is UnionType:  # `X | None`, X declared first
+        if raw is None:
+            return None
+        hint = get_args(hint)[0]
+    if get_origin(hint) in (list, tuple):
+        return _items(raw, hint, meta, where)
+    if is_dataclass(hint):
+        return _parse(hint, raw, where + ".")
+    if issubclass(hint, Enum):
+        try:
+            return hint(raw)
+        except ValueError:
+            raise ConfigError("config: %s unknown name %r" % (where, raw)) from None
+    return _number(raw, where, meta["range"], hint)
+
+
+def _items(raw, hint, meta, where: str):
+    """A list or tuple, each item checked at ``where[i]``."""
+    args = get_args(hint)
+    if not isinstance(raw, list):
+        raise ConfigError("config: %s must be a list" % where)
+    if get_origin(hint) is tuple and ... not in args and len(raw) != len(args):
+        raise ConfigError("config: %s must hold %d items" % (where, len(args)))
+    if meta.get("nonempty") and not raw:
+        raise ConfigError("config: %s must not be empty" % where)
+    item = {"range": meta.get("items")}
+    values = [_value(v, args[0], item, "%s[%d]" % (where, i)) for i, v in enumerate(raw)]
+    for i in range(1, len(values)) if meta.get("increasing") else ():
+        if values[i] <= values[i - 1]:
+            raise ConfigError("config: %s[%d] must be greater than %s[%d]"
+                              % (where, i, where, i - 1))
+    return get_origin(hint)(values)
 
 
 def parse_config(doc: dict) -> PipelineConfig:

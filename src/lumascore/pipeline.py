@@ -135,7 +135,9 @@ def run_pipeline(
     workers: int = 1,
 ) -> dict[str, Path]:
     """Extract, analyze, compose and plot, then write all four artifacts.  A
-    failing stage leaves ``out_dir`` as it was."""
+    failing stage leaves ``out_dir`` as it was.  ``workers`` changes nothing:
+    extraction threads only contrast channels, and this pipeline extracts luma
+    alone; it stays because callers such as ``perfbench`` pass it."""
     out = Path(out_dir)
     csv_name = str(out / "curves.csv")
     csv_data = extract_stage(input_path, (CurveChannel.LUMA,), workers=workers)

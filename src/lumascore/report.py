@@ -238,7 +238,7 @@ _CHANNEL = _Record(BrightnessCurve, (
     _Field("t0", _NUMBER, bounds=(0, 0)),
     _Field("values", _NUMBERS),
 ))
-# a segment's times stay in seconds here; _segment_to_json and _gesture
+# a segment's times stay in seconds here; _segment_to_json and _indices
 # convert them to and from the gesture's sample indices
 _TRANSIENT = _Record(dict, (_Field("t_s", _NUMBER), _Field("amplitude", _NUMBER)))
 _SEGMENT = _Record(dict, (
@@ -265,15 +265,21 @@ def _segment_to_json(g: Gesture, rate: float) -> dict:
                                  end_s=g.segment.end_idx / rate, transient=transient))
 
 
+def _indices(seg: dict, rate: float) -> tuple:
+    """Sample indices of a segment's start_s, end_s and transient t_s (or None)."""
+    transient = seg.get("transient")
+    return (round_half_up(seg["start_s"] * rate), round_half_up(seg["end_s"] * rate),
+            None if transient is None else round_half_up(transient["t_s"] * rate))
+
+
 def _gesture(seg: dict, rate: float) -> Gesture:
     attrs = _SEGMENT.from_json(seg)
-    start = round_half_up(attrs.pop("start_s") * rate)
-    attrs["segment"] = Segment(start, round_half_up(attrs.pop("end_s") * rate))
-    if attrs["transient"] is not None:
+    start, end, onset = _indices(seg, rate)
+    del attrs["start_s"], attrs["end_s"]
+    if onset is not None:
         # a transient's index counts from its segment's start
-        t_s, amplitude = attrs["transient"]["t_s"], attrs["transient"]["amplitude"]
-        attrs["transient"] = TransientInfo(round_half_up(t_s * rate) - start, amplitude)
-    return Gesture(**attrs)
+        attrs["transient"] = TransientInfo(onset - start, attrs["transient"]["amplitude"])
+    return Gesture(segment=Segment(start, end), **attrs)
 
 
 def build_report(
@@ -328,7 +334,7 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
     for i, seg in enumerate(doc["segments"]):
         where = "%s: segments[%d]" % (source_path, i)
         _SEGMENT.check(seg, where)
-        start, end = round_half_up(seg["start_s"] * rate), round_half_up(seg["end_s"] * rate)
+        start, end, onset = _indices(seg, rate)
         if not 0 <= start < end <= n:
             raise ReportFormatError("%s: start_s and end_s must give a non-empty span "
                                     "inside the %d-sample curve" % (where, n))
@@ -337,8 +343,7 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
             raise ReportFormatError("%s: start_s must not precede the end of segments[%d]"
                                     % (where, i - 1))
         previous_end = end
-        transient = seg.get("transient")
-        if transient is not None and not start <= round_half_up(transient["t_s"] * rate) < end:
+        if onset is not None and not start <= onset < end:
             raise ReportFormatError("%s: transient t_s must lie inside the segment" % where)
         model = seg["fit"].get("model")
         # a JSON list or object is not hashable, so it cannot be looked up

@@ -154,16 +154,10 @@ def apply_manual_boundaries(curve: BrightnessCurve, times_s: list[float]) -> lis
     if n < 2:
         raise ValueError("curve has %d samples, need at least 2" % n)
     duration = n / curve.sample_rate
-    previous = 0.0
-    cuts = []
     for t in times_s:
-        if cuts and t <= previous:
-            raise ValueError("boundary %g s is not strictly increasing" % t)
         if not 0.0 < t < duration:
             raise ValueError("boundary %g s outside (0, %g)" % (t, duration))
-        cuts.append(round_half_up(t * curve.sample_rate))
-        previous = t
-    edges = [0] + cuts + [n]
+    edges = [0] + [round_half_up(t * curve.sample_rate) for t in times_s] + [n]
     segments = []
     for a, b in zip(edges, edges[1:]):
         if b - a < 2:

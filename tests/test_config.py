@@ -1,15 +1,20 @@
 """Strict configuration parsing: defaults, bounds, and key-path errors."""
 
 import dataclasses
+import enum
+import functools
 import json
 import math
 import re
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lumascore.cli import main
 from lumascore.config import (
     AnalysisConfig,
     ConfigError,
@@ -218,6 +223,70 @@ class TestStructuredFields:
                                          "why": "testing"}]})
 
 
+class TestListAndRecordMessages:
+    """The whole message of each fault in a list, an Enum name or a record."""
+
+    CASES = [
+        ({"harmony": {"scale": 3}}, "config: harmony.scale must be a list"),
+        ({"harmony": {"register": {"low": 36}}}, "config: harmony.register must be a list"),
+        ({"manual_boundaries_s": 1.5}, "config: manual_boundaries_s must be a list"),
+        ({"overrides": {"segment_index": 0}}, "config: overrides must be a list"),
+        ({"harmony": {"scale": []}}, "config: harmony.scale must not be empty"),
+        ({"harmony": {"register": [1]}}, "config: harmony.register must hold 2 items"),
+        ({"harmony": {"register": [1, 2, 3]}}, "config: harmony.register must hold 2 items"),
+        ({"harmony": {"register": [1.5, 60]}}, "config: harmony.register[0] must be an integer"),
+        ({"harmony": {"scale": [0, True]}}, "config: harmony.scale[1] must be an integer"),
+        ({"manual_boundaries_s": [True]}, "config: manual_boundaries_s[0] must be a number"),
+        ({"manual_boundaries_s": [1.0, "2"]}, "config: manual_boundaries_s[1] must be a number"),
+        ({"manual_boundaries_s": [1.0, math.inf]},
+         "config: manual_boundaries_s[1] must be a finite number"),
+        ({"harmony": {"scale": [0, 12]}}, "config: harmony.scale[1] out of range"),
+        ({"harmony": {"scale": [-1]}}, "config: harmony.scale[0] out of range"),
+        ({"harmony": {"register": [0, 128]}}, "config: harmony.register[1] out of range"),
+        ({"harmony": {"register": [60, 48]}},
+         "config: harmony.register[1] must be greater than harmony.register[0]"),
+        ({"harmony": {"scale": [0, 3, 3, 7]}},
+         "config: harmony.scale[2] must be greater than harmony.scale[1]"),
+        ({"manual_boundaries_s": [2, 1]},
+         "config: manual_boundaries_s[1] must be greater than manual_boundaries_s[0]"),
+        ({"overrides": [{"segment_index": 0, "archetype": "banjo"}]},
+         "config: overrides[0].archetype unknown name 'banjo'"),
+        ({"overrides": [{"segment_index": 0, "archetype": ["x"]}]},
+         "config: overrides[0].archetype unknown name ['x']"),
+        ({"overrides": [{"archetype": "chord_held"}]},
+         "config: overrides[0].segment_index is required"),
+        ({"overrides": [{"segment_index": 0, "archetype": "chord_held"}, {"segment_index": 1}]},
+         "config: overrides[1].archetype is required"),
+        ({"overrides": [{"segment_index": 0, "archetype": "chord_held", "why": "testing"}]},
+         "config: unknown key 'overrides[0].why'"),
+        ({"overrides": [{"segment_index": -1, "archetype": "chord_held"}]},
+         "config: overrides[0].segment_index out of range"),
+        ({"overrides": [{"segment_index": 1.0, "archetype": "chord_held"}]},
+         "config: overrides[0].segment_index must be an integer"),
+        ({"overrides": ["chord_held"]}, "config: overrides[0] must be an object"),
+    ]
+
+    @pytest.mark.parametrize("doc, message", CASES, ids=lambda v: json.dumps(v)[:48])
+    def test_message(self, doc, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc, message", CASES, ids=lambda v: json.dumps(v)[:48])
+    def test_cli_exits_2_on_the_message(self, tmp_path, capsys, doc, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        code = main(["pipeline", "--input", str(tmp_path / "absent.y4m"),
+                     "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not (tmp_path / "out").exists()
+
+    def test_huge_segment_index_is_kept(self):
+        cfg = parse_config({"overrides": [{"segment_index": 10 ** 400, "archetype": "chord_held"}]})
+        assert cfg.overrides[0].segment_index == 10 ** 400
+
+
 class TestLoadConfig:
     def test_reads_json_file(self, tmp_path):
         path = tmp_path / "config.json"
@@ -383,3 +452,139 @@ class TestWalkerProperty:
         echo = cfg.to_dict()
         json.dumps(echo, allow_nan=False)
         assert parse_config(echo).to_dict() == echo
+
+
+
+def _ends(interval, kind):
+    """The two ends of an interval such as ``"(0, 1]"``, as `kind` where finite."""
+    return [float(end) if "inf" in end else kind(end) for end in interval[1:-1].split(",")]
+
+
+def _inside(value, interval, kind):
+    """Whether `parse_config` must accept `value` in a field of this interval."""
+    if not (isinstance(value, int) if kind is int else math.isfinite(value)):
+        return False
+    low, high = _ends(interval, kind)
+    return (low < value < high or value == low and interval[0] == "["
+            or value == high and interval[-1] == "]")
+
+
+def _step(value, kind, direction):
+    """The next integer or float from `value` towards `direction` (+1 or -1)."""
+    return value + direction if kind is int else math.nextafter(value, direction * math.inf)
+
+
+def _edge_values(interval, kind):
+    """Each finite end and its neighbours on both sides; an infinite end itself and,
+    inside it, the largest float or a 400-digit integer; for a float field also
+    5e-324 and 1.7e308 of both signs."""
+    values = set()
+    for end in _ends(interval, kind):
+        if math.isinf(end):
+            big = math.nextafter(math.inf, 0) if kind is float else 10 ** 400
+            values |= {end, big if end > 0 else -big}
+        else:
+            values |= {end, _step(end, kind, 1), _step(end, kind, -1)}
+    if kind is float:
+        values |= {5e-324, -5e-324, 1.7e308, -1.7e308}
+    return sorted(values)
+
+
+def _middle(interval, kind):
+    """A value well inside an interval, whose neighbours are inside too."""
+    low, high = _ends(interval, kind)
+    if math.isinf(low) and math.isinf(high):
+        return kind(0)
+    if math.isinf(low) or math.isinf(high):
+        return high - 1 if math.isinf(low) else low + 1
+    return (low + high) // 2 if kind is int else (low + high) / 2
+
+
+def _valid_record(cls):
+    """The required fields of a list record, each set to a valid value."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: next(iter(hints[f.name])).value if issubclass(hints[f.name], enum.Enum)
+            else _middle(f.metadata["range"], hints[f.name])
+            for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING}
+
+
+def _schema_leaves(cls=PipelineConfig, path="", put=lambda doc: doc):
+    """(JSON path, type hint, metadata, put) of every number and list field of the
+    schema, those of list records included; ``put(value)`` is the smallest
+    document that sets the field to `value`."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint, where = hints[f.name], path + f.name
+
+        def at(value, put=put, name=f.name):
+            return put({name: value})
+
+        if dataclasses.is_dataclass(hint):
+            yield from _schema_leaves(hint, where + ".", at)
+            continue
+        if "range" in f.metadata or typing.get_args(hint):
+            yield where, hint, f.metadata, at
+        item = (typing.get_args(hint) or [None])[0]
+        if typing.get_origin(hint) is list and dataclasses.is_dataclass(item):
+            def in_record(fields, at=at, valid=_valid_record(item)):
+                return at([{**valid, **fields}])
+
+            yield from _schema_leaves(item, where + "[0].", in_record)
+
+
+def _verdict(doc, where):
+    """Whether `doc` parses; a ConfigError must name `where`."""
+    try:
+        parse_config(doc)
+    except ConfigError as exc:
+        assert where in str(exc), (doc, str(exc))
+        return False
+    return True
+
+
+_LEAVES = list(_schema_leaves())
+
+
+class TestSchemaEdges:
+    """Every interval the schema declares, probed at its ends, and every list's
+    item count and increasing rule at the edges."""
+
+    def test_every_rule_is_probed(self):
+        paths = {where for where, _, _, _ in _LEAVES}
+        assert set(_ranged_fields()) <= paths
+        assert {"harmony.scale", "harmony.register", "manual_boundaries_s", "overrides",
+                "overrides[0].segment_index"} <= paths
+
+    @pytest.mark.parametrize("where, hint, meta, put", _LEAVES, ids=[leaf[0] for leaf in _LEAVES])
+    def test_edges(self, where, hint, meta, put):
+        if "range" in meta:
+            for value in _edge_values(meta["range"], hint):
+                assert _verdict(put(value), where) == _inside(value, meta["range"], hint), value
+            return
+        if typing.get_origin(hint) is types.UnionType:  # `list[...] | None`
+            assert _verdict(put(None), where)
+            hint = typing.get_args(hint)[0]
+        args = typing.get_args(hint)
+        count = len(args) if typing.get_origin(hint) is tuple and ... not in args else None
+        kind = args[0]
+        if dataclasses.is_dataclass(kind):
+            items = [_valid_record(kind)] * 3
+        else:
+            middle = _middle(meta["items"], kind)
+            items = [middle, _step(middle, kind, 1), _step(_step(middle, kind, 1), kind, 1)]
+        for n in range(4):
+            fits = n == count if count else n > 0 or not meta.get("nonempty")
+            assert _verdict(put(items[:n]), where) == fits, n
+        length = count or 1
+        if "items" in meta:
+            # a probe below the middle is the first item, any other the last
+            for value in _edge_values(meta["items"], kind):
+                first = value < middle
+                probe = ([value] + [middle] * (length - 1) if first
+                         else [middle] * (length - 1) + [value])
+                where_probe = "%s[%d]" % (where, 0 if first else length - 1)
+                assert _verdict(put(probe), where_probe) == _inside(value, meta["items"], kind)
+        if meta.get("increasing") and count in (None, 2):
+            for after, fits in ((middle, False), (_step(middle, kind, 1), True),
+                                (_step(middle, kind, -1), False)):
+                assert _verdict(put([middle, after]), "%s[1]" % where) == fits, after
