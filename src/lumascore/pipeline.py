@@ -21,9 +21,9 @@ from .photometry import CurveChannel, extract_curves
 from .report import (
     CsvFormatError,
     build_report,
-    gestures_from_report,
     parse_report,
     read_curves_csv,
+    read_report,
     report_to_bytes,
     write_curves_csv,
 )
@@ -64,12 +64,11 @@ def analyze_stage(csv_data: bytes, config: PipelineConfig, source_name: str = "<
         for s in segments
     ]
     assign_motifs(gestures, rate)
-    for override in config.overrides:
-        if not 0 <= override.segment_index < len(gestures):
-            raise ConfigError(
-                "config: overrides segment_index %d out of range (0..%d)"
-                % (override.segment_index, len(gestures) - 1)
-            )
+    for i, override in enumerate(config.overrides):
+        # the config walker checked segment_index >= 0; only the analysis knows the end
+        if override.segment_index >= len(gestures):
+            raise ConfigError("config: overrides[%d].segment_index must lie in [0, %d]"
+                              % (i, len(gestures) - 1))
         gestures[override.segment_index].archetype = override.archetype
     source = {
         "channels": sorted(c.value for c in curves),
@@ -82,8 +81,7 @@ def analyze_stage(csv_data: bytes, config: PipelineConfig, source_name: str = "<
 
 
 def compose_stage(report_data: bytes, config: PipelineConfig, source_name: str = "<analysis>") -> bytes:
-    doc = parse_report(report_data, source_name)
-    gestures, curve = gestures_from_report(doc)
+    _, gestures, curve = read_report(report_data, source_name)
     score = compose(
         gestures,
         curve,

@@ -2,29 +2,22 @@
 
 The report, ``analysis.json``, has sorted keys, two-space indentation and
 shortest round-trip floats, so re-serializing a parsed report reproduces it
-byte for byte.  Beside ``version``, ``rate_hz``, ``source``, ``config`` and
-the analysis curve as ``channels[0]`` (``t0`` 0), it holds one object per
-segment, in time order and not overlapping: ``start_s`` and ``end_s``
-(numbers, seconds at ``rate_hz``), ``kind`` (a ShapeKind name),
-``archetype`` (an Archetype name), ``granularity`` and ``mean_brightness``
-(numbers in [0, 1]), ``fit`` (an object: its ``model`` and that fit's
-fields), ``transient`` (null, or the numbers ``t_s`` and ``amplitude``) and
-``motif_id`` (null or an integer).  The curve lasts at most
-composition.MAX_FILM_S seconds.
+byte for byte.  Its records are the dataclasses below, which the config's
+walker writes and reads, refusing unknown keys; after every record's fields
+come the rules that span records: the version, segments in time order, not
+overlapping and inside the embedded curve, each fit's ``model``, and a curve
+at ``rate_hz`` that lasts at most composition.MAX_FILM_S seconds.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import math
-from operator import attrgetter
-from typing import Callable, NamedTuple, get_type_hints
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .composition import check_film_length
-from .config import PipelineConfig
+from .config import PipelineConfig, _plan, parse_record, to_json
 from .curveprep import round_half_up
 from .gestures import (
     Archetype,
@@ -136,150 +129,60 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     }
 
 
-def _finite_numbers(values: list) -> bool:
-    # json.loads also reads NaN, Infinity and integers too large for a float
-    if not set(map(type, values)) <= {int, float}:
-        return False
-    try:
-        return all(map(math.isfinite, values))
-    except OverflowError:
-        return False
+@dataclass
+class _Channel:
+    channel: CurveChannel
+    sample_rate_hz: float
+    # analyze writes the curve from the film's start
+    t0: float = field(metadata={"range": "[0, 0]"})
+    values: list[float]
 
 
-class _Type(NamedTuple):
-    """A JSON type: its noun in a message, the test a JSON value passes, and
-    the converters from a record's attribute to JSON and back."""
-
-    noun: str
-    test: Callable
-    to_json: Callable | None = None
-    from_json: Callable | None = None
+@dataclass
+class _Transient:
+    t_s: float
+    amplitude: float
 
 
-# types are exact, as json.loads builds them: isinstance counts a bool as an int
-_NUMBER = _Type("a finite number", lambda v: _finite_numbers([v]), float, float)
-_NUMBERS = _Type("a list of finite numbers", lambda v: type(v) is list and _finite_numbers(v),
-                 lambda values: [float(v) for v in values], tuple)
-_INTEGER = _Type("an integer", lambda v: type(v) is int, int, int)
-_BOOLEAN = _Type("a boolean", lambda v: type(v) is bool, bool, bool)
-_LIST = _Type("a list", lambda v: type(v) is list)
-
-
-def _known(cls: type, noun: str) -> _Type:
-    """The type of the name of one member of the Enum `cls`."""
-    return _Type("a known " + noun, lambda v: type(v) is str and v in {m.value for m in cls},
-                 attrgetter("value"), cls)
-
-
-class _Field(NamedTuple):
-    """A field of a record: its JSON name and type, the attribute it maps
-    onto when that has another name, and the closed interval a number must
-    lie in.  A field with a default may be absent; one whose default is None
-    may also be null."""
-
-    name: str
-    type: _Type | _Record
-    attr: str | None = None
-    default: object = dataclasses.MISSING
-    bounds: tuple[float, float] | None = None
-
-
-class _Record(NamedTuple):
-    """The JSON object of a record, which `make` builds from its attributes."""
-
-    make: Callable
-    fields: tuple[_Field, ...]
-
-    def to_json(self, attrs: dict) -> dict:
-        """The object of a record's attributes, as `vars` gives them."""
-        values = [(f, attrs[f.attr or f.name]) for f in self.fields]
-        return {f.name: None if v is None else f.type.to_json(v) for f, v in values}
-
-    def from_json(self, doc: dict):
-        """The record of an object that `check` passed; a field that is absent
-        or null takes its default."""
-        return self.make(**{f.attr or f.name: f.default if doc.get(f.name) is None
-                            else f.type.from_json(doc[f.name]) for f in self.fields})
-
-    def check(self, doc, where: str) -> None:
-        if not isinstance(doc, dict):
-            raise ReportFormatError("%s must be an object" % where)
-        for f in self.fields:
-            absent = f.name not in doc and f.default is not dataclasses.MISSING
-            if absent or doc.get(f.name) is None and f.default is None:
-                continue
-            if isinstance(f.type, _Record):
-                f.type.check(doc[f.name], "%s.%s" % (where, f.name))
-            elif not f.type.test(doc.get(f.name)):
-                raise ReportFormatError("%s: %s must be %s%s" % (
-                    where, f.name, f.type.noun, " or null" if f.default is None else ""))
-            elif f.bounds and not f.bounds[0] <= doc[f.name] <= f.bounds[1]:
-                raise ReportFormatError("%s: %s must lie in [%g, %g]"
-                                        % (where, f.name, *f.bounds))
-
-
-# each fit model's tag and the record of its dataclass, whose type hints give
-# the fields' types; a field with a default, such as degenerate, may be absent
-_HINTS = {float: _NUMBER, bool: _BOOLEAN, tuple[float, ...]: _NUMBERS}
-_FITS = {
-    tag: _Record(cls, tuple(_Field(f.name, _HINTS[get_type_hints(cls)[f.name]], default=f.default)
-                            for f in dataclasses.fields(cls)))
-    for tag, cls in (("linear", LinearFit), ("exponential", ExpFit), ("staircase", StaircaseFit))
-}
-_FIT_TAGS = {record.make: tag for tag, record in _FITS.items()}
-_FIT = _Type("an object", lambda v: type(v) is dict,
-             lambda fit: dict(_FITS[_FIT_TAGS[type(fit)]].to_json(vars(fit)),
-                              model=_FIT_TAGS[type(fit)]),
-             lambda doc: _FITS[doc["model"]].from_json(doc))
-
-_CHANNEL = _Record(BrightnessCurve, (
-    _Field("channel", _known(CurveChannel, "channel")),
-    _Field("sample_rate_hz", _NUMBER, "sample_rate"),
-    _Field("t0", _NUMBER, bounds=(0, 0)),
-    _Field("values", _NUMBERS),
-))
-# a segment's times stay in seconds here; _segment_to_json and _indices
+# a segment's times stay in seconds here; _segment and gestures_from_report
 # convert them to and from the gesture's sample indices
-_TRANSIENT = _Record(dict, (_Field("t_s", _NUMBER), _Field("amplitude", _NUMBER)))
-_SEGMENT = _Record(dict, (
-    _Field("start_s", _NUMBER),
-    _Field("end_s", _NUMBER),
-    _Field("kind", _known(ShapeKind, "kind")),
-    _Field("archetype", _known(Archetype, "archetype")),
-    _Field("granularity", _NUMBER, bounds=(0, 1)),
-    _Field("fit", _FIT),
-    _Field("mean_brightness", _NUMBER, bounds=(0, 1)),
-    _Field("transient", _TRANSIENT, default=None),
-    _Field("motif_id", _INTEGER, default=None),
-))
-# the top-level fields parse_report checks before the curve and the segments
-_TOP = _Record(dict, (_Field("rate_hz", _NUMBER), _Field("channels", _LIST),
-                      _Field("segments", _LIST)))
+@dataclass
+class _Segment:
+    start_s: float
+    end_s: float
+    kind: ShapeKind
+    archetype: Archetype
+    granularity: float = field(metadata={"range": "[0, 1]"})
+    fit: dict  # its model tag picks the fit dataclass that reads the rest
+    mean_brightness: float = field(metadata={"range": "[0, 1]"})
+    transient: _Transient | None = None
+    motif_id: int | None = None
 
 
-def _segment_to_json(g: Gesture, rate: float) -> dict:
+@dataclass
+class _Report:
+    version: str
+    rate_hz: float
+    channels: list[_Channel] = field(metadata={"nonempty": True})
+    segments: list[_Segment]
+    source: dict = field(default_factory=dict)
+    config: dict = field(default_factory=dict)
+
+
+_FITS = {"linear": LinearFit, "exponential": ExpFit, "staircase": StaircaseFit}
+_FIT_TAGS = {cls: tag for tag, cls in _FITS.items()}
+# the walker plans each record once; plan the report's now, not in its first write
+for _cls in (_Report, *_FITS.values()):
+    _plan(_cls)
+
+
+def _segment(g: Gesture, rate: float) -> _Segment:
     start = g.segment.start_idx
-    transient = None if g.transient is None else {
-        "t_s": (start + g.transient.onset_idx) / rate, "amplitude": g.transient.amplitude}
-    return _SEGMENT.to_json(dict(vars(g), start_s=start / rate,
-                                 end_s=g.segment.end_idx / rate, transient=transient))
-
-
-def _indices(seg: dict, rate: float) -> tuple:
-    """Sample indices of a segment's start_s, end_s and transient t_s (or None)."""
-    transient = seg.get("transient")
-    return (round_half_up(seg["start_s"] * rate), round_half_up(seg["end_s"] * rate),
-            None if transient is None else round_half_up(transient["t_s"] * rate))
-
-
-def _gesture(seg: dict, rate: float) -> Gesture:
-    attrs = _SEGMENT.from_json(seg)
-    start, end, onset = _indices(seg, rate)
-    del attrs["start_s"], attrs["end_s"]
-    if onset is not None:
-        # a transient's index counts from its segment's start
-        attrs["transient"] = TransientInfo(onset - start, attrs["transient"]["amplitude"])
-    return Gesture(segment=Segment(start, end), **attrs)
+    transient = None if g.transient is None else _Transient(
+        (start + g.transient.onset_idx) / rate, g.transient.amplitude)
+    return _Segment(start / rate, g.segment.end_idx / rate, g.kind, g.archetype,
+                    g.granularity, dict(to_json(g.fit), model=_FIT_TAGS[type(g.fit)]),
+                    g.mean_brightness, transient, g.motif_id)
 
 
 def build_report(
@@ -291,50 +194,32 @@ def build_report(
 ) -> dict:
     """Assemble the report document; the analysis curve is embedded so the
     composition stage needs nothing beyond this file."""
-    rate = float(rate_hz)
-    return {
-        "version": REPORT_VERSION,
-        "source": source,
-        "rate_hz": rate,
-        "channels": [_CHANNEL.to_json(vars(analysis_curve))],
-        "segments": [_segment_to_json(g, rate) for g in gestures],
-        "config": config.to_dict(),
-    }
+    curve = analysis_curve
+    channels = [_Channel(curve.channel, curve.sample_rate, curve.t0, curve.values)]
+    return to_json(_Report(REPORT_VERSION, rate_hz, channels,
+                           [_segment(g, rate_hz) for g in gestures], source, config.to_dict()))
 
 
 def report_to_bytes(report: dict) -> bytes:
     return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
-    """Parse a report and check every field compose and plot read: its type
-    and range, the names of kinds, archetypes and channels, that each segment
-    and transient lies inside the embedded curve, that no segment starts
-    before the previous one ends, that the curve is sampled at rate_hz and
-    that it lasts at most MAX_FILM_S."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    # a bad byte and 4300+ digit integers raise ValueError, deep nesting RecursionError
-    except (ValueError, RecursionError) as exc:
-        raise ReportFormatError("%s: %s" % (source_path, exc)) from exc
-    if not isinstance(doc, dict):
-        raise ReportFormatError("%s: top level must be an object" % source_path)
-    for key in ("version", "rate_hz", "channels", "segments"):
-        if key not in doc:
-            raise ReportFormatError("%s: missing key %s" % (source_path, key))
-    if doc["version"] != REPORT_VERSION:
+def gestures_from_report(doc: dict, source_path: str = "<analysis>"
+                         ) -> tuple[list[Gesture], BrightnessCurve]:
+    """Check a parsed report and rebuild its gesture list and analysis curve."""
+    # a report of another version is refused before its fields are read
+    if isinstance(doc, dict) and doc.get("version", REPORT_VERSION) != REPORT_VERSION:
         raise ReportFormatError("%s: unsupported version %r" % (source_path, doc["version"]))
-    _TOP.check(doc, source_path)
-    if not doc["channels"]:
-        raise ReportFormatError("%s: channels is empty" % source_path)
-    _CHANNEL.check(doc["channels"][0], "%s: channels[0]" % source_path)
-    n = len(doc["channels"][0]["values"])
-    rate = float(doc["rate_hz"])
+    report = parse_record(_Report, doc, source_path, ReportFormatError)
+    channel = report.channels[0]
+    n = len(channel.values)
+    rate = report.rate_hz
+    gestures = []
     previous_end = 0
-    for i, seg in enumerate(doc["segments"]):
+    for i, seg in enumerate(report.segments):
         where = "%s: segments[%d]" % (source_path, i)
-        _SEGMENT.check(seg, where)
-        start, end, onset = _indices(seg, rate)
+        start, end = round_half_up(seg.start_s * rate), round_half_up(seg.end_s * rate)
+        onset = None if seg.transient is None else round_half_up(seg.transient.t_s * rate)
         if not 0 <= start < end <= n:
             raise ReportFormatError("%s: start_s and end_s must give a non-empty span "
                                     "inside the %d-sample curve" % (where, n))
@@ -345,21 +230,36 @@ def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
         previous_end = end
         if onset is not None and not start <= onset < end:
             raise ReportFormatError("%s: transient t_s must lie inside the segment" % where)
-        model = seg["fit"].get("model")
+        model = seg.fit.get("model")
         # a JSON list or object is not hashable, so it cannot be looked up
         if not isinstance(model, str) or model not in _FITS:
             raise ReportFormatError("%s: unknown fit model %r" % (where, model))
-        _FITS[model].check(seg["fit"], where + ".fit")
+        fit = parse_record(_FITS[model], {k: v for k, v in seg.fit.items() if k != "model"},
+                           source_path, ReportFormatError, "segments", i, "fit")
+        # a transient's index counts from its segment's start
+        transient = None if onset is None else TransientInfo(onset - start,
+                                                             seg.transient.amplitude)
+        gestures.append(Gesture(Segment(start, end), seg.kind, transient, seg.granularity, fit,
+                                seg.mean_brightness, seg.archetype, seg.motif_id))
     # segments are indexed at rate_hz and their notes timed at the curve's rate
-    if float(doc["channels"][0]["sample_rate_hz"]) != rate or rate <= 0 or n == 0:
+    if channel.sample_rate_hz != rate or rate <= 0 or n == 0:
         raise ReportFormatError("%s: channels[0] must hold samples at rate_hz, a "
                                 "positive rate" % source_path)
     check_film_length(n / rate, "%s: channels[0]" % source_path, ReportFormatError)
-    return doc
+    return gestures, BrightnessCurve(channel.channel, channel.sample_rate_hz, channel.t0,
+                                     channel.values)
 
 
-def gestures_from_report(doc: dict) -> tuple[list[Gesture], BrightnessCurve]:
-    """Rebuild the gesture list and analysis curve of a report that
-    `parse_report` has checked."""
-    rate = float(doc["rate_hz"])
-    return [_gesture(seg, rate) for seg in doc["segments"]], _CHANNEL.from_json(doc["channels"][0])
+def read_report(data: bytes, source_path: str = "<analysis>") -> tuple:
+    """(document, gestures, analysis curve) of a report, checked and read in one walk."""
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    # a bad byte and 4300+ digit integers raise ValueError, deep nesting RecursionError
+    except (ValueError, RecursionError) as exc:
+        raise ReportFormatError("%s: %s" % (source_path, exc)) from exc
+    return (doc, *gestures_from_report(doc, source_path))
+
+
+def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
+    """Parse a report and check every field compose and plot read."""
+    return read_report(data, source_path)[0]

@@ -313,6 +313,34 @@ class TestMalformedReport:
         assert err.startswith("error: %s: segments[" % report) and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    # a key no record declares, a bad second channel, and a later field's fault
+    # before an earlier span's: each refused on one line that names the field
+    @pytest.mark.parametrize("stage", ["compose", "plot"])
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda doc: doc.update(bogus=1), "unknown key 'bogus'"),
+        (lambda doc: doc["segments"][0].update({"motif-id": 5}),
+         "unknown key 'segments[0].motif-id'"),
+        (lambda doc: doc["segments"][0]["fit"].update(rrmse=0.1),
+         "unknown key 'segments[0].fit.rrmse'"),
+        (lambda doc: doc["channels"].append("abc"), "channels[1] must be an object"),
+        (lambda doc: (doc["segments"][0].update(end_s=2e4),
+                      doc["segments"][1].update(granularity=2.0)),
+         "segments[1].granularity must lie in [0, 1]"),
+    ], ids=["unknown top-level key", "misspelt motif key", "extra fit key",
+            "garbage second channel", "two faults"])
+    def test_report_fault_exits_1_naming_the_field(self, report, config_file, tmp_path,
+                                                   capsys, stage, edit, fault):
+        self._edit(report, edit)
+        if stage == "compose":
+            argv = ["compose", "--analysis", str(report), "--config", str(config_file)]
+        else:
+            argv = ["plot", "--curves", str(tmp_path / "curves.csv"),
+                    "--analysis", str(report)]
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: %s: %s\n" % (report, fault)
+        assert not (tmp_path / "out").exists()
+
     def test_curve_longer_than_a_film_exits_1_at_once(self, report, config_file, tmp_path,
                                                       capsys):
         # four samples at 5e-6 Hz last 8e5 s; a granular texture over them
@@ -471,15 +499,21 @@ class TestPipeline:
         doc = json.loads((out_dir / "analysis.json").read_text())
         assert doc["segments"][0]["archetype"] == "granular_texture"
 
-    def test_override_out_of_range_exits_2(self, shot_video, tmp_path, capsys):
+    # the three shots give five segments, 0 to 4; the message names the entry
+    @pytest.mark.parametrize("indices, entry", [([99], 0), ([0, 7], 1)],
+                             ids=["one override", "second of two"])
+    def test_override_out_of_range_exits_2(self, shot_video, tmp_path, capsys, indices,
+                                           entry):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
-            {"overrides": [{"segment_index": 99, "archetype": "chord_held"}]}
+            {"overrides": [{"segment_index": i, "archetype": "chord_held"} for i in indices]}
         ))
         code = main(["pipeline", "--input", str(shot_video),
                      "--config", str(config), "--out-dir", str(tmp_path / "a")])
         assert code == 2
-        assert "99" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: config: overrides[%d].segment_index must lie in [0, 4]\n" % entry)
+        assert not (tmp_path / "a").exists()
 
     @pytest.mark.parametrize("text", [
         '{"analysis": {"penalty_beta": NaN}}',

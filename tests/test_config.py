@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from lumascore import report
 from lumascore.cli import main
 from lumascore.config import (
     AnalysisConfig,
@@ -22,6 +23,7 @@ from lumascore.config import (
     TextureConfig,
     load_config,
     parse_config,
+    parse_record,
 )
 from lumascore.gestures import Archetype
 
@@ -116,7 +118,7 @@ class TestBounds:
         {"seed": 10 ** 400},
     ])
     def test_out_of_range_rejected(self, doc):
-        with pytest.raises(ConfigError, match="out of range"):
+        with pytest.raises(ConfigError, match="must lie in"):
             parse_config(doc)
 
     @pytest.mark.parametrize("doc", [
@@ -240,9 +242,9 @@ class TestListAndRecordMessages:
         ({"manual_boundaries_s": [1.0, "2"]}, "config: manual_boundaries_s[1] must be a number"),
         ({"manual_boundaries_s": [1.0, math.inf]},
          "config: manual_boundaries_s[1] must be a finite number"),
-        ({"harmony": {"scale": [0, 12]}}, "config: harmony.scale[1] out of range"),
-        ({"harmony": {"scale": [-1]}}, "config: harmony.scale[0] out of range"),
-        ({"harmony": {"register": [0, 128]}}, "config: harmony.register[1] out of range"),
+        ({"harmony": {"scale": [0, 12]}}, "config: harmony.scale[1] must lie in [0, 11]"),
+        ({"harmony": {"scale": [-1]}}, "config: harmony.scale[0] must lie in [0, 11]"),
+        ({"harmony": {"register": [0, 128]}}, "config: harmony.register[1] must lie in [0, 127]"),
         ({"harmony": {"register": [60, 48]}},
          "config: harmony.register[1] must be greater than harmony.register[0]"),
         ({"harmony": {"scale": [0, 3, 3, 7]}},
@@ -260,7 +262,7 @@ class TestListAndRecordMessages:
         ({"overrides": [{"segment_index": 0, "archetype": "chord_held", "why": "testing"}]},
          "config: unknown key 'overrides[0].why'"),
         ({"overrides": [{"segment_index": -1, "archetype": "chord_held"}]},
-         "config: overrides[0].segment_index out of range"),
+         "config: overrides[0].segment_index must lie in [0, inf)"),
         ({"overrides": [{"segment_index": 1.0, "archetype": "chord_held"}]},
          "config: overrides[0].segment_index must be an integer"),
         ({"overrides": ["chord_held"]}, "config: overrides[0] must be an object"),
@@ -389,6 +391,59 @@ class TestSchemaWalker:
         rows = re.findall(r"^\| `([a-z_.]+)` \| (number|integer) \| `([^`]+)` \|$",
                           README.read_text(), re.MULTILINE)
         assert {path: (kind, interval) for path, kind, interval in rows} == _ranged_fields()
+
+
+def _records(*roots):
+    """Every dataclass reachable from `roots` through its fields' type hints."""
+    found, todo = [], list(roots)
+    while todo:
+        cls = todo.pop(0)
+        if cls not in found:
+            found.append(cls)
+            todo += [t for hint in typing.get_type_hints(cls).values()
+                     for t in _leaf_types(hint) if dataclasses.is_dataclass(t)]
+    return found
+
+
+def _leaf_types(hint):
+    """The types a type hint is made of, through `X | None`, lists and tuples."""
+    args = [a for a in typing.get_args(hint) if a is not Ellipsis]
+    return [t for a in args for t in _leaf_types(a)] if args else [hint]
+
+
+# the fits are `dict` fields of a report segment, read by the record their model names
+RECORDS = _records(PipelineConfig, report._Report, *report._FITS.values())
+
+
+class TestWalkerCoverage:
+    """Each field of every record either file holds has a rule of its own, so a
+    new field cannot fall through to the number check."""
+
+    def test_every_record_is_reached(self):
+        names = {cls.__name__ for cls in RECORDS}
+        assert {"PipelineConfig", "AnalysisConfig", "ClassifyParams", "Override",
+                "HarmonyConfig", "TextureConfig", "_Report", "_Channel", "_Segment",
+                "_Transient", "LinearFit", "ExpFit", "StaircaseFit"} == names
+
+    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    def test_every_field_has_a_rule(self, cls):
+        for name, hint in typing.get_type_hints(cls).items():
+            for leaf in _leaf_types(hint):
+                assert (leaf in (int, float, bool, str, dict, type(None))
+                        or dataclasses.is_dataclass(leaf) or issubclass(leaf, enum.Enum)), name
+        # the walker builds every field's rule before it reads the first one
+        try:
+            parse_record(cls, {}, "x", ValueError)
+        except ValueError as exc:
+            assert str(exc).endswith(" is required")
+
+    def test_a_type_without_a_rule_is_refused(self):
+        @dataclasses.dataclass
+        class Odd:
+            when: complex = 0j
+
+        with pytest.raises(TypeError, match="no rule"):
+            parse_record(Odd, {}, "x", ValueError)
 
 
 # JSON-like values that stress the checks: non-finite and huge numbers, booleans,

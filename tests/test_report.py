@@ -1,6 +1,15 @@
 """Curve CSV format and the canonical JSON analysis report."""
 
+import contextlib
+import dataclasses
+import functools
 import json
+import math
+import operator
+import signal
+import types
+import typing
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -8,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumascore import composition
+from lumascore.cli import main
 from lumascore.composition import MAX_FILM_S
 from lumascore.config import parse_config
 from lumascore.gestures import (
@@ -20,6 +30,7 @@ from lumascore.gestures import (
     TransientInfo,
 )
 from lumascore.ingest import PixelFormat, StreamInfo
+from lumascore.midi import read_smf
 from lumascore.photometry import BrightnessCurve, CurveChannel, CurveSet
 from lumascore.pipeline import analyze_stage
 from lumascore.report import (
@@ -31,8 +42,12 @@ from lumascore.report import (
     read_curves_csv,
     report_to_bytes,
     write_curves_csv,
+    _FITS,
+    _Report,
 )
 from lumascore.segmentation import Segment
+
+from test_config import _edge_values, _inside
 
 
 def make_curveset(channel_values: dict, rate: float = 24.0) -> CurveSet:
@@ -262,39 +277,39 @@ SPAN = ("<analysis>: segments[0]: start_s and end_s must give a non-empty span "
 OUTSIDE = "<analysis>: segments[0]: transient t_s must lie inside the segment"
 SEGMENT_EDITS = {
     "missing granularity": (_drop("granularity"),
-                            "<analysis>: segments[0]: granularity must be a finite number"),
+                            "<analysis>: segments[0].granularity is required"),
     "string granularity": (_set("granularity", "0.1"),
-                           "<analysis>: segments[0]: granularity must be a finite number"),
+                           "<analysis>: segments[0].granularity must be a number"),
     "boolean start": (_set("start_s", True),
-                      "<analysis>: segments[0]: start_s must be a finite number"),
+                      "<analysis>: segments[0].start_s must be a number"),
     "infinite start": (_set("start_s", float("inf")),
-                       "<analysis>: segments[0]: start_s must be a finite number"),
+                       "<analysis>: segments[0].start_s must be a finite number"),
     "integer start too large for a float": (
-        _set("start_s", 10 ** 400), "<analysis>: segments[0]: start_s must be a finite number"),
+        _set("start_s", 10 ** 400), "<analysis>: segments[0].start_s must be a finite number"),
     "NaN granularity": (_set("granularity", float("nan")),
-                        "<analysis>: segments[0]: granularity must be a finite number"),
-    "numeric kind": (_set("kind", 3), "<analysis>: segments[0]: kind must be a known kind"),
-    "fit not an object": (_set("fit", [1.0]), "<analysis>: segments[0]: fit must be an object"),
+                        "<analysis>: segments[0].granularity must be a finite number"),
+    "numeric kind": (_set("kind", 3), "<analysis>: segments[0].kind unknown name 3"),
+    "fit not an object": (_set("fit", [1.0]), "<analysis>: segments[0].fit must be an object"),
     "fit without sse": (lambda seg: seg["fit"].pop("sse"),
-                        "<analysis>: segments[0].fit: sse must be a finite number"),
+                        "<analysis>: segments[0].fit.sse is required"),
     "unknown fit model": (lambda seg: seg["fit"].update(model="spline"),
                           "<analysis>: segments[0]: unknown fit model 'spline'"),
     "fit model as a list": (lambda seg: seg["fit"].update(model=["linear"]),
                             "<analysis>: segments[0]: unknown fit model ['linear']"),
     "transient without amplitude": (
         lambda seg: seg["transient"].pop("amplitude"),
-        "<analysis>: segments[0].transient: amplitude must be a finite number"),
+        "<analysis>: segments[0].transient.amplitude is required"),
     "transient not an object": (_set("transient", 0.1),
                                 "<analysis>: segments[0].transient must be an object"),
     "string motif": (_set("motif_id", "2"),
-                     "<analysis>: segments[0]: motif_id must be an integer or null"),
+                     "<analysis>: segments[0].motif_id must be an integer"),
     "fractional motif": (_set("motif_id", 1.5),
-                         "<analysis>: segments[0]: motif_id must be an integer or null"),
-    "unknown kind": (_set("kind", "spline"), "<analysis>: segments[0]: kind must be a known kind"),
+                         "<analysis>: segments[0].motif_id must be an integer"),
+    "unknown kind": (_set("kind", "spline"), "<analysis>: segments[0].kind unknown name 'spline'"),
     "unknown archetype": (_set("archetype", "a & <b>"),
-                          "<analysis>: segments[0]: archetype must be a known archetype"),
+                          "<analysis>: segments[0].archetype unknown name 'a & <b>'"),
     "archetype as a list": (_set("archetype", ["chord_held"]),
-                            "<analysis>: segments[0]: archetype must be a known archetype"),
+                            "<analysis>: segments[0].archetype unknown name ['chord_held']"),
     "end past the curve": (_set("end_s", 6.02), SPAN),
     "end far past the curve": (_set("end_s", 2e4), SPAN),
     "end that overflows the index": (_set("end_s", 1e300), SPAN),
@@ -308,13 +323,13 @@ SEGMENT_EDITS = {
                                            OUTSIDE),
     # granularity and mean brightness lie in [0, 1] in every report analyze writes
     "granularity above one": (_set("granularity", 2.0),
-                              "<analysis>: segments[0]: granularity must lie in [0, 1]"),
+                              "<analysis>: segments[0].granularity must lie in [0, 1]"),
     "negative granularity": (_set("granularity", -1e-300),
-                             "<analysis>: segments[0]: granularity must lie in [0, 1]"),
+                             "<analysis>: segments[0].granularity must lie in [0, 1]"),
     "huge mean brightness": (_set("mean_brightness", 1.7e308),
-                             "<analysis>: segments[0]: mean_brightness must lie in [0, 1]"),
+                             "<analysis>: segments[0].mean_brightness must lie in [0, 1]"),
     "negative mean brightness": (_set("mean_brightness", -0.5),
-                                 "<analysis>: segments[0]: mean_brightness must lie in [0, 1]"),
+                                 "<analysis>: segments[0].mean_brightness must lie in [0, 1]"),
 }
 
 
@@ -326,45 +341,44 @@ def _channel(**fields):
 
 # each edit to a whole sample report and the whole message it must give
 REPORT_EDITS = {
-    "missing version": (lambda doc: doc.pop("version"), "<analysis>: missing key version"),
-    "missing rate": (lambda doc: doc.pop("rate_hz"), "<analysis>: missing key rate_hz"),
-    "missing channels": (lambda doc: doc.pop("channels"), "<analysis>: missing key channels"),
-    "missing segments": (lambda doc: doc.pop("segments"), "<analysis>: missing key segments"),
+    "missing version": (lambda doc: doc.pop("version"), "<analysis>: version is required"),
+    "missing rate": (lambda doc: doc.pop("rate_hz"), "<analysis>: rate_hz is required"),
+    "missing channels": (lambda doc: doc.pop("channels"), "<analysis>: channels is required"),
+    "missing segments": (lambda doc: doc.pop("segments"), "<analysis>: segments is required"),
     "unknown version": (lambda doc: doc.update(version="99"),
                         "<analysis>: unsupported version '99'"),
     "numeric version": (lambda doc: doc.update(version=1), "<analysis>: unsupported version 1"),
     "string rate": (lambda doc: doc.update(rate_hz="50"),
-                    "<analysis>: rate_hz must be a finite number"),
+                    "<analysis>: rate_hz must be a number"),
     "channels not a list": (lambda doc: doc.update(channels="abc"),
                             "<analysis>: channels must be a list"),
     "segments not a list": (lambda doc: doc.update(segments={"start_s": 0}),
                             "<analysis>: segments must be a list"),
-    "no channels": (lambda doc: doc.update(channels=[]), "<analysis>: channels is empty"),
+    "no channels": (lambda doc: doc.update(channels=[]), "<analysis>: channels must not be empty"),
     "channel not an object": (lambda doc: doc.update(channels=[[]]),
                               "<analysis>: channels[0] must be an object"),
     "segment not an object": (lambda doc: doc.update(segments=[1.0]),
                               "<analysis>: segments[0] must be an object"),
     "unknown channel": (_channel(channel="loudness"),
-                        "<analysis>: channels[0]: channel must be a known channel"),
+                        "<analysis>: channels[0].channel unknown name 'loudness'"),
     "string channel rate": (_channel(sample_rate_hz="50"),
-                            "<analysis>: channels[0]: sample_rate_hz must be a finite number"),
+                            "<analysis>: channels[0].sample_rate_hz must be a number"),
     "missing t0": (lambda doc: doc["channels"][0].pop("t0"),
-                   "<analysis>: channels[0]: t0 must be a finite number"),
+                   "<analysis>: channels[0].t0 is required"),
     "values not a list": (_channel(values="abc"),
-                          "<analysis>: channels[0]: values must be a list of finite numbers"),
+                          "<analysis>: channels[0].values must be a list"),
     "null value": (lambda doc: doc["channels"][0]["values"].__setitem__(7, None),
-                   "<analysis>: channels[0]: values must be a list of finite numbers"),
+                   "<analysis>: channels[0].values[7] must be a number"),
     "rates differ": (_channel(sample_rate_hz=1e-300),
                      "<analysis>: channels[0] must hold samples at rate_hz, a positive rate"),
     "string staircase level": (lambda doc: doc["segments"][2]["fit"]["levels"].append("x"),
-                               "<analysis>: segments[2].fit: levels must be a list of finite "
-                               "numbers"),
+                               "<analysis>: segments[2].fit.levels[3] must be a number"),
     "string degenerate": (lambda doc: doc["segments"][1]["fit"].update(degenerate="no"),
-                          "<analysis>: segments[1].fit: degenerate must be a boolean"),
+                          "<analysis>: segments[1].fit.degenerate must be a boolean"),
     "rate that overflows the index": (lambda doc: doc.update(rate_hz=1e308), SPAN),
     # analyze writes t0 = 0 and a partition of the curve in time order
-    "huge negative t0": (_channel(t0=-1.7e308), "<analysis>: channels[0]: t0 must lie in [0, 0]"),
-    "positive t0": (_channel(t0=0.5), "<analysis>: channels[0]: t0 must lie in [0, 0]"),
+    "huge negative t0": (_channel(t0=-1.7e308), "<analysis>: channels[0].t0 must lie in [0, 0]"),
+    "positive t0": (_channel(t0=0.5), "<analysis>: channels[0].t0 must lie in [0, 0]"),
     "overlapping segments": (lambda doc: doc["segments"][1].update(start_s=1.0),
                              "<analysis>: segments[1]: start_s must not precede the end of "
                              "segments[0]"),
@@ -374,6 +388,31 @@ REPORT_EDITS = {
     "one segment twice": (lambda doc: doc["segments"].append(doc["segments"][2]),
                           "<analysis>: segments[3]: start_s must not precede the end of "
                           "segments[2]"),
+    # a key no record declares is refused, so a typo never falls back to a default
+    "unknown top-level key": (lambda doc: doc.update(bogus=1), "<analysis>: unknown key 'bogus'"),
+    "misspelt motif key": (lambda doc: doc["segments"][0].update({"motif-id": 5}),
+                           "<analysis>: unknown key 'segments[0].motif-id'"),
+    "extra fit key": (lambda doc: doc["segments"][1]["fit"].update(rrmse=0.1),
+                      "<analysis>: unknown key 'segments[1].fit.rrmse'"),
+    "extra transient key": (lambda doc: doc["segments"][0]["transient"].update(width=0.1),
+                            "<analysis>: unknown key 'segments[0].transient.width'"),
+    "extra channel key": (_channel(unit="nit"), "<analysis>: unknown key 'channels[0].unit'"),
+    # every channel is checked, though compose and plot read only the first
+    "garbage second channel": (lambda doc: doc["channels"].append("abc"),
+                               "<analysis>: channels[1] must be an object"),
+    "second channel without values": (
+        lambda doc: doc["channels"].append({k: v for k, v in doc["channels"][0].items()
+                                            if k != "values"}),
+        "<analysis>: channels[1].values is required"),
+    "source not an object": (lambda doc: doc.update(source=[1]),
+                             "<analysis>: source must be an object"),
+    "config not an object": (lambda doc: doc.update(config="x"),
+                             "<analysis>: config must be an object"),
+    # every record's fields are checked before the checks across records
+    "a span and a later field": (
+        lambda doc: (doc["segments"][0].update(end_s=2e4),
+                     doc["segments"][2].update(granularity=2.0)),
+        "<analysis>: segments[2].granularity must lie in [0, 1]"),
 }
 
 
@@ -407,7 +446,7 @@ class TestReportSchema:
     def test_staircase_levels_must_be_numbers(self):
         doc = make_report(SAMPLE_GESTURES)
         doc["segments"][2]["fit"]["levels"] = [0.2, "x"]
-        with pytest.raises(ReportFormatError, match=r"segments\[2\].fit: levels"):
+        with pytest.raises(ReportFormatError, match=r"segments\[2\]\.fit\.levels\[1\]"):
             parse_report(report_to_bytes(doc))
 
     @pytest.mark.parametrize("segments", ["abc", {"start_s": 0}, [1.0], [None]])
@@ -428,7 +467,7 @@ class TestReportSchema:
     def test_values_must_be_finite_numbers(self, value):
         doc = make_report(SAMPLE_GESTURES)
         doc["channels"][0]["values"][7] = value
-        with pytest.raises(ReportFormatError, match=r"channels\[0\]: values"):
+        with pytest.raises(ReportFormatError, match=r"channels\[0\]\.values\[7\]"):
             parse_report(report_to_bytes(doc))
 
     def test_rate_must_be_a_number(self):
@@ -442,7 +481,7 @@ class TestReportSchema:
         doc = make_report(SAMPLE_GESTURES)
         doc["segments"][1]["fit"]["degenerate"] = value
         with pytest.raises(ReportFormatError,
-                           match=r"segments\[1\].fit: degenerate must be a boolean"):
+                           match=r"segments\[1\]\.fit\.degenerate must be a boolean"):
             parse_report(report_to_bytes(doc))
 
     def test_optional_fields_may_be_absent_or_null(self):
@@ -464,7 +503,7 @@ class TestReportRanges:
     def test_unknown_channel_rejected(self):
         doc = make_report(SAMPLE_GESTURES)
         doc["channels"][0]["channel"] = "loudness"
-        with pytest.raises(ReportFormatError, match=r"channels\[0\]: channel"):
+        with pytest.raises(ReportFormatError, match=r"channels\[0\]\.channel"):
             parse_report(report_to_bytes(doc))
 
     @pytest.mark.parametrize("edit", [
@@ -639,7 +678,7 @@ class TestWriteCheckReadAgree:
         fault = data.draw(st.sampled_from(faults + ["overlap"] * (len(gestures) > 1)))
         if fault == "t0":
             doc["channels"][0]["t0"] = data.draw(finite_floats().filter(bool))
-            message = "<analysis>: channels[0]: t0 must lie in [0, 0]"
+            message = "<analysis>: channels[0].t0 must lie in [0, 0]"
         elif fault == "overlap":
             i = data.draw(st.integers(1, len(gestures) - 1))
             doc["segments"][i]["start_s"] = doc["segments"][i - 1]["start_s"]
@@ -650,7 +689,116 @@ class TestWriteCheckReadAgree:
             doc["segments"][i][fault] = data.draw(
                 st.floats(max_value=-5e-324, allow_infinity=False)
                 | st.floats(min_value=1.0, exclude_min=True, allow_infinity=False))
-            message = "<analysis>: segments[%d]: %s must lie in [0, 1]" % (i, fault)
+            message = "<analysis>: segments[%d].%s must lie in [0, 1]" % (i, fault)
         with pytest.raises(ReportFormatError) as err:
             parse_report(report_to_bytes(doc))
         assert str(err.value) == message
+
+
+
+def _report_fields(cls, doc, path):
+    """(record type, path, type hint, metadata) of each number and boolean field
+    that `doc`, a `cls` record, holds: a list of numbers by its first item, a
+    fit by the record its model names."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        hint, value, where = hints[f.name], doc.get(f.name), path + (f.name,)
+        if typing.get_origin(hint) is types.UnionType:  # `X | None`
+            hint = typing.get_args(hint)[0]
+        item = (typing.get_args(hint) or [None])[0]
+        if f.name == "fit":
+            yield from _report_fields(_FITS[value["model"]], value, where)
+        elif dataclasses.is_dataclass(hint) and value is not None:
+            yield from _report_fields(hint, value, where)
+        elif typing.get_origin(hint) is list and dataclasses.is_dataclass(item):
+            for i, record in enumerate(value):
+                yield from _report_fields(item, record, where + (i,))
+        elif typing.get_origin(hint) in (list, tuple):
+            yield cls, where + (0,), item, {"range": f.metadata["items"]} if "items" in f.metadata else {}
+        elif hint in (int, float, bool):
+            yield cls, where, hint, f.metadata
+
+
+def _report_leaves():
+    """(path, type hint, metadata) of each field of each record type, at its
+    first place in the sample report."""
+    leaves = {}
+    for cls, path, hint, meta in _report_fields(_Report, make_report(SAMPLE_GESTURES), ()):
+        leaves.setdefault((cls, [key for key in path if isinstance(key, str)][-1]),
+                          (path, hint, meta))
+    return list(leaves.values())
+
+
+def _probes(hint, meta):
+    """(value, refused) pairs: a ranged field's edges, refused outside the
+    interval; any other number at 5e-324, 1e-300, 1.7e308, NaN and a 400-digit
+    integer, the last two refused; a motif id and a flag as each JSON type."""
+    if "range" in meta:
+        return [(v, not _inside(v, meta["range"], hint)) for v in _edge_values(meta["range"], hint)]
+    if hint is float:
+        return [(5e-324, False), (1e-300, False), (1.7e308, False), (math.nan, True),
+                (10 ** 400, True)]
+    if hint is int:  # motif_id, an integer or null
+        return [(-(2 ** 70), False), (2 ** 70, False), (10 ** 400, False), (None, False),
+                (1.5, True), (True, True), ("1", True)]
+    return [(True, False), (False, False), (None, True), (0, True), (1.0, True)]
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError("no exit within %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+REPORT_LEAVES = _report_leaves()
+
+
+class TestReportFieldEdges:
+    """The report half of the schema gate: each number and boolean field of
+    every report record at its edges, through compose and plot.  Each ends at
+    once, in artifacts that read back or in one error line."""
+
+    def test_every_field_is_probed(self):
+        names = {path[-1] if isinstance(path[-1], str) else path[-2]
+                 for path, _, _ in REPORT_LEAVES}
+        assert {"rate_hz", "sample_rate_hz", "t0", "values", "start_s", "end_s",
+                "granularity", "mean_brightness", "t_s", "amplitude", "motif_id",
+                "intercept", "slope_per_s", "sse", "offset", "scale", "tau_s", "degenerate",
+                "levels", "step_times_s"} == names
+        assert sum(path[-1] == "sse" for path, _, _ in REPORT_LEAVES) == 3
+
+    @pytest.mark.parametrize("path, hint, meta", REPORT_LEAVES,
+                             ids=[".".join(map(str, leaf[0])) for leaf in REPORT_LEAVES])
+    def test_edges(self, path, hint, meta, tmp_path, capsys):
+        report, curves, out = tmp_path / "analysis.json", tmp_path / "curves.csv", tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        curves.write_bytes(write_curves_csv(
+            make_curveset({CurveChannel.LUMA: np.linspace(0.2, 0.8, 300)}, rate=50.0)))
+        for value, refused in _probes(hint, meta):
+            doc = make_report(SAMPLE_GESTURES)
+            *keys, last = path
+            functools.reduce(operator.getitem, keys, doc)[last] = value
+            report.write_text(json.dumps(doc))
+            for argv, read_back in (
+                    (["compose", "--analysis", str(report), "--config", str(config)], read_smf),
+                    (["plot", "--curves", str(curves), "--analysis", str(report)],
+                     ElementTree.fromstring)):
+                with _deadline(5):
+                    code = main(argv + ["--out", str(out)])
+                err = capsys.readouterr().err
+                if code:
+                    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, (
+                        value, err)
+                else:
+                    assert not refused and err == "", (value, argv[0])
+                    read_back(out.read_bytes())
+                    out.unlink()
