@@ -65,7 +65,7 @@ class ExpFit:
 
     offset: float
     scale: float
-    tau_s: float
+    tau_s: float = field(metadata={"range": "(0, inf)"})
     sse: float
     degenerate: bool = False
 
@@ -73,7 +73,8 @@ class ExpFit:
 @dataclass(frozen=True)
 class StaircaseFit:
     levels: tuple[float, ...]
-    step_times_s: tuple[float, ...]
+    # measured from the start of the body the staircase was fitted to
+    step_times_s: tuple[float, ...] = field(metadata={"items": "(0, inf)", "increasing": True})
     sse: float
 
 
@@ -117,6 +118,14 @@ def detect_transient(samples: np.ndarray, rate: float, params: ClassifyParams) -
     if rise >= params.transient:
         return TransientInfo(onset, rise)
     return None
+
+
+def body_start(n: int, transient: TransientInfo | None) -> int:
+    """Where the body of an `n`-sample segment starts: after its transient, if
+    that leaves two samples, else at its start."""
+    if transient is not None and n - (transient.onset_idx + 1) >= 2:
+        return transient.onset_idx + 1
+    return 0
 
 
 def fit_linear(samples: np.ndarray, rate: float) -> LinearFit:
@@ -280,10 +289,8 @@ def classify(
         segment = Segment(0, n)
 
     transient = detect_transient(smoothed, rate, params)
-    body_start = 0
-    if transient is not None and n - (transient.onset_idx + 1) >= 2:
-        body_start = transient.onset_idx + 1
-    body = smoothed[body_start:]
+    start = body_start(n, transient)
+    body = smoothed[start:]
     nb = len(body)
     value_range = float(body.max() - body.min())
 
@@ -305,7 +312,7 @@ def classify(
     kind = ShapeKind.PLATEAU if value_range < params.flat else _kind_of(winner)
     # roughness of the sustained body; a transient jump is its own feature
     # and must not read as grain
-    resid_rms = residual_rms(raw[body_start:], smoothed[body_start:])
+    resid_rms = residual_rms(raw[start:], smoothed[start:])
     granularity = min(1.0, resid_rms / ROUGHNESS_SCALE)
     rrmse = math.sqrt(winner.sse / nb) / max(value_range, RRMSE_RANGE_FLOOR)
     # chaotic when no template explains the body, or the segment is rough

@@ -2,17 +2,19 @@
 
 Three container flavours are understood, none of which needs an external
 codec: YUV4MPEG2 streams, binary PPM/PGM images (single files or numbered
-sequences), and headerless RGB24 dumps described by a JSON sidecar.
+sequences), and headerless RGB24 dumps described by a JSON sidecar, which
+`schema`'s walker reads as it reads the config and the report.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterator
+
+from .schema import load_json, parse_record
 
 
 class MediaFormatError(ValueError):
@@ -287,32 +289,20 @@ class ImageSequenceReader(FrameSource):
             yield frame
 
 
-_SIDECAR_KEYS = {"width", "height", "fps_num", "fps_den"}
+@dataclass
+class _Sidecar:
+    width: int = field(metadata={"range": "[1, inf)"})
+    height: int = field(metadata={"range": "[1, inf)"})
+    fps_num: int = field(metadata={"range": "[1, inf)"})
+    fps_den: int = field(metadata={"range": "[1, inf)"})
 
 
 def read_sidecar(path: Path) -> StreamInfo:
     """Load the JSON descriptor sitting next to a raw RGB24 dump."""
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise MediaFormatError("sidecar %s: %s" % (path, exc)) from exc
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    # a bad byte and 4300+ digit integers raise ValueError, deep nesting RecursionError
-    except (ValueError, RecursionError) as exc:
-        raise MediaFormatError("sidecar %s: invalid JSON (%s)" % (path, exc)) from exc
-    if not isinstance(doc, dict) or set(doc) != _SIDECAR_KEYS:
-        raise MediaFormatError(
-            "sidecar %s: keys must be exactly width, height, fps_num, fps_den" % path
-        )
-    values = {}
-    for key in sorted(_SIDECAR_KEYS):
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise MediaFormatError("sidecar %s: %s must be a positive integer" % (path, key))
-        values[key] = value
-    return StreamInfo(values["width"], values["height"], values["fps_num"],
-                      values["fps_den"], PixelFormat.RGB24)
+    root = "sidecar %s" % path
+    sidecar = parse_record(_Sidecar, load_json(path, root, MediaFormatError), root,
+                           MediaFormatError)
+    return StreamInfo(**vars(sidecar), pixel_format=PixelFormat.RGB24)
 
 
 class RawRgbReader(FrameSource):

@@ -2,11 +2,12 @@
 
 The report, ``analysis.json``, has sorted keys, two-space indentation and
 shortest round-trip floats, so re-serializing a parsed report reproduces it
-byte for byte.  Its records are the dataclasses below, which the config's
+byte for byte.  Its records are the dataclasses below, which `schema`'s
 walker writes and reads, refusing unknown keys; after every record's fields
 come the rules that span records: the version, segments in time order, not
-overlapping and inside the embedded curve, each fit's ``model``, and a curve
-at ``rate_hz`` that lasts at most composition.MAX_FILM_S seconds.
+overlapping and inside the embedded curve, each fit's ``model``, a staircase's
+steps inside its segment's body, and a curve at ``rate_hz`` that lasts at
+most composition.MAX_FILM_S seconds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composition import check_film_length
-from .config import PipelineConfig, _plan, parse_record, to_json
+from .config import PipelineConfig
 from .curveprep import round_half_up
 from .gestures import (
     Archetype,
@@ -27,8 +28,10 @@ from .gestures import (
     ShapeKind,
     StaircaseFit,
     TransientInfo,
+    body_start,
 )
 from .photometry import BrightnessCurve, CurveChannel, CurveSet
+from .schema import load_json, parse_record, plan, to_json
 from .segmentation import Segment
 
 REPORT_VERSION = "1"
@@ -173,7 +176,7 @@ _FITS = {"linear": LinearFit, "exponential": ExpFit, "staircase": StaircaseFit}
 _FIT_TAGS = {cls: tag for tag, cls in _FITS.items()}
 # the walker plans each record once; plan the report's now, not in its first write
 for _cls in (_Report, *_FITS.values()):
-    _plan(_cls)
+    plan(_cls)
 
 
 def _segment(g: Gesture, rate: float) -> _Segment:
@@ -197,7 +200,7 @@ def build_report(
     curve = analysis_curve
     channels = [_Channel(curve.channel, curve.sample_rate, curve.t0, curve.values)]
     return to_json(_Report(REPORT_VERSION, rate_hz, channels,
-                           [_segment(g, rate_hz) for g in gestures], source, config.to_dict()))
+                           [_segment(g, rate_hz) for g in gestures], source, to_json(config)))
 
 
 def report_to_bytes(report: dict) -> bytes:
@@ -239,6 +242,16 @@ def gestures_from_report(doc: dict, source_path: str = "<analysis>"
         # a transient's index counts from its segment's start
         transient = None if onset is None else TransientInfo(onset - start,
                                                              seg.transient.amplitude)
+        # analyze fits a staircase to the body, which starts after the transient
+        if isinstance(fit, StaircaseFit):
+            steps = fit.step_times_s
+            if len(fit.levels) != len(steps) + 1:
+                raise ReportFormatError("%s.fit.levels must hold one more item than "
+                                        "step_times_s" % where)
+            body = (end - start - body_start(end - start, transient)) / rate
+            if steps and not steps[-1] < body:
+                raise ReportFormatError("%s.fit.step_times_s[%d] must lie inside the "
+                                        "segment's %.6g s body" % (where, len(steps) - 1, body))
         gestures.append(Gesture(Segment(start, end), seg.kind, transient, seg.granularity, fit,
                                 seg.mean_brightness, seg.archetype, seg.motif_id))
     # segments are indexed at rate_hz and their notes timed at the curve's rate
@@ -252,11 +265,7 @@ def gestures_from_report(doc: dict, source_path: str = "<analysis>"
 
 def read_report(data: bytes, source_path: str = "<analysis>") -> tuple:
     """(document, gestures, analysis curve) of a report, checked and read in one walk."""
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    # a bad byte and 4300+ digit integers raise ValueError, deep nesting RecursionError
-    except (ValueError, RecursionError) as exc:
-        raise ReportFormatError("%s: %s" % (source_path, exc)) from exc
+    doc = load_json(data, source_path, ReportFormatError)
     return (doc, *gestures_from_report(doc, source_path))
 
 

@@ -1,8 +1,11 @@
-"""Builders for synthetic media streams and seeded noise used across tests."""
+"""Builders for synthetic media streams and seeded noise, and a deadline,
+used across tests."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 
@@ -78,3 +81,18 @@ def gaussian_noise(seed: int, n: int, sigma: float = 1.0) -> np.ndarray:
 
 def curve(values, rate: float = 50.0, channel: CurveChannel = CurveChannel.LUMA) -> BrightnessCurve:
     return BrightnessCurve(channel, rate, 0.0, np.asarray(values, dtype=np.float64))
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block if it runs longer than `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError("no exit within %d s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

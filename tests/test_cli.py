@@ -326,8 +326,17 @@ class TestMalformedReport:
         (lambda doc: (doc["segments"][0].update(end_s=2e4),
                       doc["segments"][1].update(granularity=2.0)),
          "segments[1].granularity must lie in [0, 1]"),
+        # fit numbers no analysis writes: a note 1000 s into a 0.5 s segment,
+        # and a negative decay time that once failed in the SMF writer
+        (lambda doc: doc["segments"][1].update(archetype="arpeggio_detached", fit={
+            "model": "staircase", "levels": [0.2, 0.5], "step_times_s": [1000.0], "sse": 0.0}),
+         "segments[1].fit.step_times_s[0] must lie inside the segment's 0.5 s body"),
+        (lambda doc: doc["segments"][0].update(archetype="chord_arpeggio", fit={
+            "model": "exponential", "offset": 0.2, "scale": 0.6, "tau_s": -1, "sse": 0.0}),
+         "segments[0].fit.tau_s must lie in (0, inf)"),
     ], ids=["unknown top-level key", "misspelt motif key", "extra fit key",
-            "garbage second channel", "two faults"])
+            "garbage second channel", "two faults", "step past the segment",
+            "negative decay time"])
     def test_report_fault_exits_1_naming_the_field(self, report, config_file, tmp_path,
                                                    capsys, stage, edit, fault):
         self._edit(report, edit)

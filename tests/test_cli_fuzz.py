@@ -186,6 +186,14 @@ READ_BACK = {"compose": read_smf, "plot": ET.fromstring}
 @example(edited("report", lambda doc: doc["segments"][0].update(archetype="tremolo_scratch",
                                                                 granularity=2.0)))
 @example(edited("report", lambda doc: doc.update(segments=[doc["segments"][0]] * 20)))
+# fit numbers no analysis writes: a note 1000 s past its segment, and a
+# negative decay time that failed in the SMF writer, naming no file
+@example(edited("report", lambda doc: doc["segments"][0].update(
+    archetype="arpeggio_detached",
+    fit={"model": "staircase", "levels": [0.2, 0.5], "step_times_s": [1000.0], "sse": 0.0})))
+@example(edited("report", lambda doc: doc["segments"][0].update(
+    archetype="chord_arpeggio",
+    fit={"model": "exponential", "offset": 0.2, "scale": 0.6, "tau_s": -1, "sse": 0.0})))
 @settings(max_examples=300, deadline=None)
 def test_mutated_input_ends_in_artifacts_or_one_error_line(case):
     kind, data = case

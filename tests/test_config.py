@@ -1,5 +1,6 @@
 """Strict configuration parsing: defaults, bounds, and key-path errors."""
 
+import ast
 import dataclasses
 import enum
 import functools
@@ -9,12 +10,13 @@ import re
 import types
 import typing
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from lumascore import report
+from lumascore import ingest, report
 from lumascore.cli import main
 from lumascore.config import (
     AnalysisConfig,
@@ -23,9 +25,13 @@ from lumascore.config import (
     TextureConfig,
     load_config,
     parse_config,
-    parse_record,
 )
 from lumascore.gestures import Archetype
+from lumascore.midi import read_smf
+from lumascore.report import read_curves_csv
+from lumascore.schema import parse_record, to_json
+
+from _synth import build_y4m, deadline, y4m_frame_420
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,8 +52,8 @@ class TestDefaults:
         assert cfg.texture.grain_ms == 60.0
         assert cfg.seed == 0
 
-    def test_to_dict_echoes_resolved_defaults(self):
-        doc = parse_config({}).to_dict()
+    def test_to_json_echoes_resolved_defaults(self):
+        doc = to_json(parse_config({}))
         assert doc["analysis"]["rate_hz"] == 50.0
         assert doc["analysis"]["thresholds"]["granular"] == 0.4
         assert doc["harmony"]["register"] == [36, 84]
@@ -347,7 +353,7 @@ class TestSchemaWalker:
         doc = json.loads(json.dumps(NON_DEFAULT))
         doc["analysis"]["rate_hz"] = 40
         doc["texture"]["grain_ms"] = 45
-        assert parse_config(doc).to_dict() == {
+        assert to_json(parse_config(doc)) == {
             "analysis": {
                 "rate_hz": 40.0, "smooth_window_s": 0.3, "min_segment_s": 0.4,
                 "penalty_beta": 3.0,
@@ -361,12 +367,12 @@ class TestSchemaWalker:
             "texture": {"lambda_max": 55.5, "grain_ms": 45.0},
             "seed": 12345,
         }
-        assert type(parse_config(doc).to_dict()["analysis"]["rate_hz"]) is float
+        assert type(to_json(parse_config(doc))["analysis"]["rate_hz"]) is float
 
     def test_echo_writes_numbers_as_their_declared_kind(self):
         cfg = PipelineConfig(analysis=AnalysisConfig(rate_hz=25),
                              texture=TextureConfig(grain_ms=np.float64(45.5)))
-        echo = cfg.to_dict()
+        echo = to_json(cfg)
         assert type(echo["analysis"]["rate_hz"]) is float and echo["analysis"]["rate_hz"] == 25.0
         assert type(echo["texture"]["grain_ms"]) is float
 
@@ -385,7 +391,7 @@ class TestSchemaWalker:
     def test_readme_schema_block_is_the_default_echo(self):
         section = README.read_text().split("## Configuration", 1)[1]
         block = section.split("```json\n", 1)[1].split("```", 1)[0]
-        assert json.loads(block) == parse_config({}).to_dict()
+        assert json.loads(block) == to_json(parse_config({}))
 
     def test_readme_range_table_is_the_schema(self):
         rows = re.findall(r"^\| `([a-z_.]+)` \| (number|integer) \| `([^`]+)` \|$",
@@ -412,18 +418,29 @@ def _leaf_types(hint):
 
 
 # the fits are `dict` fields of a report segment, read by the record their model names
-RECORDS = _records(PipelineConfig, report._Report, *report._FITS.values())
+RECORDS = _records(PipelineConfig, report._Report, *report._FITS.values(), ingest._Sidecar)
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "lumascore"
 
 
 class TestWalkerCoverage:
-    """Each field of every record either file holds has a rule of its own, so a
-    new field cannot fall through to the number check."""
+    """Each field of every record the JSON inputs hold has a rule of its own, so
+    a new field cannot fall through to the number check."""
 
     def test_every_record_is_reached(self):
         names = {cls.__name__ for cls in RECORDS}
         assert {"PipelineConfig", "AnalysisConfig", "ClassifyParams", "Override",
                 "HarmonyConfig", "TextureConfig", "_Report", "_Channel", "_Segment",
-                "_Transient", "LinearFit", "ExpFit", "StaircaseFit"} == names
+                "_Transient", "LinearFit", "ExpFit", "StaircaseFit", "_Sidecar"} == names
+
+    def test_only_the_schema_decodes_json(self):
+        decoders = set()
+        for path in SOURCE.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute) and node.attr == "loads"
+                        and isinstance(node.value, ast.Name) and node.value.id == "json"
+                        or isinstance(node, ast.ImportFrom) and node.module == "json"):
+                    decoders.add(path.name)
+        assert decoders == {"schema.py"}
 
     @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
     def test_every_field_has_a_rule(self, cls):
@@ -477,7 +494,7 @@ def _config_docs(draw, template=None, noise=None):
     """Documents shaped like the schema.  Each key is absent or holds a value in
     range; in `noise` tenths of the keys it holds any value instead, and a noisy
     document may carry an unknown key."""
-    template = parse_config({}).to_dict() if template is None else template
+    template = to_json(parse_config({})) if template is None else template
     noise = draw(st.sampled_from([0, 1, 3])) if noise is None else noise
     doc = {}
     for key, default in template.items():
@@ -504,9 +521,9 @@ class TestWalkerProperty:
         except ConfigError as exc:
             assert len(str(exc).splitlines()) == 1
             return
-        echo = cfg.to_dict()
+        echo = to_json(cfg)
         json.dumps(echo, allow_nan=False)
-        assert parse_config(echo).to_dict() == echo
+        assert to_json(parse_config(echo)) == echo
 
 
 
@@ -587,6 +604,13 @@ def _schema_leaves(cls=PipelineConfig, path="", put=lambda doc: doc):
             yield from _schema_leaves(item, where + "[0].", in_record)
 
 
+def _item_probe(value, middle, length):
+    """A list of `length` items, `middle` but for `value`: the first item if it lies
+    below the middle, else the last."""
+    rest = [middle] * (length - 1)
+    return [value] + rest if value < middle else rest + [value]
+
+
 def _verdict(doc, where):
     """Whether `doc` parses; a ConfigError must name `where`."""
     try:
@@ -632,14 +656,71 @@ class TestSchemaEdges:
             assert _verdict(put(items[:n]), where) == fits, n
         length = count or 1
         if "items" in meta:
-            # a probe below the middle is the first item, any other the last
             for value in _edge_values(meta["items"], kind):
-                first = value < middle
-                probe = ([value] + [middle] * (length - 1) if first
-                         else [middle] * (length - 1) + [value])
-                where_probe = "%s[%d]" % (where, 0 if first else length - 1)
-                assert _verdict(put(probe), where_probe) == _inside(value, meta["items"], kind)
+                where_probe = "%s[%d]" % (where, 0 if value < middle else length - 1)
+                assert (_verdict(put(_item_probe(value, middle, length)), where_probe)
+                        == _inside(value, meta["items"], kind))
         if meta.get("increasing") and count in (None, 2):
             for after, fits in ((middle, False), (_step(middle, kind, 1), True),
                                 (_step(middle, kind, -1), False)):
                 assert _verdict(put([middle, after]), "%s[1]" % where) == fits, after
+
+
+def _pipeline_probes(hint, meta, put):
+    """(config document, refused) of each edge value of a field's ``range``, or
+    of a list's ``items`` in a list that is valid but for it."""
+    if "range" in meta:
+        interval, kind, place = meta["range"], hint, put
+    else:
+        if typing.get_origin(hint) is types.UnionType:  # `list[...] | None`
+            hint = typing.get_args(hint)[0]
+        args = typing.get_args(hint)
+        interval, kind = meta["items"], args[0]
+        length = len(args) if typing.get_origin(hint) is tuple and ... not in args else 1
+        middle = _middle(interval, kind)
+        place = lambda value: put(_item_probe(value, middle, length))
+    return [(place(value), not _inside(value, interval, kind))
+            for value in _edge_values(interval, kind)]
+
+
+_NUMBER_LEAVES = [leaf for leaf in _LEAVES if {"range", "items"} & set(leaf[2])]
+
+
+@pytest.fixture(scope="module")
+def two_second_film(tmp_path_factory):
+    """A 24 fps 8x8 clip, a flash that decays and then three steps up, which
+    analyze reads as a granular texture, a diminuendo and a tremolo."""
+    levels = ([50] * 6 + [230] + [int(50 + 170 * math.exp(-i / 5)) for i in range(17)]
+              + [60] * 8 + [110] * 8 + [160] * 8)
+    path = tmp_path_factory.mktemp("film") / "film.y4m"
+    path.write_bytes(build_y4m(8, 8, [y4m_frame_420(8, 8, v) for v in levels]))
+    return path
+
+
+class TestSchemaEdgesThroughPipeline:
+    """The config half of the schema gate: every edge value of each declared
+    interval, through ``pipeline`` on a 2 s film.  Each ends at once, in four
+    artifacts that read back or in one error line; a value the schema refuses
+    exits 2."""
+
+    @pytest.mark.parametrize("where, hint, meta, put", _NUMBER_LEAVES,
+                             ids=[leaf[0] for leaf in _NUMBER_LEAVES])
+    def test_pipeline_ends_at_once(self, where, hint, meta, put, two_second_film, tmp_path,
+                                   capsys):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        for doc, refused in _pipeline_probes(hint, meta, put):
+            config.write_text(json.dumps(doc))
+            with deadline(5):
+                code = main(["pipeline", "--input", str(two_second_film), "--config",
+                             str(config), "--out-dir", str(out)])
+            err = capsys.readouterr().err
+            if code:
+                assert code in (1, 2) and err.startswith("error: ") and err.count("\n") == 1, (
+                    doc, err)
+                assert code == 2 or not refused, (doc, err)
+                continue
+            assert not refused and err == "", doc
+            read_curves_csv((out / "curves.csv").read_bytes())
+            report.parse_report((out / "analysis.json").read_bytes())
+            read_smf((out / "score.mid").read_bytes())
+            ElementTree.fromstring((out / "plot.svg").read_bytes())

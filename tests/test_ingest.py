@@ -313,20 +313,25 @@ def test_raw_rgb_from_a_pipe_yields_every_frame(tmp_path) -> None:
     assert got == frames
 
 
-def test_sidecar_rejects_extra_keys(tmp_path) -> None:
-    side = tmp_path / "clip.rgb.json"
-    side.write_text(json.dumps(
-        {"width": 2, "height": 2, "fps_num": 24, "fps_den": 1, "codec": "none"}
-    ))
-    with pytest.raises(MediaFormatError, match="keys must be exactly"):
-        read_sidecar(side)
+SIDECAR = {"width": 2, "height": 2, "fps_num": 24, "fps_den": 1}
 
 
-def test_sidecar_rejects_missing_key(tmp_path) -> None:
+@pytest.mark.parametrize("doc, fault", [
+    (dict(SIDECAR, codec="none"), "unknown key 'codec'"),
+    ({"width": 2, "height": 2, "fps_num": 24}, "fps_den is required"),
+    (dict(SIDECAR, width=0), "width must lie in [1, inf)"),
+    (dict(SIDECAR, height=True), "height must be an integer"),
+    (dict(SIDECAR, fps_num=2.5), "fps_num must be an integer"),
+    ([2, 2, 24, 1], "top level must be an object"),
+    # fields are checked in the order they are declared
+    (dict(SIDECAR, fps_den=0, width="2"), "width must be an integer"),
+], ids=["unknown key", "missing key", "zero", "boolean", "fraction", "list", "order"])
+def test_sidecar_fault_gives_its_message(tmp_path, doc, fault) -> None:
     side = tmp_path / "clip.rgb.json"
-    side.write_text(json.dumps({"width": 2, "height": 2, "fps_num": 24}))
-    with pytest.raises(MediaFormatError, match="keys must be exactly"):
+    side.write_text(json.dumps(doc))
+    with pytest.raises(MediaFormatError) as err:
         read_sidecar(side)
+    assert str(err.value) == "sidecar %s: %s" % (side, fault)
 
 
 def test_open_source_dispatch(tmp_path) -> None:

@@ -1,12 +1,10 @@
 """Curve CSV format and the canonical JSON analysis report."""
 
-import contextlib
 import dataclasses
 import functools
 import json
 import math
 import operator
-import signal
 import types
 import typing
 from xml.etree import ElementTree
@@ -28,6 +26,7 @@ from lumascore.gestures import (
     ShapeKind,
     StaircaseFit,
     TransientInfo,
+    body_start,
 )
 from lumascore.ingest import PixelFormat, StreamInfo
 from lumascore.midi import read_smf
@@ -47,6 +46,7 @@ from lumascore.report import (
 )
 from lumascore.segmentation import Segment
 
+from _synth import deadline
 from test_config import _edge_values, _inside
 
 
@@ -196,7 +196,7 @@ SAMPLE_GESTURES = [
             0.05, ExpFit(0.2, 0.6, 1.25, 2e-5, False), 0.4,
             Archetype.CHORD_RESONANCE, motif_id=1),
     Gesture(Segment(200, 300), ShapeKind.STAIRCASE, None,
-            0.02, StaircaseFit((0.2, 0.5, 0.8), (4.5, 5.2), 3e-5), 0.5,
+            0.02, StaircaseFit((0.2, 0.5, 0.8), (0.5, 1.2), 3e-5), 0.5,
             Archetype.ARPEGGIO_DETACHED, motif_id=2),
 ]
 
@@ -408,6 +408,27 @@ REPORT_EDITS = {
                              "<analysis>: source must be an object"),
     "config not an object": (lambda doc: doc.update(config="x"),
                              "<analysis>: config must be an object"),
+    # a fit's numbers lie where analyze puts them: a positive decay time, and
+    # a staircase's steps increasing inside the body, after any transient
+    "negative decay time": (lambda doc: doc["segments"][1]["fit"].update(tau_s=-1),
+                            "<analysis>: segments[1].fit.tau_s must lie in (0, inf)"),
+    "step at the body's start": (
+        lambda doc: doc["segments"][2]["fit"]["step_times_s"].__setitem__(0, 0),
+        "<analysis>: segments[2].fit.step_times_s[0] must lie in (0, inf)"),
+    "steps out of order": (
+        lambda doc: doc["segments"][2]["fit"]["step_times_s"].reverse(),
+        "<analysis>: segments[2].fit.step_times_s[1] must be greater than "
+        "segments[2].fit.step_times_s[0]"),
+    "a level too few": (lambda doc: doc["segments"][2]["fit"]["levels"].pop(),
+                        "<analysis>: segments[2].fit.levels must hold one more item than "
+                        "step_times_s"),
+    "step past the body": (
+        lambda doc: doc["segments"][2]["fit"]["step_times_s"].__setitem__(1, 2.0),
+        "<analysis>: segments[2].fit.step_times_s[1] must lie inside the segment's 2 s body"),
+    "step past the body after a transient": (
+        lambda doc: doc["segments"][0].update(fit={
+            "model": "staircase", "levels": [0.2, 0.5], "step_times_s": [1.9], "sse": 0.0}),
+        "<analysis>: segments[0].fit.step_times_s[0] must lie inside the segment's 1.88 s body"),
     # every record's fields are checked before the checks across records
     "a span and a later field": (
         lambda doc: (doc["segments"][0].update(end_s=2e4),
@@ -434,8 +455,8 @@ class TestReportSchema:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("data, message", [
-        (b"{", "<analysis>: Expecting property name enclosed in double quotes: "
-               "line 1 column 2 (char 1)"),
+        (b"{", "<analysis>: invalid JSON (Expecting property name enclosed in double "
+               "quotes: line 1 column 2 (char 1))"),
         (b"[1, 2]", "<analysis>: top level must be an object"),
     ])
     def test_unreadable_report_gives_its_message(self, data, message):
@@ -586,28 +607,38 @@ def finite_floats():
     return st.floats(allow_nan=False, allow_infinity=False)
 
 
-FITS = st.one_of(
-    st.builds(LinearFit, finite_floats(), finite_floats(), finite_floats()),
-    st.builds(ExpFit, finite_floats(), finite_floats(), finite_floats(), finite_floats(),
-              st.booleans()),
-    st.builds(StaircaseFit, st.lists(finite_floats(), max_size=6).map(tuple),
-              st.lists(finite_floats(), max_size=5).map(tuple), finite_floats()),
-)
+def fits_on(body_s: float):
+    """A fit of any model, its numbers drawn freely but where analyze puts them:
+    a positive decay time, and a staircase with one more level than steps, its
+    steps strictly increasing inside a body of `body_s` seconds."""
+    steps = st.lists(st.floats(0.0, body_s, exclude_min=True, exclude_max=True),
+                     max_size=5, unique=True).map(sorted)
+    return st.one_of(
+        st.builds(LinearFit, finite_floats(), finite_floats(), finite_floats()),
+        st.builds(ExpFit, finite_floats(), finite_floats(),
+                  st.floats(0.0, exclude_min=True, allow_infinity=False), finite_floats(),
+                  st.booleans()),
+        steps.flatmap(lambda times: st.builds(
+            StaircaseFit, st.lists(finite_floats(), min_size=len(times) + 1,
+                                   max_size=len(times) + 1).map(tuple),
+            st.just(tuple(times)), finite_floats())),
+    )
 
 
 UNIT = st.floats(0.0, 1.0)
 
 
 @st.composite
-def gestures_on(draw, start: int, end: int, kinds=None):
+def gestures_on(draw, rate: float, start: int, end: int, kinds=None):
     """A gesture over samples [start, end): its (ShapeKind, Archetype) pair
-    one of ``kinds``, or any pair, granularity and mean brightness in [0, 1]
-    and every other field drawn freely."""
+    one of ``kinds``, or any pair, granularity and mean brightness in [0, 1],
+    a fit as `fits_on` draws it at ``rate`` and every other field drawn freely."""
     kind, archetype = draw(st.sampled_from(kinds)) if kinds else (
         draw(st.sampled_from(ShapeKind)), draw(st.sampled_from(Archetype)))
     transient = draw(st.none() | st.builds(TransientInfo, st.integers(0, end - start - 1),
                                            finite_floats()))
-    return Gesture(Segment(start, end), kind, transient, draw(UNIT), draw(FITS), draw(UNIT),
+    fit = draw(fits_on((end - start - body_start(end - start, transient)) / rate))
+    return Gesture(Segment(start, end), kind, transient, draw(UNIT), fit, draw(UNIT),
                    archetype, draw(st.none() | st.integers(-2 ** 70, 2 ** 70)))
 
 
@@ -628,7 +659,7 @@ def analyses(draw):
                             np.array(draw(st.lists(UNIT, min_size=n, max_size=n))))
     # gesture i starts at cuts[i] and ends by cuts[i + 1], so gaps may fall between
     cuts = sorted(draw(st.permutations(range(n + 1)))[:count + 1])
-    gestures = [draw(gestures_on(a, draw(st.integers(a + 1, b)), [pairs[i]] if pairs else None))
+    gestures = [draw(gestures_on(rate, a, draw(st.integers(a + 1, b)), [pairs[i]] if pairs else None))
                 for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
     return rate, curve, gestures
 
@@ -637,7 +668,7 @@ def every_pair_analysis():
     """One gesture of each kind and archetype pair, the fit models, transients
     and motif ids taking turns."""
     fits = [LinearFit(0.5, -0.25, 1e-6), ExpFit(0.2, 0.6, 1.25, 2e-5, False),
-            ExpFit(0.1, 0.3, 0.5, 0.0, True), StaircaseFit((0.2, 0.5, 0.8), (4.5, 5.2), 3e-5)]
+            ExpFit(0.1, 0.3, 0.5, 0.0, True), StaircaseFit((0.2, 0.5, 0.8), (0.01, 0.02), 3e-5)]
     gestures = [Gesture(Segment(10 * i, 10 * i + 10), kind,
                         TransientInfo(i % 10, 0.3) if i % 3 else None, 0.01 * i, fits[i % 4],
                         0.5, archetype, i if i % 5 else None)
@@ -744,20 +775,6 @@ def _probes(hint, meta):
     return [(True, False), (False, False), (None, True), (0, True), (1.0, True)]
 
 
-@contextlib.contextmanager
-def _deadline(seconds: int):
-    def expire(signum, frame):
-        raise TimeoutError("no exit within %d s" % seconds)
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 REPORT_LEAVES = _report_leaves()
 
 
@@ -792,7 +809,7 @@ class TestReportFieldEdges:
                     (["compose", "--analysis", str(report), "--config", str(config)], read_smf),
                     (["plot", "--curves", str(curves), "--analysis", str(report)],
                      ElementTree.fromstring)):
-                with _deadline(5):
+                with deadline(5):
                     code = main(argv + ["--out", str(out)])
                 err = capsys.readouterr().err
                 if code:
