@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 from .curveprep import round_half_up
-from .gestures import Archetype, ExpFit, Gesture, StaircaseFit
+from .gestures import Archetype, ExpFit, Gesture, StaircaseFit, body_start
 from .photometry import MAX_CURVE_SAMPLES, BrightnessCurve
 
 MASK64 = (1 << 64) - 1
@@ -215,10 +215,11 @@ def render_gesture(
     motif = gesture.motif_id or 0
     chord = chord_for(motif, center, harmony)
     channel = harmony.channel
-    onset = body_start = seg_start
+    onset = seg_start
     if gesture.transient is not None:
         onset = seg_start + gesture.transient.onset_idx / rate
-        body_start = seg_start + (gesture.transient.onset_idx + 1) / rate
+    # where classify fitted the body, so its fits play where they were measured
+    body_at = seg_start + body_start(seg.end_idx - seg.start_idx, gesture.transient) / rate
     arche = gesture.archetype
     events: list[MusicalEvent] = []
 
@@ -234,10 +235,10 @@ def render_gesture(
             events.append(_note(onset, chord_dur, pitch, vel, channel))
         fit = gesture.fit
         if isinstance(fit, ExpFit):
-            times = arpeggio_times(fit, seg_end - body_start)
+            times = arpeggio_times(fit, seg_end - body_at)
             pitches = _descending_pitches(chord, motif, harmony, len(times))
             for t, pitch in zip(times, pitches):
-                at = body_start + t
+                at = body_at + t
                 # 80% of the inter-onset gap, times[0], but a slowly fitted decay must
                 # not ring past the one-second tail allowed after the segment
                 dur = min(0.8 * times[0], seg_end + 1.0 - at)
@@ -265,12 +266,12 @@ def render_gesture(
                 pc = (scale[(j + k) % size] + harmony.root_pc) % 12
                 pitch = _voice_near(pc, register_center(_clamp_unit(level), harmony.register))
                 events.append(
-                    _note(body_start + t, 0.2, pitch, velocity_at(level), channel)
+                    _note(body_at + t, 0.2, pitch, velocity_at(level), channel)
                 )
         else:
             # archetype forced onto a segment without staircase structure
-            events.append(_note(body_start, 0.2, chord[0],
-                                velocity_at(_value_at(curve, body_start)), channel))
+            events.append(_note(body_at, 0.2, chord[0],
+                                velocity_at(_value_at(curve, body_at)), channel))
     else:  # GranularTexture
         pcs = {(s + harmony.root_pc) % 12 for s in harmony.scale}
         candidates = [p for p in range(center - 12, center + 13)

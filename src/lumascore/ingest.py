@@ -8,11 +8,14 @@ sequences), and headerless RGB24 dumps described by a JSON sidecar, which
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, NamedTuple
 
 from .schema import load_json, parse_record
 
@@ -66,7 +69,16 @@ class Frame:
     width: int
     height: int
     pixel_format: PixelFormat
-    data: bytes
+    data: bytes | memoryview
+
+
+class FrameAt(NamedTuple):
+    """A claimed frame not read yet: frame ``index`` of the stream, whose
+    data starts ``offset`` bytes into the regular file open as ``fd``."""
+
+    index: int
+    fd: int
+    offset: int
 
 
 _Y4M_COLORSPACES = {
@@ -142,22 +154,76 @@ def _read_chunked(handle: BinaryIO, count: int) -> bytes:
     return b"".join(parts)
 
 
-def _frame(info: StreamInfo, index: int, data: bytes, container: str) -> Frame:
-    """Frame ``index`` of ``data``, which must hold the whole frame."""
-    if len(data) < info.bytes_per_frame:
+def _check_whole(info: StreamInfo, index: int, got: int, container: str) -> None:
+    """Raise unless ``got``, the bytes of frame ``index`` that arrived or
+    that the file holds, is the whole frame."""
+    if got < info.bytes_per_frame:
         raise MediaFormatError("%s: frame %d truncated (%d of %d bytes)"
-                               % (container, index, len(data), info.bytes_per_frame))
+                               % (container, index, got, info.bytes_per_frame))
+
+
+def _frame(info: StreamInfo, index: int, data: bytes | memoryview, container: str) -> Frame:
+    """Frame ``index`` of ``data``, which must hold the whole frame."""
+    _check_whole(info, index, len(data), container)
     return Frame(index, info.width, info.height, info.pixel_format, data)
 
 
 class FrameSource:
-    """Frames described by ``info``, iterated in order.  As a context manager
-    a source closes what it opened; most open files only while iterating."""
+    """Frames described by ``info``, in stream order.  As a context manager
+    a source closes what it opened; most open files only while frames are
+    read.
+
+    A frame is taken in two steps, so that threads can share one source.
+    ``claims()`` is a context manager giving an iterator with one claim per
+    frame, in stream order; it is advanced by one thread at a time, and what
+    the claims read stays open until the block ends.  ``load(claim,
+    buffer)`` turns a claim into its ``Frame`` and may run on many threads at
+    once.  A claim raises the stream's errors in frame order.
+
+    Where the reader opened a regular file itself (a Y4M or raw RGB24 path),
+    a claim is a ``FrameAt``: it reads only what locates the frame (a Y4M
+    ``FRAME`` marker) and checks that the file holds the whole frame, so a
+    header claiming a frame larger than the file fails before any buffer
+    of that size exists.  ``load`` then reads the frame by offset into
+    ``buffer``, a bytearray the caller owns and reuses, grown to one frame
+    on first use, or into a new one when ``buffer`` is None; the frame's
+    ``data`` is a read-only view of it, valid until the buffer's next load.
+    Elsewhere (a pipe, a handle the caller passed, image files) the claim
+    reads the whole frame in stream order and is the ``Frame`` itself, which
+    ``load`` returns as it is.
+
+    Iterating a source claims and loads each frame into a new buffer."""
 
     info: StreamInfo
+    # the container named in a truncated frame's message
+    _container = ""
+
+    def claims(self) -> contextlib.AbstractContextManager[Iterator[Frame | FrameAt]]:
+        raise NotImplementedError
+
+    def load(self, claim: Frame | FrameAt, buffer: bytearray | None = None) -> Frame:
+        if isinstance(claim, Frame):
+            return claim
+        bpf = self.info.bytes_per_frame
+        if buffer is None:
+            buffer = bytearray(bpf)
+        elif len(buffer) < bpf:
+            buffer.extend(bytes(bpf - len(buffer)))
+        view = memoryview(buffer)[:bpf]
+        got = 0
+        # one read returns at most ~2 GiB on Linux; 0 bytes is the end of a
+        # file that shrank after the claim checked its size
+        while got < bpf:
+            count = os.preadv(claim.fd, [view[got:]], claim.offset + got)
+            if not count:
+                break
+            got += count
+        return _frame(self.info, claim.index, view[:got].toreadonly(), self._container)
 
     def __iter__(self) -> Iterator[Frame]:
-        raise NotImplementedError
+        with self.claims() as claims:
+            for claim in claims:
+                yield self.load(claim)
 
     def close(self) -> None:
         pass
@@ -169,8 +235,16 @@ class FrameSource:
         self.close()
 
 
+def _regular_size(handle: BinaryIO) -> int | None:
+    """The size of the file open as ``handle`` if it is a regular file."""
+    status = os.fstat(handle.fileno())
+    return status.st_size if stat.S_ISREG(status.st_mode) else None
+
+
 class Y4MReader(FrameSource):
-    """Sequential frame iterator over a YUV4MPEG2 stream."""
+    """Frame source over a YUV4MPEG2 file or stream."""
+
+    _container = "y4m"
 
     def __init__(self, source: str | Path | BinaryIO):
         if isinstance(source, (str, Path)):
@@ -185,23 +259,63 @@ class Y4MReader(FrameSource):
             self.close()
             raise
 
-    def __iter__(self) -> Iterator[Frame]:
+    def claims(self) -> contextlib.AbstractContextManager[Iterator[Frame | FrameAt]]:
+        return contextlib.nullcontext(self._claims())
+
+    def _claims(self) -> Iterator[Frame | FrameAt]:
         bpf = self.info.bytes_per_frame
+        size = _regular_size(self._file) if self._owns_file else None
         index = 0
-        while True:
-            marker = self._file.readline()
-            if marker == b"":
-                return
-            if not marker.endswith(b"\n"):
-                raise MediaFormatError("y4m: unterminated frame marker")
-            if marker != b"FRAME\n" and not marker.startswith(b"FRAME "):
-                raise MediaFormatError("y4m: expected FRAME marker, got %r" % marker[:16])
-            yield _frame(self.info, index, _read_chunked(self._file, bpf), "y4m")
+        if size is None:
+            while _frame_marker(self._file.readline()):
+                yield _frame(self.info, index, _read_chunked(self._file, bpf), self._container)
+                index += 1
+            return
+        fd = self._file.fileno()
+        pos = self._file.tell()
+        while _frame_marker(marker := _pread_line(fd, pos)):
+            offset = pos + len(marker)
+            _check_whole(self.info, index, size - offset, self._container)
+            yield FrameAt(index, fd, offset)
+            pos = offset + bpf
             index += 1
 
     def close(self) -> None:
         if self._owns_file:
             self._file.close()
+
+
+def _frame_marker(marker: bytes) -> bool:
+    """Check a line read where a frame marker should start; False at the end
+    of the stream."""
+    if marker == b"":
+        return False
+    if not marker.endswith(b"\n"):
+        raise MediaFormatError("y4m: unterminated frame marker")
+    if marker != b"FRAME\n" and not marker.startswith(b"FRAME "):
+        raise MediaFormatError("y4m: expected FRAME marker, got %r" % marker[:16])
+    return True
+
+
+# bytes read at a time for a frame marker, which is mostly "FRAME\n"
+_MARKER_READ = 64
+
+
+def _pread_line(fd: int, pos: int) -> bytes:
+    """The line at byte ``pos`` of the file open as ``fd``, as ``readline``
+    would read it there, read without moving the file's position.  Each read
+    is twice the last, so a line of any length takes few of them."""
+    parts = []
+    count = _MARKER_READ
+    while part := os.pread(fd, count, pos):
+        end = part.find(b"\n") + 1
+        if end:
+            parts.append(part[:end])
+            break
+        parts.append(part)
+        pos += len(part)
+        count *= 2
+    return b"".join(parts)
 
 
 def read_ppm(data: bytes, index: int = 0) -> Frame:
@@ -275,7 +389,10 @@ class ImageSequenceReader(FrameSource):
         first = read_ppm(self._paths[0].read_bytes())
         self.info = StreamInfo(first.width, first.height, *_SEQUENCE_FPS, first.pixel_format)
 
-    def __iter__(self) -> Iterator[Frame]:
+    def claims(self) -> contextlib.AbstractContextManager[Iterator[Frame]]:
+        return contextlib.nullcontext(self._claims())
+
+    def _claims(self) -> Iterator[Frame]:
         for index, path in enumerate(self._paths):
             frame = read_ppm(path.read_bytes(), index)
             if (frame.width, frame.height) != (self.info.width, self.info.height):
@@ -308,17 +425,30 @@ def read_sidecar(path: Path) -> StreamInfo:
 class RawRgbReader(FrameSource):
     """Frame source over a file or pipe of RGB24 frames described by a sidecar."""
 
+    _container = "raw rgb24"
+
     def __init__(self, path: str | Path):
         self._path = Path(path)
         self.info = read_sidecar(Path(str(self._path) + ".json"))
 
-    def __iter__(self) -> Iterator[Frame]:
-        bpf = self.info.bytes_per_frame
+    @contextlib.contextmanager
+    def claims(self) -> Iterator[Iterator[Frame | FrameAt]]:
         with open(self._path, "rb") as handle:
-            index = 0
+            yield self._claims(handle)
+
+    def _claims(self, handle: BinaryIO) -> Iterator[Frame | FrameAt]:
+        bpf = self.info.bytes_per_frame
+        size = _regular_size(handle)
+        index = 0
+        if size is None:
             while data := _read_chunked(handle, bpf):
-                yield _frame(self.info, index, data, "raw rgb24")
+                yield _frame(self.info, index, data, self._container)
                 index += 1
+            return
+        while (offset := index * bpf) < size:
+            _check_whole(self.info, index, size - offset, self._container)
+            yield FrameAt(index, handle.fileno(), offset)
+            index += 1
 
 
 def open_source(path: str | Path) -> FrameSource:

@@ -16,20 +16,27 @@ partitions, ~0.2 ms per 640x480 frame against ~1.6 ms for a full sort);
 8-bit keys are radix-sorted instead, because selection on them was ~5x
 slower than NumPy's stable sort (5.7 ms against 1.0 ms).  Times are from a
 2-vCPU Xeon with NumPy 2.4.
+
+``extract_curves`` measures frames on one thread per core the process may
+use.  The threads take frames in stream order and store each row by frame
+index, so the curves do not depend on the thread count.  Reading a frame
+from a file and the NumPy sums release the interpreter lock, so one thread
+can read while another sums.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ingest import Frame, MediaFormatError, PixelFormat, StreamInfo
+from .ingest import Frame, FrameAt, FrameSource, MediaFormatError, PixelFormat, StreamInfo
 
 
 # the declaration order is the column order of the curve CSV
@@ -194,10 +201,19 @@ _CONTRAST_METHODS = {
 }
 
 
+def _check_channels(channels: Iterable[CurveChannel], pixel_format: PixelFormat) -> None:
+    """Refuse a colour plane channel of a format without colour planes."""
+    for channel in channels:
+        if channel in _RGB_INDEX and pixel_format is not PixelFormat.RGB24:
+            raise ValueError("channel %s requires RGB24 input, got %s"
+                             % (channel.value, pixel_format.value))
+
+
 def _measure(frame: Frame, channels: tuple[CurveChannel, ...]) -> tuple[float, ...]:
-    """One sample per channel; every per-frame mean goes through here.  The
-    RGB plane sums and the luma keys are each built at most once per frame
-    and shared by the channels using them."""
+    """One sample per channel, which ``_check_channels`` has passed for the
+    frame's format; every per-frame mean goes through here.  The RGB plane
+    sums and the luma keys are each built at most once per frame and shared
+    by the channels using them."""
     pixels = frame.width * frame.height
     rgb = frame.pixel_format is PixelFormat.RGB24
     sums = keys = None
@@ -213,12 +229,9 @@ def _measure(frame: Frame, channels: tuple[CurveChannel, ...]) -> tuple[float, .
                 out.append(weighted / (_RGB_SCALE * pixels))
             else:
                 out.append(sums[_RGB_INDEX[channel]] / (255 * pixels))
-        elif channel is CurveChannel.LUMA:
+        else:
             keys = keys or _luma_keys(frame)
             out.append(_lane_sums(keys[0], 1)[0] / (keys[1] * pixels))
-        else:
-            raise ValueError("channel %s requires RGB24 input, got %s"
-                             % (channel.value, frame.pixel_format.value))
     return tuple(out)
 
 
@@ -229,40 +242,85 @@ def frame_luma_mean(frame: Frame) -> float:
 def frame_channel_mean(frame: Frame, channel: CurveChannel) -> float:
     if channel not in _RGB_INDEX:
         raise ValueError("channel %s is not an RGB plane" % channel.value)
+    _check_channels((channel,), frame.pixel_format)
     return _measure(frame, (channel,))[0]
 
 
+def _thread_count() -> int:
+    """One measuring thread per core this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without the call, such as macOS
+        return os.cpu_count() or 1
+
+
 def extract_curves(
-    source,
+    source: FrameSource,
     channels: Iterable[CurveChannel] = (CurveChannel.LUMA,),
-    workers: int = 1,
 ) -> CurveSet:
     """Reduce a frame source to one sample per frame for each channel.
 
-    Frames with a contrast channel may be measured on ``workers`` threads,
-    but results are collected strictly in frame order so the output is
-    independent of the thread count.  Means alone run on the calling thread:
-    an 8-bit mean costs less than handing the frame to a thread.
+    The channels are checked against the stream's pixel format first.  Then
+    one thread per core measures frames: under one lock a thread claims the
+    next frame in stream order, and outside it the thread loads the frame
+    into its own reused buffer and measures it (see ``FrameSource``), so
+    reads and sums of several frames overlap.  Rows are stored by frame
+    index, so the output does not depend on the thread count.  Once a claim
+    or load fails no thread claims again, and the error raised is that of
+    the earliest frame, the one a serial loop would raise.
     """
     wanted = tuple(dict.fromkeys(channels))
     if not wanted:
         raise ValueError("no channels requested")
     info: StreamInfo = source.info
-    if workers <= 1 or not any(c in _CONTRAST_METHODS for c in wanted):
-        rows = [_measure(frame, wanted) for frame in source]
-    else:
-        rows = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending: deque = deque()
-            for frame in source:
-                pending.append(pool.submit(_measure, frame, wanted))
-                if len(pending) >= 2 * workers:
-                    rows.append(pending.popleft().result())
-            while pending:
-                rows.append(pending.popleft().result())
+    _check_channels(wanted, info.pixel_format)
+    lock = threading.Lock()
+    stop = threading.Event()
+    claimed = 0
+    rows: dict[int, tuple[float, ...]] = {}
+    failures: dict[int, BaseException] = {}
+
+    def work(claims: Iterator[Frame | FrameAt]) -> None:
+        nonlocal claimed
+        buffer = bytearray()
+        while True:
+            with lock:
+                if stop.is_set():
+                    return
+                index = claimed
+                try:
+                    claim = next(claims, None)
+                except BaseException as exc:
+                    # set under the lock, so no thread claims after this one
+                    failures[index] = exc
+                    stop.set()
+                    raise
+                if claim is None:
+                    return
+                claimed += 1
+            try:
+                frame = source.load(claim, buffer)
+                rows[frame.index] = _measure(frame, wanted)
+            except BaseException as exc:
+                failures[index] = exc
+                stop.set()
+                raise
+
+    threads = _thread_count()
+    with source.claims() as claims, ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(work, claims) for _ in range(threads)]
+        try:
+            wait(futures)
+        finally:
+            # an interrupted wait leaves no thread claiming
+            stop.set()
+    if failures:
+        raise failures[min(failures)]
+    for future in futures:
+        future.result()
     if not rows:
         raise MediaFormatError("no frames in input stream")
-    table = np.array(rows, dtype=np.float64)
+    table = np.array([rows[index] for index in range(len(rows))], dtype=np.float64)
     rate = info.fps
     curves = {
         channel: BrightnessCurve(channel, rate, 0.0, table[:, i].copy())

@@ -32,8 +32,11 @@ from .svgplot import plot_svg
 
 
 def extract_stage(input_path: str | Path, channels, workers: int = 1) -> bytes:
+    """The curves CSV of ``input_path``.  Extraction measures frames on one
+    thread per core; ``workers`` is ignored and stays only because callers
+    such as ``perfbench`` pass it, until ROADMAP item 1 removes it."""
     with open_source(input_path) as source:
-        curves = extract_curves(source, channels, workers=workers)
+        curves = extract_curves(source, channels)
     return write_curves_csv(curves)
 
 
@@ -133,12 +136,12 @@ def run_pipeline(
     workers: int = 1,
 ) -> dict[str, Path]:
     """Extract, analyze, compose and plot, then write all four artifacts.  A
-    failing stage leaves ``out_dir`` as it was.  ``workers`` changes nothing:
-    extraction threads only contrast channels, and this pipeline extracts luma
-    alone; it stays because callers such as ``perfbench`` pass it."""
+    failing stage leaves ``out_dir`` as it was.  Extraction measures frames
+    on one thread per core; ``workers`` is ignored and stays only because
+    callers such as ``perfbench`` pass it, until ROADMAP item 1 removes it."""
     out = Path(out_dir)
     csv_name = str(out / "curves.csv")
-    csv_data = extract_stage(input_path, (CurveChannel.LUMA,), workers=workers)
+    csv_data = extract_stage(input_path, (CurveChannel.LUMA,))
     report_name = str(out / "analysis.json")
     report_data = analyze_stage(csv_data, config, csv_name)
     midi_data = compose_stage(report_data, config, report_name)

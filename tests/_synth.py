@@ -1,11 +1,14 @@
-"""Builders for synthetic media streams and seeded noise, and a deadline,
-used across tests."""
+"""Builders for synthetic media streams and seeded noise, pipes fed by a
+thread, and a deadline, used across tests."""
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
 import signal
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -96,3 +99,44 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def pipe_source(payload: bytes):
+    """Read end of a pipe, opened as a file, and the thread writing ``payload``
+    into it and then closing it."""
+    read_fd, write_fd = os.pipe()
+
+    def write() -> None:
+        try:
+            with os.fdopen(write_fd, "wb") as sink:
+                sink.write(payload)
+        except BrokenPipeError:  # a reader that closed early
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return os.fdopen(read_fd, "rb"), writer
+
+
+@contextlib.contextmanager
+def feeding(fifo: Path, payload: bytes):
+    """A thread writing ``payload`` into the FIFO at ``fifo`` during the
+    block, joined on leaving it; if no reader opened the FIFO, its read end
+    is opened so that the writer goes on."""
+    def feed() -> None:
+        try:
+            with open(fifo, "wb") as handle:
+                handle.write(payload)
+        except BrokenPipeError:  # a reader that closed early
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield writer
+    finally:
+        writer.join(timeout=5.0)
+        if writer.is_alive():
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=5.0)
+    assert not writer.is_alive()

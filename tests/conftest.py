@@ -1,4 +1,4 @@
-"""Test-wide hypothesis settings.
+"""Test-wide hypothesis settings and fixtures.
 
 The profile is loaded before the test modules are imported, so every
 ``@settings`` in them inherits it and overrides only what it names.
@@ -6,7 +6,25 @@ The profile is loaded before the test modules are imported, so every
 blob that replays it exactly.
 """
 
+import sys
+
+import pytest
 from hypothesis import settings
+
+from lumascore import photometry
 
 settings.register_profile("lumascore", print_blob=True)
 settings.load_profile("lumascore")
+
+
+@pytest.fixture
+def thread_count(monkeypatch):
+    """Call with a count to have ``extract_curves`` measure on that many
+    threads.  The test runs under a 1 us thread switch interval, which makes
+    the threads interleave often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield lambda count: monkeypatch.setattr(photometry, "_thread_count", lambda: count)
+    finally:
+        sys.setswitchinterval(interval)

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,24 @@ class TestExtract:
         assert luma.sample_rate == 1e6
         assert list(luma.values) == [0.0, 0.502283, 1.0, 0.200913]
 
+
+    def test_threaded_extract_runs_clean_in_dev_mode(self, tmp_path):
+        # dev mode warns of a file left open, here by a claim or a worker,
+        # and -W error makes that warning fail the run
+        film = tmp_path / "film.y4m"
+        levels = [60 + int(u * 140) for u in unit_noise(9, 48)]
+        film.write_bytes(build_y4m(16, 16, [y4m_frame_420(16, 16, v) for v in levels]))
+        out = tmp_path / "curves.csv"
+        src = Path(__file__).resolve().parent.parent / "src"
+        result = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "lumascore.cli", "extract",
+             "--input", str(film), "--channels", "luma,contrast_rms",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        assert out.read_text().splitlines()[0] == "time_s,luma,contrast_rms"
 
     def test_contrast_pair_equals_the_single_channel_columns(self, tmp_path):
         # both channels share one set of keys per frame, which spread reorders

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import os
-import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,7 +22,17 @@ from lumascore.ingest import (
     read_ppm,
     read_sidecar,
 )
-from _synth import build_ppm, build_y4m, rgb_frame, y4m_frame_420, y4m_frame_444
+from lumascore.photometry import CurveChannel, _measure
+from lumascore.pipeline import extract_stage
+from _synth import (
+    build_ppm,
+    build_y4m,
+    feeding,
+    pipe_source,
+    rgb_frame,
+    y4m_frame_420,
+    y4m_frame_444,
+)
 
 
 def test_y4m_header_with_all_tokens() -> None:
@@ -109,24 +118,10 @@ def test_y4m_frame_larger_than_file_is_truncated(tmp_path) -> None:
             list(reader)
 
 
-def _pipe_source(payload: bytes):
-    """Read end of a pipe, opened as a file, and the thread writing ``payload``
-    into it and then closing it."""
-    read_fd, write_fd = os.pipe()
-
-    def write() -> None:
-        with os.fdopen(write_fd, "wb") as sink:
-            sink.write(payload)
-
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
-    return os.fdopen(read_fd, "rb"), writer
-
-
 def test_y4m_pipe_frame_larger_than_stream_is_truncated() -> None:
     # a pipe has no size to check, so the claimed ~10 PB frame must be read
     # in bounded chunks until EOF instead of being allocated up front
-    source, writer = _pipe_source(
+    source, writer = pipe_source(
         b"YUV4MPEG2 W99999999 H99999999 F24:1 C420\nFRAME\n" + bytes(64))
     with source, Y4MReader(source) as reader:
         with pytest.raises(MediaFormatError, match="frame 0 truncated \\(64 of"):
@@ -139,7 +134,7 @@ def test_y4m_pipe_frames_span_read_chunks() -> None:
     # 1024x1024 4:2:0 frames are 1.5 MiB, more than one read chunk each
     frames = [y4m_frame_420(1024, 1024, 60 + k, chroma=k) for k in range(2)]
     stream = build_y4m(1024, 1024, frames)
-    source, writer = _pipe_source(stream)
+    source, writer = pipe_source(stream)
     with source, Y4MReader(source) as reader:
         assert [frame.data for frame in reader] == frames
     writer.join(timeout=10)
@@ -169,6 +164,55 @@ def test_y4m_bad_frame_marker() -> None:
     stream = b"YUV4MPEG2 W2 H2 F24:1 C420\nFRAME\n" + good + b"FRAMX\n" + good
     with pytest.raises(MediaFormatError, match="expected FRAME marker"):
         list(Y4MReader(io.BytesIO(stream)))
+
+
+MARKERS = (b"FRAME\n", b"FRAME Ip\n", b"FRAME XCOLORRANGE=FULL\n")
+MARKER_CHANNELS = (CurveChannel.LUMA, CurveChannel.CONTRAST_RMS)
+
+
+def _noise_y4m(markers) -> bytes:
+    """A 9x7 4:2:0 Y4M with one frame after each marker, each frame a
+    different byte pattern."""
+    header = build_y4m(9, 7, [])
+    info = parse_y4m_header(header)
+    data = [bytes((31 * i + 17 * j) % 256 for j in range(info.bytes_per_frame))
+            for i in range(len(markers))]
+    return header + b"".join(m + d for m, d in zip(markers, data))
+
+
+@pytest.mark.parametrize("count", (1, 2, 8))
+def test_y4m_markers_of_any_length_read_as_plain_ones(tmp_path, thread_count, count) -> None:
+    # the claim walks each marker to its newline, so frames start wherever
+    # the marker ends
+    plain = tmp_path / "plain.y4m"
+    plain.write_bytes(_noise_y4m([b"FRAME\n"] * 30))
+    mixed = tmp_path / "mixed.y4m"
+    mixed.write_bytes(_noise_y4m([MARKERS[i % 3] for i in range(30)]))
+    thread_count(count)
+    assert (extract_stage(mixed, MARKER_CHANNELS)
+            == extract_stage(plain, MARKER_CHANNELS))
+
+
+@pytest.mark.parametrize("count", (1, 2, 8))
+@pytest.mark.parametrize("bad", (b"FRAMX\n", b"FRAMES Ip\n", b"FRAME Ip"),
+                         ids=("misspelt", "run on", "unterminated"))
+def test_y4m_bad_marker_at_frame_k_raises_as_the_serial_loop(tmp_path, thread_count,
+                                                             count, bad) -> None:
+    # frame 11's marker is bad; an unterminated one can only end the file
+    markers = [MARKERS[i % 3] for i in range(11)]
+    if bad.endswith(b"\n"):
+        stream = _noise_y4m(markers + [bad] + [b"FRAME\n"] * 3)
+    else:
+        stream = _noise_y4m(markers) + bad
+    path = tmp_path / "bad.y4m"
+    path.write_bytes(stream)
+    with Y4MReader(path) as source, pytest.raises(MediaFormatError) as serial:
+        [_measure(frame, MARKER_CHANNELS) for frame in source]
+    thread_count(count)
+    with pytest.raises(MediaFormatError) as threaded:
+        extract_stage(path, MARKER_CHANNELS)
+    assert str(threaded.value) == str(serial.value)
+    assert "marker" in str(serial.value)
 
 
 @given(
@@ -291,25 +335,8 @@ def test_raw_rgb_from_a_pipe_yields_every_frame(tmp_path) -> None:
         json.dumps({"width": 4, "height": 2, "fps_num": 24, "fps_den": 1})
     )
     frames = [rgb_frame(4, 2, (v, v, v)) for v in range(10)]
-
-    def feed() -> None:
-        try:
-            with open(fifo, "wb") as handle:
-                handle.write(b"".join(frames))
-        except BrokenPipeError:  # a reader that closed early
-            pass
-
-    writer = threading.Thread(target=feed)
-    writer.start()
-    try:
+    with feeding(fifo, b"".join(frames)):
         got = [frame.data for frame in RawRgbReader(fifo)]
-    finally:
-        writer.join(timeout=5.0)
-        if writer.is_alive():
-            # the reader never opened the pipe: open it so the writer goes on
-            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
-            writer.join(timeout=5.0)
-    assert not writer.is_alive()
     assert got == frames
 
 

@@ -1,6 +1,10 @@
 """Per-frame brightness measurements and curve extraction."""
 
+import contextlib
+import json
 import math
+import os
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -10,9 +14,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumascore import photometry
-from lumascore.ingest import Frame, MediaFormatError, PixelFormat, StreamInfo
+from lumascore.ingest import (
+    Frame,
+    FrameSource,
+    MediaFormatError,
+    PixelFormat,
+    RawRgbReader,
+    StreamInfo,
+    Y4MReader,
+    open_source,
+)
 from lumascore.photometry import (
+    BrightnessCurve,
     CurveChannel,
+    CurveSet,
     _contrast,
     _luma_keys,
     _lane_sums,
@@ -23,8 +38,9 @@ from lumascore.photometry import (
     frame_contrast,
     frame_luma_mean,
 )
+from lumascore.report import write_curves_csv
 
-from _synth import unit_noise
+from _synth import build_ppm, build_y4m, feeding, pipe_source, unit_noise
 
 
 def rgb_frame(pixels, index=0):
@@ -83,15 +99,16 @@ def exact_keys(frame):
     return [min(235, max(16, code)) - 16 for code in data[:pixels]]
 
 
-class ListSource:
-    """Minimal frame source: a StreamInfo plus an in-memory frame list."""
+class ListSource(FrameSource):
+    """Minimal frame source: a StreamInfo plus an in-memory frame list, each
+    frame claimed whole."""
 
     def __init__(self, info, frames):
         self.info = info
         self._frames = list(frames)
 
-    def __iter__(self):
-        return iter(self._frames)
+    def claims(self):
+        return contextlib.nullcontext(iter(self._frames))
 
 
 def gray_source(frame_values, fps=(24, 1)):
@@ -507,34 +524,35 @@ class TestExtractCurves:
         )
         assert set(curves.curves) == {CurveChannel.LUMA}
 
-    def test_thread_count_does_not_change_bytes(self):
+    @pytest.mark.parametrize("count", (1, 2, 8))
+    def test_thread_count_does_not_change_bytes(self, thread_count, count):
         values = [int(u * 256) % 256 for u in unit_noise(31337, 600)]
         frames = [values[6 * i:6 * i + 6] for i in range(100)]
-        wanted = [
+        wanted = (
             CurveChannel.LUMA,
             CurveChannel.CONTRAST_RMS,
             CurveChannel.CONTRAST_SPREAD,
-        ]
-        serial = extract_curves(gray_source(frames), wanted, workers=1)
-        threaded = extract_curves(gray_source(frames), wanted, workers=4)
-        for channel in wanted:
-            assert (
-                serial[channel].values.tobytes()
-                == threaded[channel].values.tobytes()
-            )
+        )
+        serial = np.array([_measure(f, wanted) for f in gray_source(frames)])
+        thread_count(count)
+        threaded = extract_curves(gray_source(frames), wanted)
+        for i, channel in enumerate(wanted):
+            assert threaded[channel].values.tobytes() == serial[:, i].tobytes()
 
-    def test_rgb_six_channels_thread_count_does_not_change_bytes(self):
+    @pytest.mark.parametrize("count", (1, 2, 8))
+    def test_rgb_six_channels_thread_count_does_not_change_bytes(self, thread_count, count):
         # every channel shares the per-frame plane sums and contrast keys
         rng = np.random.default_rng(4242)
         info = StreamInfo(16, 9, 24, 1, PixelFormat.RGB24)
         frames = [Frame(i, 16, 9, PixelFormat.RGB24,
                         rng.integers(0, 256, info.bytes_per_frame, dtype=np.uint8).tobytes())
                   for i in range(120)]
-        serial = extract_curves(ListSource(info, frames), tuple(CurveChannel), workers=1)
-        threaded = extract_curves(ListSource(info, frames), tuple(CurveChannel), workers=4)
-        for channel in CurveChannel:
-            assert (serial[channel].values.tobytes()
-                    == threaded[channel].values.tobytes())
+        wanted = tuple(CurveChannel)
+        serial = np.array([_measure(f, wanted) for f in ListSource(info, frames)])
+        thread_count(count)
+        threaded = extract_curves(ListSource(info, frames), wanted)
+        for i, channel in enumerate(wanted):
+            assert threaded[channel].values.tobytes() == serial[:, i].tobytes()
 
     def test_rgb_shared_sums_equal_single_channel_calls(self):
         rng = np.random.default_rng(99)
@@ -554,12 +572,13 @@ class TestExtractCurves:
             assert curves[channel].values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("fmt", ALL_FORMATS)
-    @pytest.mark.parametrize("workers", (1, 2))
+    @pytest.mark.parametrize("count", (1, 2))
     @pytest.mark.parametrize("order", (
         (CurveChannel.CONTRAST_SPREAD, CurveChannel.CONTRAST_RMS, CurveChannel.LUMA),
         (CurveChannel.CONTRAST_RMS, CurveChannel.CONTRAST_SPREAD),
     ))
-    def test_shared_luma_keys_equal_single_channel_calls(self, fmt, workers, order):
+    def test_shared_luma_keys_equal_single_channel_calls(self, thread_count, fmt, count,
+                                                         order):
         # spread reorders the keys that rms then reads, in either order
         rng = np.random.default_rng(321)
         info = StreamInfo(40, 30, 24, 1, fmt)
@@ -574,7 +593,8 @@ class TestExtractCurves:
         expected = {channel: np.array([single[channel](f) for f in frames])
                     for channel in order}
         assert _measure(frames[0], order) == tuple(expected[c][0] for c in order)
-        curves = extract_curves(ListSource(info, frames), order, workers=workers)
+        thread_count(count)
+        curves = extract_curves(ListSource(info, frames), order)
         for channel in order:
             assert curves[channel].values.tobytes() == expected[channel].tobytes()
 
@@ -591,33 +611,18 @@ class TestExtractCurves:
         monkeypatch.setattr(photometry, "ThreadPoolExecutor", Recording)
         return built
 
-    @pytest.mark.parametrize("fmt,wanted", [
-        (PixelFormat.GRAY8, (CurveChannel.LUMA,)),
-        (PixelFormat.Y4M_420, (CurveChannel.LUMA,)),
-        (PixelFormat.RGB24, tuple(CurveChannel)[:4]),
+    @pytest.mark.parametrize("wanted", [
+        (CurveChannel.LUMA,),
+        (CurveChannel.LUMA, CurveChannel.CONTRAST_RMS),
     ])
-    def test_means_alone_stay_on_the_calling_thread(self, pools, fmt, wanted):
-        rng = np.random.default_rng(55)
-        info = StreamInfo(8, 6, 24, 1, fmt)
-        frames = [Frame(i, 8, 6, fmt,
-                        rng.integers(0, 256, info.bytes_per_frame, dtype=np.uint8).tobytes())
-                  for i in range(30)]
-        serial = extract_curves(ListSource(info, frames), wanted, workers=1)
-        wide = extract_curves(ListSource(info, frames), wanted, workers=4)
-        assert pools == []
-        for channel in wanted:
-            assert wide[channel].values.tobytes() == serial[channel].values.tobytes()
-
-    def test_contrast_is_measured_on_the_pool(self, pools):
+    def test_one_pool_of_the_thread_count_for_any_channels(self, pools, thread_count,
+                                                           wanted):
+        # means alone are measured on the pool too
         values = [int(u * 256) % 256 for u in unit_noise(808, 240)]
         frames = [values[4 * i:4 * i + 4] for i in range(60)]
-        wanted = (CurveChannel.LUMA, CurveChannel.CONTRAST_RMS)
-        serial = extract_curves(gray_source(frames), wanted, workers=1)
-        assert pools == []
-        threaded = extract_curves(gray_source(frames), wanted, workers=2)
-        assert pools == [2]
-        for channel in wanted:
-            assert threaded[channel].values.tobytes() == serial[channel].values.tobytes()
+        thread_count(3)
+        extract_curves(gray_source(frames), wanted)
+        assert pools == [3]
 
     def test_hard_cuts_mark_the_only_nonzero_differences(self):
         # constant-brightness shots joined by hard cuts
@@ -630,3 +635,182 @@ class TestExtractCurves:
         cut_positions = {i for i, d in enumerate(diffs) if d != 0.0}
         boundaries = set(np.cumsum([length for _, length in shots])[:-1] - 1)
         assert cut_positions == boundaries
+
+
+def noise_frames(info, count, seed=7):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 256, info.bytes_per_frame, dtype=np.uint8).tobytes()
+            for _ in range(count)]
+
+
+def write_sidecar(path, info):
+    path.with_name(path.name + ".json").write_text(json.dumps(
+        {"width": info.width, "height": info.height, "fps_num": 24, "fps_den": 1}))
+
+
+@contextlib.contextmanager
+def piped_y4m(stream):
+    """A Y4M reader over a pipe a thread fills with ``stream``."""
+    handle, writer = pipe_source(stream)
+    with handle, Y4MReader(handle) as source:
+        yield source
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@contextlib.contextmanager
+def fifo_rgb(path, payload):
+    """A raw RGB24 reader over the FIFO at ``path``, fed ``payload``."""
+    with feeding(path, payload), RawRgbReader(path) as source:
+        yield source
+
+
+def source_kind(kind, tmp_path):
+    """40 frames of seeded 24x18 noise as one kind of source: a function
+    opening a fresh source over them, and the channels to measure."""
+    if kind in ("gray8_y4m", "y4m_420", "y4m_pipe"):
+        gray = kind == "gray8_y4m"
+        info = StreamInfo(24, 18, 24, 1, PixelFormat.GRAY8 if gray else PixelFormat.Y4M_420)
+        stream = build_y4m(24, 18, noise_frames(info, 40),
+                           colorspace=b"Cmono" if gray else b"C420")
+        if kind == "y4m_pipe":
+            return (lambda: piped_y4m(stream),
+                    (CurveChannel.LUMA, CurveChannel.CONTRAST_RMS))
+        path = tmp_path / "film.y4m"
+        path.write_bytes(stream)
+        if gray:
+            # means alone
+            return lambda: Y4MReader(path), (CurveChannel.LUMA,)
+        return lambda: Y4MReader(path), (CurveChannel.LUMA, CurveChannel.CONTRAST_RMS,
+                                         CurveChannel.CONTRAST_SPREAD)
+    info = StreamInfo(24, 18, 24, 1, PixelFormat.RGB24)
+    frames = noise_frames(info, 40)
+    if kind == "image_sequence":
+        folder = tmp_path / "frames"
+        folder.mkdir()
+        for i, raster in enumerate(frames):
+            (folder / ("f%03d.ppm" % i)).write_bytes(build_ppm(24, 18, raster))
+        # the colour means alone
+        return lambda: open_source(folder), tuple(CurveChannel)[:4]
+    path = tmp_path / "clip.rgb"
+    write_sidecar(path, info)
+    if kind == "raw_rgb24_fifo":
+        os.mkfifo(path)
+        return lambda: fifo_rgb(path, b"".join(frames)), tuple(CurveChannel)
+    path.write_bytes(b"".join(frames))
+    return lambda: RawRgbReader(path), tuple(CurveChannel)
+
+
+def rows_csv(info, wanted, rows):
+    table = np.array(rows, dtype=np.float64)
+    return write_curves_csv(CurveSet(info, {
+        channel: BrightnessCurve(channel, info.fps, 0.0, table[:, i].copy())
+        for i, channel in enumerate(wanted)}))
+
+
+class TestThreadedSources:
+    """``extract_curves`` on every kind of source at several thread counts,
+    against the serial loop over the same frames."""
+
+    @pytest.mark.parametrize("count", (1, 2, 8))
+    @pytest.mark.parametrize("kind", ("gray8_y4m", "y4m_420", "raw_rgb24", "image_sequence",
+                                      "y4m_pipe", "raw_rgb24_fifo"))
+    def test_curves_csv_equals_the_serial_loop(self, tmp_path, thread_count, kind, count):
+        opener, wanted = source_kind(kind, tmp_path)
+        with opener() as source:
+            serial = rows_csv(source.info, wanted, [_measure(f, wanted) for f in source])
+        thread_count(count)
+        with opener() as source:
+            assert write_curves_csv(extract_curves(source, wanted)) == serial
+
+    def test_each_thread_measures_its_own_buffer(self, tmp_path, thread_count):
+        # a 640x480 frame is read while another thread measures; a buffer
+        # shared by two threads changed about one frame in 40 per run
+        info = StreamInfo(640, 480, 24, 1, PixelFormat.GRAY8)
+        path = tmp_path / "wide.y4m"
+        path.write_bytes(build_y4m(640, 480, noise_frames(info, 40), colorspace=b"Cmono"))
+        with Y4MReader(path) as source:
+            serial = rows_csv(info, (CurveChannel.LUMA,),
+                              [_measure(f, (CurveChannel.LUMA,)) for f in source])
+        for count in (2, 8) * 3:
+            thread_count(count)
+            with Y4MReader(path) as source:
+                assert write_curves_csv(extract_curves(source)) == serial
+
+    @pytest.mark.parametrize("count", (1, 2, 8))
+    @pytest.mark.parametrize("piped", (False, True), ids=("file", "pipe"))
+    def test_frame_larger_than_the_input_is_truncated(self, tmp_path, thread_count,
+                                                      count, piped):
+        # the claimed frame is ~10 PB: a file's size refuses it at once, a
+        # pipe's bounded reads when the stream ends
+        stream = b"YUV4MPEG2 W99999999 H99999999 F24:1 C420\nFRAME\n" + bytes(64)
+        path = tmp_path / "huge.y4m"
+        path.write_bytes(stream)
+        thread_count(count)
+        opened = piped_y4m(stream) if piped else Y4MReader(path)
+        with opened as source, pytest.raises(MediaFormatError,
+                                             match="y4m: frame 0 truncated \\(64 of"):
+            extract_curves(source)
+
+    @pytest.mark.parametrize("count", (1, 2, 8))
+    def test_truncated_last_frame_of_a_file(self, tmp_path, thread_count, count):
+        info = StreamInfo(24, 18, 24, 1, PixelFormat.RGB24)
+        path = tmp_path / "clip.rgb"
+        write_sidecar(path, info)
+        path.write_bytes(b"".join(noise_frames(info, 30)) + bytes(100))
+        thread_count(count)
+        with pytest.raises(MediaFormatError,
+                           match="raw rgb24: frame 30 truncated \\(100 of 1296 bytes\\)"):
+            extract_curves(RawRgbReader(path))
+
+    @pytest.mark.parametrize("count", (1, 2, 8))
+    def test_no_claim_after_a_failed_one(self, thread_count, count):
+        info = StreamInfo(3, 1, 24, 1, PixelFormat.GRAY8)
+        calls = []
+
+        class Failing(ListSource):
+            def claims(self):
+                frames = iter(self._frames)
+
+                class Claims:
+                    def __iter__(self):
+                        return self
+
+                    def __next__(self):
+                        calls.append(len(calls))
+                        if len(calls) == 8:
+                            raise MediaFormatError("frame 7 is bad")
+                        return next(frames)
+                return contextlib.nullcontext(Claims())
+
+        frames = [gray_frame([i, i, i], index=i) for i in range(20)]
+        thread_count(count)
+        with pytest.raises(MediaFormatError, match="frame 7 is bad"):
+            extract_curves(Failing(info, frames))
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("count", (1, 2, 8))
+    def test_the_earliest_frame_error_is_raised(self, thread_count, count):
+        # frame 2 fails in its slow load, after other threads have claimed
+        # frame 5, which fails
+        info = StreamInfo(3, 1, 24, 1, PixelFormat.GRAY8)
+
+        class Failing(ListSource):
+            def claims(self):
+                def claims():
+                    for frame in self._frames:
+                        if frame.index == 5:
+                            raise MediaFormatError("claim of frame 5 failed")
+                        yield frame
+                return contextlib.nullcontext(claims())
+
+            def load(self, claim, buffer):
+                if claim.index == 2:
+                    time.sleep(0.05)
+                    raise MediaFormatError("load of frame 2 failed")
+                return claim
+
+        frames = [gray_frame([i, i, i], index=i) for i in range(20)]
+        thread_count(count)
+        with pytest.raises(MediaFormatError, match="load of frame 2 failed"):
+            extract_curves(Failing(info, frames))

@@ -547,6 +547,18 @@ class TestReportRanges:
         assert gestures[2].segment == Segment(200, len(curve.values))
         assert gestures[2].transient == TransientInfo(99, 0.3)
 
+    def test_a_transient_that_leaves_no_body_does_not_shift_the_fit(self):
+        # at 5.96 s the transient leaves one sample of segment 2 (4-6 s), so
+        # the fit is of the whole segment and its steps play from 4 s, not
+        # past the film's end
+        doc = make_report(SAMPLE_GESTURES)
+        doc["segments"][2]["transient"] = {"t_s": 5.96, "amplitude": 0.3}
+        doc["segments"][2]["fit"]["step_times_s"] = [0.5, 1.9]
+        gestures, curve = gestures_from_report(parse_report(report_to_bytes(doc)))
+        notes = composition.compose(gestures, curve).notes
+        assert max(note.onset_s for note in notes) < 6.0
+        assert {4.5, 5.9} <= {note.onset_s for note in notes}
+
 
 def csv_at(rate: float, rows: int) -> bytes:
     """A luma CSV of ``rows`` samples at ``rate``, written as extract writes it."""
