@@ -67,7 +67,9 @@ class TextureConfig:
     """Granular texture settings, each with the range a config may set."""
 
     lambda_max: float = field(default=40.0, metadata={"range": "(0, inf)"})
-    grain_ms: float = field(default=60.0, metadata={"range": "(0, inf)"})
+    # a grain starts inside its segment, so at most 1 s it rings no further
+    # past the segment than an arpeggio may
+    grain_ms: float = field(default=60.0, metadata={"range": "(0, 1000]"})
 
     @property
     def grain_s(self) -> float:

@@ -8,7 +8,6 @@ sequences), and headerless RGB24 dumps described by a JSON sidecar, which
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 import stat
@@ -69,7 +68,7 @@ class Frame:
     width: int
     height: int
     pixel_format: PixelFormat
-    data: bytes | memoryview
+    data: bytes
 
 
 class FrameAt(NamedTuple):
@@ -162,7 +161,7 @@ def _check_whole(info: StreamInfo, index: int, got: int, container: str) -> None
                                % (container, index, got, info.bytes_per_frame))
 
 
-def _frame(info: StreamInfo, index: int, data: bytes | memoryview, container: str) -> Frame:
+def _frame(info: StreamInfo, index: int, data: bytes, container: str) -> Frame:
     """Frame ``index`` of ``data``, which must hold the whole frame."""
     _check_whole(info, index, len(data), container)
     return Frame(index, info.width, info.height, info.pixel_format, data)
@@ -170,60 +169,47 @@ def _frame(info: StreamInfo, index: int, data: bytes | memoryview, container: st
 
 class FrameSource:
     """Frames described by ``info``, in stream order.  As a context manager
-    a source closes what it opened; most open files only while frames are
-    read.
+    a source closes what it opened.
 
     A frame is taken in two steps, so that threads can share one source.
-    ``claims()`` is a context manager giving an iterator with one claim per
-    frame, in stream order; it is advanced by one thread at a time, and what
-    the claims read stays open until the block ends.  ``load(claim,
-    buffer)`` turns a claim into its ``Frame`` and may run on many threads at
-    once.  A claim raises the stream's errors in frame order.
+    ``claims()`` is a generator with one claim per frame, in stream order; it
+    is advanced by one thread at a time, and closing it closes what it
+    opened.  ``load(claim)`` turns a claim into its ``Frame`` and may run on
+    many threads at once.  A claim raises the stream's errors in frame order.
 
-    Where the reader opened a regular file itself (a Y4M or raw RGB24 path),
-    a claim is a ``FrameAt``: it reads only what locates the frame (a Y4M
-    ``FRAME`` marker) and checks that the file holds the whole frame, so a
-    header claiming a frame larger than the file fails before any buffer
-    of that size exists.  ``load`` then reads the frame by offset into
-    ``buffer``, a bytearray the caller owns and reuses, grown to one frame
-    on first use, or into a new one when ``buffer`` is None; the frame's
-    ``data`` is a read-only view of it, valid until the buffer's next load.
-    Elsewhere (a pipe, a handle the caller passed, image files) the claim
-    reads the whole frame in stream order and is the ``Frame`` itself, which
-    ``load`` returns as it is.
-
-    Iterating a source claims and loads each frame into a new buffer."""
+    From a regular Y4M file a claim is a ``FrameAt``: it reads only the
+    frame's ``FRAME`` marker and checks that the file holds the whole frame,
+    so a header claiming a frame larger than the file fails before a buffer
+    of that size exists, and ``load`` reads the frame by offset.  Elsewhere
+    (a FIFO, a raw RGB24 dump, image files) the claim reads the whole frame
+    in stream order and is the ``Frame`` itself, which ``load`` returns as it
+    is."""
 
     info: StreamInfo
     # the container named in a truncated frame's message
     _container = ""
 
-    def claims(self) -> contextlib.AbstractContextManager[Iterator[Frame | FrameAt]]:
+    def claims(self) -> Iterator[Frame | FrameAt]:
         raise NotImplementedError
 
-    def load(self, claim: Frame | FrameAt, buffer: bytearray | None = None) -> Frame:
+    def load(self, claim: Frame | FrameAt) -> Frame:
         if isinstance(claim, Frame):
             return claim
         bpf = self.info.bytes_per_frame
-        if buffer is None:
-            buffer = bytearray(bpf)
-        elif len(buffer) < bpf:
-            buffer.extend(bytes(bpf - len(buffer)))
-        view = memoryview(buffer)[:bpf]
+        parts = []
         got = 0
         # one read returns at most ~2 GiB on Linux; 0 bytes is the end of a
         # file that shrank after the claim checked its size
         while got < bpf:
-            count = os.preadv(claim.fd, [view[got:]], claim.offset + got)
-            if not count:
+            part = os.pread(claim.fd, bpf - got, claim.offset + got)
+            if not part:
                 break
-            got += count
-        return _frame(self.info, claim.index, view[:got].toreadonly(), self._container)
+            parts.append(part)
+            got += len(part)
+        return _frame(self.info, claim.index, b"".join(parts), self._container)
 
     def __iter__(self) -> Iterator[Frame]:
-        with self.claims() as claims:
-            for claim in claims:
-                yield self.load(claim)
+        return map(self.load, self.claims())
 
     def close(self) -> None:
         pass
@@ -235,54 +221,39 @@ class FrameSource:
         self.close()
 
 
-def _regular_size(handle: BinaryIO) -> int | None:
-    """The size of the file open as ``handle`` if it is a regular file."""
-    status = os.fstat(handle.fileno())
-    return status.st_size if stat.S_ISREG(status.st_mode) else None
-
-
 class Y4MReader(FrameSource):
-    """Frame source over a YUV4MPEG2 file or stream."""
+    """Frame source over a YUV4MPEG2 file or FIFO."""
 
     _container = "y4m"
 
-    def __init__(self, source: str | Path | BinaryIO):
-        if isinstance(source, (str, Path)):
-            self._file: BinaryIO = open(source, "rb")
-            self._owns_file = True
-        else:
-            self._file = source
-            self._owns_file = False
+    def __init__(self, path: str | Path):
+        self._file: BinaryIO = open(path, "rb")
         try:
             self.info = parse_y4m_header(self._file.readline())
         except BaseException:
             self.close()
             raise
 
-    def claims(self) -> contextlib.AbstractContextManager[Iterator[Frame | FrameAt]]:
-        return contextlib.nullcontext(self._claims())
-
-    def _claims(self) -> Iterator[Frame | FrameAt]:
+    def claims(self) -> Iterator[Frame | FrameAt]:
         bpf = self.info.bytes_per_frame
-        size = _regular_size(self._file) if self._owns_file else None
+        fd = self._file.fileno()
+        status = os.fstat(fd)
         index = 0
-        if size is None:
+        if not stat.S_ISREG(status.st_mode):
             while _frame_marker(self._file.readline()):
                 yield _frame(self.info, index, _read_chunked(self._file, bpf), self._container)
                 index += 1
             return
-        fd = self._file.fileno()
         pos = self._file.tell()
         while _frame_marker(marker := _pread_line(fd, pos)):
             offset = pos + len(marker)
-            _check_whole(self.info, index, size - offset, self._container)
+            _check_whole(self.info, index, status.st_size - offset, self._container)
             yield FrameAt(index, fd, offset)
             pos = offset + bpf
             index += 1
 
     def close(self) -> None:
-        if self._owns_file:
-            self._file.close()
+        self._file.close()
 
 
 def _frame_marker(marker: bytes) -> bool:
@@ -389,10 +360,7 @@ class ImageSequenceReader(FrameSource):
         first = read_ppm(self._paths[0].read_bytes())
         self.info = StreamInfo(first.width, first.height, *_SEQUENCE_FPS, first.pixel_format)
 
-    def claims(self) -> contextlib.AbstractContextManager[Iterator[Frame]]:
-        return contextlib.nullcontext(self._claims())
-
-    def _claims(self) -> Iterator[Frame]:
+    def claims(self) -> Iterator[Frame]:
         for index, path in enumerate(self._paths):
             frame = read_ppm(path.read_bytes(), index)
             if (frame.width, frame.height) != (self.info.width, self.info.height):
@@ -431,24 +399,13 @@ class RawRgbReader(FrameSource):
         self._path = Path(path)
         self.info = read_sidecar(Path(str(self._path) + ".json"))
 
-    @contextlib.contextmanager
-    def claims(self) -> Iterator[Iterator[Frame | FrameAt]]:
-        with open(self._path, "rb") as handle:
-            yield self._claims(handle)
-
-    def _claims(self, handle: BinaryIO) -> Iterator[Frame | FrameAt]:
+    def claims(self) -> Iterator[Frame]:
         bpf = self.info.bytes_per_frame
-        size = _regular_size(handle)
-        index = 0
-        if size is None:
+        with open(self._path, "rb") as handle:
+            index = 0
             while data := _read_chunked(handle, bpf):
                 yield _frame(self.info, index, data, self._container)
                 index += 1
-            return
-        while (offset := index * bpf) < size:
-            _check_whole(self.info, index, size - offset, self._container)
-            yield FrameAt(index, handle.fileno(), offset)
-            index += 1
 
 
 def open_source(path: str | Path) -> FrameSource:

@@ -14,6 +14,9 @@ from .curveprep import round_half_up
 
 MAX_VLQ = 0x0FFFFFFF
 
+# an empty text meta event, which carries a delta longer than MAX_VLQ in parts
+_EMPTY_TEXT = b"\xff\x01\x00"
+
 # event ordering classes at equal ticks: releases, controls, attacks
 _CLASS_OFF = 0
 _CLASS_CONTROL = 1
@@ -75,7 +78,11 @@ def write_smf(score: Score) -> bytes:
     parts = []
     cursor = 0
     for tick, _, _, payload in events:
-        parts.append(encode_vlq(tick - cursor))
+        delta = tick - cursor
+        while delta > MAX_VLQ:
+            parts.append(encode_vlq(MAX_VLQ) + _EMPTY_TEXT)
+            delta -= MAX_VLQ
+        parts.append(encode_vlq(delta))
         parts.append(payload)
         cursor = tick
     parts.append(b"\x00\xff\x2f\x00")
@@ -90,6 +97,7 @@ def read_smf(data: bytes) -> dict:
     Returns the division plus per-track lists of ``(tick, event)`` tuples
     where events are ("tempo", us), ("end_of_track",), ("note_on", ch,
     pitch, vel), ("note_off", ch, pitch, vel) or ("control", ch, num, val).
+    Empty text events only carry their delta into the next event's tick.
     """
     if data[:4] != b"MThd":
         raise MidiFormatError("missing MThd chunk")
@@ -151,7 +159,9 @@ def _read_track(body: bytes) -> list[tuple[int, tuple]]:
             if len(payload) < size:
                 raise MidiFormatError("truncated meta event")
             pos += size
-            if meta == 0x51 and size == 3:
+            if meta == 0x01 and size == 0:
+                pass
+            elif meta == 0x51 and size == 3:
                 events.append((tick, ("tempo", int.from_bytes(payload, "big"))))
             elif meta == 0x2F and size == 0:
                 events.append((tick, ("end_of_track",)))

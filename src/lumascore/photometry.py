@@ -19,9 +19,9 @@ slower than NumPy's stable sort (5.7 ms against 1.0 ms).  Times are from a
 
 ``extract_curves`` measures frames on one thread per core the process may
 use.  The threads take frames in stream order and store each row by frame
-index, so the curves do not depend on the thread count.  Reading a frame
-from a file and the NumPy sums release the interpreter lock, so one thread
-can read while another sums.
+index, so the curves do not depend on the thread count.  A frame of a Y4M
+file is read by offset after its claim, and reads and the NumPy sums
+release the interpreter lock, so one thread can read while another sums.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
@@ -263,11 +264,12 @@ def extract_curves(
     The channels are checked against the stream's pixel format first.  Then
     one thread per core measures frames: under one lock a thread claims the
     next frame in stream order, and outside it the thread loads the frame
-    into its own reused buffer and measures it (see ``FrameSource``), so
-    reads and sums of several frames overlap.  Rows are stored by frame
-    index, so the output does not depend on the thread count.  Once a claim
-    or load fails no thread claims again, and the error raised is that of
-    the earliest frame, the one a serial loop would raise.
+    and measures it (see ``FrameSource``), so reads and sums of several
+    frames overlap.  Rows are stored by frame index, so the output does not
+    depend on the thread count.  Once a claim or load fails no thread claims
+    again, and the error raised is that of the earliest frame, the one a
+    serial loop would raise.  The claims are closed when the threads are
+    done, whether or not they failed.
     """
     wanted = tuple(dict.fromkeys(channels))
     if not wanted:
@@ -282,7 +284,6 @@ def extract_curves(
 
     def work(claims: Iterator[Frame | FrameAt]) -> None:
         nonlocal claimed
-        buffer = bytearray()
         while True:
             with lock:
                 if stop.is_set():
@@ -299,7 +300,7 @@ def extract_curves(
                     return
                 claimed += 1
             try:
-                frame = source.load(claim, buffer)
+                frame = source.load(claim)
                 rows[frame.index] = _measure(frame, wanted)
             except BaseException as exc:
                 failures[index] = exc
@@ -307,7 +308,7 @@ def extract_curves(
                 raise
 
     threads = _thread_count()
-    with source.claims() as claims, ThreadPoolExecutor(max_workers=threads) as pool:
+    with closing(source.claims()) as claims, ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(work, claims) for _ in range(threads)]
         try:
             wait(futures)

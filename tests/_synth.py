@@ -1,4 +1,4 @@
-"""Builders for synthetic media streams and seeded noise, pipes fed by a
+"""Builders for synthetic media streams and seeded noise, FIFOs fed by a
 thread, and a deadline, used across tests."""
 
 from __future__ import annotations
@@ -99,23 +99,6 @@ def deadline(seconds: int):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-
-
-def pipe_source(payload: bytes):
-    """Read end of a pipe, opened as a file, and the thread writing ``payload``
-    into it and then closing it."""
-    read_fd, write_fd = os.pipe()
-
-    def write() -> None:
-        try:
-            with os.fdopen(write_fd, "wb") as sink:
-                sink.write(payload)
-        except BrokenPipeError:  # a reader that closed early
-            pass
-
-    writer = threading.Thread(target=write, daemon=True)
-    writer.start()
-    return os.fdopen(read_fd, "rb"), writer
 
 
 @contextlib.contextmanager

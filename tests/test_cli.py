@@ -1,5 +1,6 @@
 """Command line behaviour: subcommands, artifacts, and exit codes."""
 
+import contextlib
 import json
 import math
 import os
@@ -12,12 +13,15 @@ import numpy as np
 import pytest
 
 from lumascore.cli import main
-from lumascore.midi import read_smf
+from lumascore.config import parse_config
+from lumascore.gestures import Archetype, Gesture, LinearFit, ShapeKind
+from lumascore.midi import MAX_VLQ, read_smf, ticks
 from lumascore.pipeline import _write_artifacts
-from lumascore.photometry import CurveChannel
-from lumascore.report import read_curves_csv
+from lumascore.photometry import BrightnessCurve, CurveChannel
+from lumascore.report import build_report, read_curves_csv, report_to_bytes
+from lumascore.segmentation import Segment
 
-from _synth import build_ppm, build_y4m, unit_noise, y4m_frame_420
+from _synth import build_ppm, build_y4m, feeding, unit_noise, y4m_frame_420
 
 
 @pytest.fixture
@@ -120,21 +124,36 @@ class TestExtract:
         assert list(luma.values) == [0.0, 0.502283, 1.0, 0.200913]
 
 
-    def test_threaded_extract_runs_clean_in_dev_mode(self, tmp_path):
+    @pytest.mark.parametrize("kind", ("y4m_file", "y4m_fifo", "truncated_rgb24"))
+    def test_threaded_extract_runs_clean_in_dev_mode(self, tmp_path, kind):
         # dev mode warns of a file left open, here by a claim or a worker,
-        # and -W error makes that warning fail the run
-        film = tmp_path / "film.y4m"
+        # and -W error makes that warning fail the run, a failed one too
         levels = [60 + int(u * 140) for u in unit_noise(9, 48)]
-        film.write_bytes(build_y4m(16, 16, [y4m_frame_420(16, 16, v) for v in levels]))
+        film = tmp_path / ("film.rgb" if kind == "truncated_rgb24" else "film.y4m")
+        stream = build_y4m(16, 16, [y4m_frame_420(16, 16, v) for v in levels])
+        if kind == "truncated_rgb24":
+            film.with_name("film.rgb.json").write_text(json.dumps(
+                {"width": 16, "height": 16, "fps_num": 24, "fps_den": 1}))
+            stream = b"".join(bytes([v]) * 768 for v in levels) + bytes(100)
+        if kind == "y4m_fifo":
+            os.mkfifo(film)
+        else:
+            film.write_bytes(stream)
         out = tmp_path / "curves.csv"
         src = Path(__file__).resolve().parent.parent / "src"
-        result = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-m", "lumascore.cli", "extract",
-             "--input", str(film), "--channels", "luma,contrast_rms",
-             "--out", str(out)],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        with feeding(film, stream) if kind == "y4m_fifo" else contextlib.nullcontext():
+            result = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "lumascore.cli", "extract",
+                 "--input", str(film), "--channels", "luma,contrast_rms",
+                 "--out", str(out)],
+                capture_output=True, text=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(src)},
+            )
+        if kind == "truncated_rgb24":
+            assert (result.returncode, result.stderr) == (
+                1, "error: raw rgb24: frame 48 truncated (100 of 768 bytes)\n")
+            assert not out.exists()
+            return
         assert (result.returncode, result.stderr) == (0, "")
         assert out.read_text().splitlines()[0] == "time_s,luma,contrast_rms"
 
@@ -259,6 +278,29 @@ class TestComposeAndPlot:
         parsed = read_smf(midi.read_bytes())
         assert parsed["format"] == 1
         assert svg.read_bytes().startswith(b"<svg")
+
+    def test_chord_held_longer_than_the_largest_delta(self, tmp_path):
+        # at 1000 bpm and ppq 32767 a second is ~546117 ticks, so the largest
+        # SMF delta lasts ~491 s; a 600 s chord once failed with
+        # "value 3.27681e+08 outside VLQ range"
+        curve = BrightnessCurve(CurveChannel.LUMA, 0.1, 0.0, np.full(60, 0.5))
+        held = Gesture(Segment(0, 60), ShapeKind.PLATEAU, None, 0.0,
+                       LinearFit(0.5, 0.0, 0.0), 0.5, Archetype.CHORD_HELD, motif_id=0)
+        source = {"channels": ["luma"], "num_samples": 60, "sample_rate_hz": 0.1,
+                  "duration_s": 600.0}
+        report = tmp_path / "analysis.json"
+        report.write_bytes(report_to_bytes(
+            build_report(source, 0.1, curve, [held], parse_config({}))))
+        config = tmp_path / "config.json"
+        config.write_text('{"harmony": {"tempo_bpm": 1000, "ppq": 32767}}')
+        midi = tmp_path / "score.mid"
+        assert main(["compose", "--analysis", str(report), "--config", str(config),
+                     "--out", str(midi)]) == 0
+        notes = [(tick, event[0]) for tick, event in read_smf(midi.read_bytes())["tracks"][1]
+                 if event[0] in ("note_on", "note_off")]
+        end = ticks(600.0, 1000.0, 32767)
+        assert end > MAX_VLQ
+        assert notes == [(0, "note_on")] * 3 + [(end, "note_off")] * 3
 
     def test_plot_without_analysis(self, shot_video, tmp_path):
         curves = tmp_path / "curves.csv"
@@ -610,12 +652,6 @@ class TestPipeline:
         # one sample at this rate lasts longer than any film, checked before segmenting
         ('{"analysis": {"rate_hz": 5e-324}}',
          "the luma curve at 4.94066e-324 Hz lasts inf s, longer than the 167772.16 s limit"),
-        ('{"texture": {"grain_ms": 1e300}, "overrides": '
-         '[{"segment_index": 0, "archetype": "granular_texture"}]}',
-         "outside VLQ range"),
-        ('{"texture": {"grain_ms": 1.7e308}, "harmony": {"tempo_bpm": 1000}, "overrides": '
-         '[{"segment_index": 0, "archetype": "granular_texture"}]}',
-         "s outside the MIDI tick range"),
     ], ids=lambda v: v[:48])
     def test_huge_finite_config_value_exits_1_on_one_short_line(
             self, noisy_video, tmp_path, capsys, text, message):
@@ -629,6 +665,22 @@ class TestPipeline:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err and len(err) < 100
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grain_ms", [1000.001, 5000, 1e300, 1.7e308])
+    def test_grain_longer_than_a_second_exits_2(self, noisy_video, tmp_path, capsys,
+                                                grain_ms):
+        # a grain rings at most 1 s past its segment; a huge one once got past
+        # the config and failed in the SMF writer, naming neither
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "texture": {"grain_ms": grain_ms}, "harmony": {"tempo_bpm": 1000},
+            "overrides": [{"segment_index": 0, "archetype": "granular_texture"}]}))
+        code = main(["pipeline", "--input", str(noisy_video),
+                     "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: config: texture.grain_ms must lie in (0, 1000]\n")
         assert not (tmp_path / "out").exists()
 
     def test_huge_transient_window_runs(self, noisy_video, tmp_path):

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,11 +29,19 @@ from _synth import (
     build_ppm,
     build_y4m,
     feeding,
-    pipe_source,
     rgb_frame,
     y4m_frame_420,
     y4m_frame_444,
 )
+
+
+def y4m_frames(stream: bytes) -> list:
+    """Every frame of the Y4M ``stream``, read back from a temporary file."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "film.y4m"
+        path.write_bytes(stream)
+        with Y4MReader(path) as reader:
+            return list(reader)
 
 
 def test_y4m_header_with_all_tokens() -> None:
@@ -90,8 +99,7 @@ def test_bytes_per_frame(width: int, height: int, fmt: PixelFormat, expected: in
 def test_y4m_frames_in_order_with_parameters() -> None:
     frames = [y4m_frame_420(2, 2, v) for v in (10, 200, 90)]
     stream = build_y4m(2, 2, frames, frame_params=b" Xtest")
-    reader = Y4MReader(io.BytesIO(stream))
-    seen = list(reader)
+    seen = y4m_frames(stream)
     assert [f.index for f in seen] == [0, 1, 2]
     assert [f.data[0] for f in seen] == [10, 200, 90]
 
@@ -106,7 +114,7 @@ def test_y4m_frame_rate_outside_the_float_range_rejected(fps) -> None:
 def test_y4m_truncated_frame() -> None:
     stream = build_y4m(2, 2, [y4m_frame_420(2, 2, 50)[:-1]])
     with pytest.raises(MediaFormatError, match="y4m: frame 0 truncated"):
-        list(Y4MReader(io.BytesIO(stream)))
+        y4m_frames(stream)
 
 
 def test_y4m_frame_larger_than_file_is_truncated(tmp_path) -> None:
@@ -118,27 +126,41 @@ def test_y4m_frame_larger_than_file_is_truncated(tmp_path) -> None:
             list(reader)
 
 
-def test_y4m_pipe_frame_larger_than_stream_is_truncated() -> None:
-    # a pipe has no size to check, so the claimed ~10 PB frame must be read
+def test_y4m_pipe_frame_larger_than_stream_is_truncated(tmp_path) -> None:
+    # a FIFO has no size to check, so the claimed ~10 PB frame must be read
     # in bounded chunks until EOF instead of being allocated up front
-    source, writer = pipe_source(
-        b"YUV4MPEG2 W99999999 H99999999 F24:1 C420\nFRAME\n" + bytes(64))
-    with source, Y4MReader(source) as reader:
-        with pytest.raises(MediaFormatError, match="frame 0 truncated \\(64 of"):
-            list(reader)
-    writer.join(timeout=10)
-    assert not writer.is_alive()
+    fifo = tmp_path / "huge.y4m"
+    os.mkfifo(fifo)
+    with feeding(fifo, b"YUV4MPEG2 W99999999 H99999999 F24:1 C420\nFRAME\n" + bytes(64)):
+        with Y4MReader(fifo) as reader:
+            with pytest.raises(MediaFormatError, match="frame 0 truncated \\(64 of"):
+                list(reader)
 
 
-def test_y4m_pipe_frames_span_read_chunks() -> None:
+def test_y4m_pipe_frames_span_read_chunks(tmp_path) -> None:
     # 1024x1024 4:2:0 frames are 1.5 MiB, more than one read chunk each
     frames = [y4m_frame_420(1024, 1024, 60 + k, chroma=k) for k in range(2)]
-    stream = build_y4m(1024, 1024, frames)
-    source, writer = pipe_source(stream)
-    with source, Y4MReader(source) as reader:
+    fifo = tmp_path / "film.y4m"
+    os.mkfifo(fifo)
+    with feeding(fifo, build_y4m(1024, 1024, frames)), Y4MReader(fifo) as reader:
         assert [frame.data for frame in reader] == frames
-    writer.join(timeout=10)
-    assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("kept", (0, 2))
+def test_y4m_file_that_shrinks_after_the_claim_is_truncated(tmp_path, kept) -> None:
+    # the claim checked the file's size; the load finds the frame cut short
+    frames = [y4m_frame_420(2, 2, v) for v in (10, 200, 90)]
+    path = tmp_path / "film.y4m"
+    path.write_bytes(build_y4m(2, 2, frames))
+    with Y4MReader(path) as reader:
+        claims = reader.claims()
+        first, second = next(claims), next(claims)
+        os.truncate(path, second.offset + kept)
+        assert reader.load(first).data == frames[0]
+        with pytest.raises(MediaFormatError) as err:
+            reader.load(second)
+        claims.close()
+    assert str(err.value) == "y4m: frame 1 truncated (%d of 6 bytes)" % kept
 
 
 def test_y4m_rejected_header_closes_file(tmp_path, monkeypatch) -> None:
@@ -163,7 +185,7 @@ def test_y4m_bad_frame_marker() -> None:
     good = y4m_frame_420(2, 2, 50)
     stream = b"YUV4MPEG2 W2 H2 F24:1 C420\nFRAME\n" + good + b"FRAMX\n" + good
     with pytest.raises(MediaFormatError, match="expected FRAME marker"):
-        list(Y4MReader(io.BytesIO(stream)))
+        y4m_frames(stream)
 
 
 MARKERS = (b"FRAME\n", b"FRAME Ip\n", b"FRAME XCOLORRANGE=FULL\n")
@@ -225,7 +247,7 @@ def test_y4m_fuzz_frame_count(width: int, height: int, count: int, colorspace: b
     info = parse_y4m_header(build_y4m(width, height, [], colorspace=colorspace))
     frames = [bytes([i % 256]) * info.bytes_per_frame for i in range(count)]
     stream = build_y4m(width, height, frames, colorspace=colorspace)
-    seen = list(Y4MReader(io.BytesIO(stream)))
+    seen = y4m_frames(stream)
     assert len(seen) == count
     assert all(len(f.data) == info.bytes_per_frame for f in seen)
 
@@ -392,7 +414,7 @@ def test_open_source_dispatch(tmp_path) -> None:
 
 def test_y4m_444_frame_shape() -> None:
     stream = build_y4m(3, 2, [y4m_frame_444(3, 2, 77)], colorspace=b"C444")
-    frames = list(Y4MReader(io.BytesIO(stream)))
+    frames = y4m_frames(stream)
     assert len(frames) == 1
     assert len(frames[0].data) == 3 * 3 * 2
     assert math.isclose(frames[0].data[0], 77)

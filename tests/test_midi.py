@@ -3,11 +3,12 @@
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumascore.composition import ControlEvent, MusicalEvent, Score
 from lumascore.midi import (
+    MAX_VLQ,
     MidiFormatError,
     encode_vlq,
     read_smf,
@@ -153,6 +154,17 @@ class TestWriteSmf:
         second = write_smf(make_score(notes, controls))
         assert first == second
 
+    @pytest.mark.parametrize("delta", [MAX_VLQ, MAX_VLQ + 1, 3 * MAX_VLQ + 5])
+    def test_delta_past_the_vlq_range_is_split(self, delta):
+        # an empty text event carries each whole MAX_VLQ of the delta
+        score = make_score([MusicalEvent(0.0, delta / 480, 60, 90, 0)])
+        data = write_smf(score)
+        assert ticks(delta / 480, 60.0, 480) == delta
+        assert data.count(encode_vlq(MAX_VLQ) + b"\xff\x01\x00") == (delta - 1) // MAX_VLQ
+        assert read_smf(data)["tracks"][1] == [
+            (0, ("note_on", 0, 60, 90)), (delta, ("note_off", 0, 60, 0)),
+            (delta, ("end_of_track",))]
+
     def test_end_of_track_at_final_event_tick(self):
         notes = [MusicalEvent(0.0, 2.0, 60, 90, 0)]
         parsed = read_smf(write_smf(make_score(notes)))
@@ -182,20 +194,26 @@ class TestRoundTrip:
     @given(
         st.lists(note_strategy, max_size=24),
         st.lists(control_strategy, max_size=12),
+        st.floats(4.0, 1000.0),
+        st.integers(24, 32767),
     )
+    # a 600 s held chord at the fastest tempo and finest ppq once failed with
+    # "value 3.27681e+08 outside VLQ range"
+    @example([MusicalEvent(0.0, 600.0, 60, 90, 0)], [ControlEvent(0.0, 11, 64, 0)],
+             1000.0, 32767)
     @settings(max_examples=60, deadline=None)
-    def test_parse_reproduces_all_events(self, notes, controls):
-        score = make_score(notes, controls)
+    def test_parse_reproduces_all_events(self, notes, controls, tempo, ppq):
+        score = make_score(notes, controls, tempo, ppq)
         parsed = read_smf(write_smf(score))
-        assert parsed["division"] == 480
+        assert parsed["division"] == ppq
         expected = []
         for note in notes:
-            on = ticks(note.onset_s, 60.0, 480)
-            off = ticks(note.onset_s + note.duration_s, 60.0, 480)
+            on = ticks(note.onset_s, tempo, ppq)
+            off = ticks(note.onset_s + note.duration_s, tempo, ppq)
             expected.append((on, 2, note.pitch, ("note_on", note.channel, note.pitch, note.velocity)))
             expected.append((off, 0, note.pitch, ("note_off", note.channel, note.pitch, 0)))
         for control in controls:
-            tick = ticks(control.time_s, 60.0, 480)
+            tick = ticks(control.time_s, tempo, ppq)
             expected.append((tick, 1, control.controller,
                              ("control", control.channel, control.controller, control.value)))
         expected.sort(key=lambda e: (e[0], e[1], e[2]))

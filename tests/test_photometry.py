@@ -40,7 +40,7 @@ from lumascore.photometry import (
 )
 from lumascore.report import write_curves_csv
 
-from _synth import build_ppm, build_y4m, feeding, pipe_source, unit_noise
+from _synth import build_ppm, build_y4m, feeding, unit_noise
 
 
 def rgb_frame(pixels, index=0):
@@ -108,7 +108,7 @@ class ListSource(FrameSource):
         self._frames = list(frames)
 
     def claims(self):
-        return contextlib.nullcontext(iter(self._frames))
+        yield from self._frames
 
 
 def gray_source(frame_values, fps=(24, 1)):
@@ -649,13 +649,10 @@ def write_sidecar(path, info):
 
 
 @contextlib.contextmanager
-def piped_y4m(stream):
-    """A Y4M reader over a pipe a thread fills with ``stream``."""
-    handle, writer = pipe_source(stream)
-    with handle, Y4MReader(handle) as source:
+def fifo_y4m(path, stream):
+    """A Y4M reader over the FIFO at ``path``, fed ``stream``."""
+    with feeding(path, stream), Y4MReader(path) as source:
         yield source
-    writer.join(timeout=10)
-    assert not writer.is_alive()
 
 
 @contextlib.contextmanager
@@ -673,10 +670,11 @@ def source_kind(kind, tmp_path):
         info = StreamInfo(24, 18, 24, 1, PixelFormat.GRAY8 if gray else PixelFormat.Y4M_420)
         stream = build_y4m(24, 18, noise_frames(info, 40),
                            colorspace=b"Cmono" if gray else b"C420")
-        if kind == "y4m_pipe":
-            return (lambda: piped_y4m(stream),
-                    (CurveChannel.LUMA, CurveChannel.CONTRAST_RMS))
         path = tmp_path / "film.y4m"
+        if kind == "y4m_pipe":
+            os.mkfifo(path)
+            return (lambda: fifo_y4m(path, stream),
+                    (CurveChannel.LUMA, CurveChannel.CONTRAST_RMS))
         path.write_bytes(stream)
         if gray:
             # means alone
@@ -745,9 +743,12 @@ class TestThreadedSources:
         # pipe's bounded reads when the stream ends
         stream = b"YUV4MPEG2 W99999999 H99999999 F24:1 C420\nFRAME\n" + bytes(64)
         path = tmp_path / "huge.y4m"
-        path.write_bytes(stream)
+        if piped:
+            os.mkfifo(path)
+        else:
+            path.write_bytes(stream)
         thread_count(count)
-        opened = piped_y4m(stream) if piped else Y4MReader(path)
+        opened = fifo_y4m(path, stream) if piped else Y4MReader(path)
         with opened as source, pytest.raises(MediaFormatError,
                                              match="y4m: frame 0 truncated \\(64 of"):
             extract_curves(source)
@@ -766,28 +767,26 @@ class TestThreadedSources:
     @pytest.mark.parametrize("count", (1, 2, 8))
     def test_no_claim_after_a_failed_one(self, thread_count, count):
         info = StreamInfo(3, 1, 24, 1, PixelFormat.GRAY8)
-        calls = []
+        calls, loaded = [], []
 
         class Failing(ListSource):
             def claims(self):
-                frames = iter(self._frames)
+                for frame in self._frames:
+                    calls.append(frame.index)
+                    if frame.index == 7:
+                        raise MediaFormatError("frame 7 is bad")
+                    yield frame
 
-                class Claims:
-                    def __iter__(self):
-                        return self
-
-                    def __next__(self):
-                        calls.append(len(calls))
-                        if len(calls) == 8:
-                            raise MediaFormatError("frame 7 is bad")
-                        return next(frames)
-                return contextlib.nullcontext(Claims())
+            def load(self, claim):
+                loaded.append(claim.index)
+                return claim
 
         frames = [gray_frame([i, i, i], index=i) for i in range(20)]
         thread_count(count)
         with pytest.raises(MediaFormatError, match="frame 7 is bad"):
             extract_curves(Failing(info, frames))
-        assert len(calls) == 8
+        assert calls == list(range(8))
+        assert sorted(loaded) == list(range(7))
 
     @pytest.mark.parametrize("count", (1, 2, 8))
     def test_the_earliest_frame_error_is_raised(self, thread_count, count):
@@ -797,14 +796,12 @@ class TestThreadedSources:
 
         class Failing(ListSource):
             def claims(self):
-                def claims():
-                    for frame in self._frames:
-                        if frame.index == 5:
-                            raise MediaFormatError("claim of frame 5 failed")
-                        yield frame
-                return contextlib.nullcontext(claims())
+                for frame in self._frames:
+                    if frame.index == 5:
+                        raise MediaFormatError("claim of frame 5 failed")
+                    yield frame
 
-            def load(self, claim, buffer):
+            def load(self, claim):
                 if claim.index == 2:
                     time.sleep(0.05)
                     raise MediaFormatError("load of frame 2 failed")
