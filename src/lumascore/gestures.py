@@ -293,36 +293,43 @@ def classify(
     body = smoothed[start:]
     nb = len(body)
     value_range = float(body.max() - body.min())
-
-    # candidates with their BIC parameter counts, in tie-break order
-    linear = fit_linear(body, rate)
-    candidates: list[tuple[FitRecord, int]] = [(linear, 2)]
-    if nb >= 3:
-        exp = fit_exponential(body, rate)
-        if not exp.degenerate:
-            candidates.append((exp, 3))
-    if nb >= 2 * STAIRCASE_MAX_LEVELS:
-        stair = fit_staircase(body, rate)
-        # a non-monotone staircase is not a staircase
-        if _is_rising(stair.levels) or _is_rising(stair.levels[::-1]):
-            candidates.append((stair, 2 * len(stair.levels) - 1))
-    # min keeps the first of equal scores: line, exponential, staircase
-    winner = min(candidates, key=lambda c: _bic(c[0].sse, nb, c[1]))[0]
-
-    kind = ShapeKind.PLATEAU if value_range < params.flat else _kind_of(winner)
     # roughness of the sustained body; a transient jump is its own feature
     # and must not read as grain
     resid_rms = residual_rms(raw[start:], smoothed[start:])
     granularity = min(1.0, resid_rms / ROUGHNESS_SCALE)
-    rrmse = math.sqrt(winner.sse / nb) / max(value_range, RRMSE_RANGE_FLOOR)
+    # a rough segment is chaotic when its smoothed range fails to clear twice
+    # the residual's uniform-equivalent peak-to-peak span (the span saturates
+    # with the roughness score, the noise itself does not)
+    rough = (granularity > params.chaotic_rough
+             and value_range < 2.0 * resid_rms * math.sqrt(12.0))
+
+    def rrmse(fit: FitRecord) -> float:
+        return math.sqrt(fit.sse / nb) / max(value_range, RRMSE_RANGE_FLOOR)
+
+    linear = fit_linear(body, rate)
+    if value_range < params.flat and not rough and rrmse(linear) <= params.fit_rrmse:
+        # a plateau with the line, whatever else is fitted: a fit that beats
+        # the line's BIC has the larger k log n, so the smaller SSE and an
+        # rrmse no larger, which keeps the segment from turning chaotic
+        winner = linear
+    else:
+        # candidates with their BIC parameter counts, in tie-break order
+        candidates: list[tuple[FitRecord, int]] = [(linear, 2)]
+        if nb >= 3:
+            exp = fit_exponential(body, rate)
+            if not exp.degenerate:
+                candidates.append((exp, 3))
+        if nb >= 2 * STAIRCASE_MAX_LEVELS:
+            stair = fit_staircase(body, rate)
+            # a non-monotone staircase is not a staircase
+            if _is_rising(stair.levels) or _is_rising(stair.levels[::-1]):
+                candidates.append((stair, 2 * len(stair.levels) - 1))
+        # min keeps the first of equal scores: line, exponential, staircase
+        winner = min(candidates, key=lambda c: _bic(c[0].sse, nb, c[1]))[0]
+
+    kind = ShapeKind.PLATEAU if value_range < params.flat else _kind_of(winner)
     # chaotic when no template explains the body, or the segment is rough
-    # and its smoothed range fails to clear twice the residual's
-    # uniform-equivalent peak-to-peak span (the span saturates with the
-    # roughness score, the noise itself does not)
-    if rrmse > params.fit_rrmse or (
-        granularity > params.chaotic_rough
-        and value_range < 2.0 * resid_rms * math.sqrt(12.0)
-    ):
+    if rrmse(winner) > params.fit_rrmse or rough:
         kind = ShapeKind.CHAOTIC
 
     fit = linear if kind is ShapeKind.PLATEAU else winner

@@ -9,6 +9,7 @@ sequences), and headerless RGB24 dumps described by a JSON sidecar, which
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import stat
 from dataclasses import dataclass, field
@@ -72,12 +73,44 @@ class Frame:
 
 
 class FrameAt(NamedTuple):
-    """A claimed frame not read yet: frame ``index`` of the stream, whose
-    data starts ``offset`` bytes into the regular file open as ``fd``."""
+    """A claimed run of ``count`` frames not read yet, from frame ``index``
+    of the stream on, whose data start ``offset``, ``offset + stride``, ...
+    bytes into the regular file open as ``fd``."""
 
     index: int
     fd: int
     offset: int
+    stride: int
+    count: int
+
+
+class RunBuffer:
+    """Memory that one thread reuses to load runs of frames into.
+
+    It is an anonymous ``mmap``, outside malloc's heap: glibc raises its
+    mmap threshold to the size of any mapped block it frees, so a 2 MiB
+    ``bytearray`` freed after extraction moved later arrays onto the heap,
+    which kept ~1.5 MB more resident through film90's analysis."""
+
+    def __init__(self) -> None:
+        self._map: mmap.mmap | None = None
+
+    def get(self, size: int) -> mmap.mmap:
+        """At least ``size`` writable bytes.  A larger request maps new
+        memory, so views of the old memory stay valid."""
+        if self._map is None or len(self._map) < size:
+            self._map = mmap.mmap(-1, size)
+        return self._map
+
+
+class FrameRun(NamedTuple):
+    """A loaded run of ``count`` frames: frame ``index + k`` of the stream is
+    the frame's bytes at ``k * stride`` in ``data``."""
+
+    index: int
+    count: int
+    stride: int
+    data: bytes | mmap.mmap
 
 
 _Y4M_COLORSPACES = {
@@ -167,23 +200,40 @@ def _frame(info: StreamInfo, index: int, data: bytes, container: str) -> Frame:
     return Frame(index, info.width, info.height, info.pixel_format, data)
 
 
+# the most bytes one claim of a Y4M file spans; a frame larger than this is
+# claimed alone.  Extracting film90 (640x480 GRAY8) on two threads of a
+# 2-vCPU Xeon took, as medians of six runs, 0.40 s of CPU time in runs of one
+# frame, 0.32 s in 1 MiB runs, 0.30 s in 2 MiB runs (six frames) and 0.27 s
+# in 4 MiB runs; but 4 MiB runs raised the extraction's peak RSS from 35.6 to
+# 39.9 MB, above the ~36.4 MB at which the rest of the pipeline peaks
+_RUN_BYTES = 2 << 20
+
+
 class FrameSource:
     """Frames described by ``info``, in stream order.  As a context manager
     a source closes what it opened.
 
-    A frame is taken in two steps, so that threads can share one source.
-    ``claims()`` is a generator with one claim per frame, in stream order; it
-    is advanced by one thread at a time, and closing it closes what it
-    opened.  ``load(claim)`` turns a claim into its ``Frame`` and may run on
-    many threads at once.  A claim raises the stream's errors in frame order.
+    Frames are taken in two steps, so that threads can share one source.
+    ``claims()`` is a generator of claims in stream order, each of one or
+    more consecutive frames; it is advanced by one thread at a time, and
+    closing it closes what it opened.  ``load(claim, buffer)`` turns a claim
+    into a ``FrameRun`` and may run on many threads at once, each thread
+    with its own ``RunBuffer``.  The claims raise the stream's errors in
+    frame order.
 
-    From a regular Y4M file a claim is a ``FrameAt``: it reads only the
-    frame's ``FRAME`` marker and checks that the file holds the whole frame,
-    so a header claiming a frame larger than the file fails before a buffer
-    of that size exists, and ``load`` reads the frame by offset.  Elsewhere
-    (a FIFO, a raw RGB24 dump, image files) the claim reads the whole frame
-    in stream order and is the ``Frame`` itself, which ``load`` returns as it
-    is."""
+    From a regular Y4M file a claim is a ``FrameAt``, a run of frames whose
+    markers all have one length, so the frames lie evenly spaced, and which
+    spans at most ``_RUN_BYTES`` unless it is one frame.  The claim reads
+    only the frames' ``FRAME`` markers and checks that the file holds each
+    whole frame, so a header claiming a frame larger than the file fails
+    before a buffer of that size exists.  ``load`` reads the run by offset
+    into ``buffer``, whose memory is the run's data until the buffer's next
+    load.  Elsewhere (a FIFO, a raw RGB24 dump, image files) the claim reads
+    one whole frame in stream order and is the ``Frame`` itself, which
+    ``load`` returns as a run of one without reading.
+
+    Iterating a source gives one ``Frame`` per frame, each with its own
+    bytes."""
 
     info: StreamInfo
     # the container named in a truncated frame's message
@@ -192,24 +242,35 @@ class FrameSource:
     def claims(self) -> Iterator[Frame | FrameAt]:
         raise NotImplementedError
 
-    def load(self, claim: Frame | FrameAt) -> Frame:
+    def load(self, claim: Frame | FrameAt, buffer: RunBuffer) -> FrameRun:
         if isinstance(claim, Frame):
-            return claim
+            return FrameRun(claim.index, 1, len(claim.data), claim.data)
         bpf = self.info.bytes_per_frame
-        parts = []
+        span = (claim.count - 1) * claim.stride + bpf
+        data = buffer.get(span)
         got = 0
-        # one read returns at most ~2 GiB on Linux; 0 bytes is the end of a
-        # file that shrank after the claim checked its size
-        while got < bpf:
-            part = os.pread(claim.fd, bpf - got, claim.offset + got)
-            if not part:
-                break
-            parts.append(part)
-            got += len(part)
-        return _frame(self.info, claim.index, b"".join(parts), self._container)
+        with memoryview(data) as view:
+            # one read returns at most ~2 GiB on Linux; 0 bytes is the end of
+            # a file that shrank after the claim checked its size
+            while got < span and (count := os.preadv(claim.fd, [view[got:span]],
+                                                     claim.offset + got)):
+                got += count
+        # the frames before the first one the read did not finish are whole
+        whole = (got + claim.stride - bpf) // claim.stride
+        if whole < claim.count:
+            _check_whole(self.info, claim.index + whole, max(0, got - whole * claim.stride),
+                         self._container)
+        return FrameRun(claim.index, claim.count, claim.stride, data)
 
     def __iter__(self) -> Iterator[Frame]:
-        return map(self.load, self.claims())
+        bpf = self.info.bytes_per_frame
+        for claim in self.claims():
+            if isinstance(claim, Frame):
+                yield claim
+                continue
+            for k in range(claim.count):
+                data = _pread(claim.fd, bpf, claim.offset + k * claim.stride)
+                yield _frame(self.info, claim.index + k, data, self._container)
 
     def close(self) -> None:
         pass
@@ -219,6 +280,18 @@ class FrameSource:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _pread(fd: int, count: int, offset: int) -> bytes:
+    """The ``count`` bytes at ``offset`` of the file open as ``fd``, fewer
+    only where the file ends."""
+    parts = []
+    # one read returns at most ~2 GiB on Linux
+    while count > 0 and (part := os.pread(fd, count, offset)):
+        parts.append(part)
+        count -= len(part)
+        offset += len(part)
+    return b"".join(parts)
 
 
 class Y4MReader(FrameSource):
@@ -238,17 +311,40 @@ class Y4MReader(FrameSource):
         bpf = self.info.bytes_per_frame
         fd = self._file.fileno()
         status = os.fstat(fd)
-        index = 0
         if not stat.S_ISREG(status.st_mode):
+            index = 0
             while _frame_marker(self._file.readline()):
                 yield _frame(self.info, index, _read_chunked(self._file, bpf), self._container)
                 index += 1
             return
+        run = None
+        try:
+            for frame in self._frames_at(fd, status.st_size):
+                if (run is not None and frame.stride == run.stride
+                        and run.count * run.stride + bpf <= _RUN_BYTES):
+                    run = run._replace(count=run.count + 1)
+                    continue
+                if run is not None:
+                    yield run
+                run = frame
+        except MediaFormatError:
+            # the frames before the bad one come first, as they would one by one
+            if run is not None:
+                yield run
+            raise
+        if run is not None:
+            yield run
+
+    def _frames_at(self, fd: int, size: int) -> Iterator[FrameAt]:
+        """Each frame of the file as a run of one, its marker read and its end
+        checked against the file's ``size``."""
+        bpf = self.info.bytes_per_frame
         pos = self._file.tell()
+        index = 0
         while _frame_marker(marker := _pread_line(fd, pos)):
             offset = pos + len(marker)
-            _check_whole(self.info, index, status.st_size - offset, self._container)
-            yield FrameAt(index, fd, offset)
+            _check_whole(self.info, index, size - offset, self._container)
+            yield FrameAt(index, fd, offset, len(marker) + bpf, 1)
             pos = offset + bpf
             index += 1
 

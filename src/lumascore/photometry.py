@@ -18,10 +18,15 @@ slower than NumPy's stable sort (5.7 ms against 1.0 ms).  Times are from a
 2-vCPU Xeon with NumPy 2.4.
 
 ``extract_curves`` measures frames on one thread per core the process may
-use.  The threads take frames in stream order and store each row by frame
-index, so the curves do not depend on the thread count.  A frame of a Y4M
-file is read by offset after its claim, and reads and the NumPy sums
-release the interpreter lock, so one thread can read while another sums.
+use.  The threads take runs of frames in stream order and store each run's
+rows by claim, so the curves do not depend on the thread count.  A Y4M
+file is claimed in runs of up to 2 MiB, read by offset after the claim into
+the thread's reused buffer, and the plane sums of every frame of a run are
+one NumPy reduction, so the interpreter work and lock hand-offs are paid
+per run, not per frame: on film90 this cut the extraction's CPU time by a
+quarter at two threads.  1 MiB runs gained less and larger ones raised the
+peak RSS (see ``ingest._RUN_BYTES``).  Reads and NumPy sums release the
+interpreter lock, so one thread can read while another sums.
 """
 
 from __future__ import annotations
@@ -37,7 +42,16 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .ingest import Frame, FrameAt, FrameSource, MediaFormatError, PixelFormat, StreamInfo
+from .ingest import (
+    Frame,
+    FrameAt,
+    FrameRun,
+    FrameSource,
+    MediaFormatError,
+    PixelFormat,
+    RunBuffer,
+    StreamInfo,
+)
 
 
 # the declaration order is the column order of the curve CSV
@@ -99,52 +113,59 @@ LANE_ROW = 3 * 1024
 LANE_BLOCK = 257
 
 
-def _lane_sums(codes: np.ndarray, lanes: int) -> tuple[int, ...]:
-    """Exact sums of the interleaved lanes of 8-bit codes: lane ``l`` sums
-    ``codes[l::lanes]``.  Summing whole rows into uint16 columns is ~1.5x
-    the speed of a flat uint32 sum.  Each block's column totals fold into
-    the lanes in uint64, and the part row at the end takes strided uint64
-    sums."""
-    rows = len(codes) // LANE_ROW
-    table = codes[:rows * LANE_ROW].reshape(rows, LANE_ROW)
-    tail = codes[rows * LANE_ROW:]
-    totals = [int(tail[lane::lanes].sum(dtype=np.uint64)) for lane in range(lanes)]
+def _lane_sums(codes: np.ndarray, lanes: int) -> list[list[int]]:
+    """Exact sums of the interleaved lanes of 8-bit codes, one row of
+    ``lanes`` sums per row of ``codes`` (a frame): lane ``l`` of a frame
+    sums ``frame[l::lanes]``.  Summing whole rows of every frame at once into
+    uint16 columns, one ``(frames, rows, LANE_ROW)`` reduction per block, is
+    ~1.5x the speed of a flat uint32 sum.  Each block's column totals fold
+    into the lanes in uint64, and the part row at the end of each frame
+    takes strided uint64 sums."""
+    frames = len(codes)
+    rows = codes.shape[1] // LANE_ROW
+    table = codes[:, :rows * LANE_ROW].reshape(frames, rows, LANE_ROW)
+    tail = codes[:, rows * LANE_ROW:]
+    totals = np.stack([tail[:, lane::lanes].sum(axis=1, dtype=np.uint64)
+                       for lane in range(lanes)], axis=1)
     for start in range(0, rows, LANE_BLOCK):
-        columns = table[start:start + LANE_BLOCK].sum(axis=0, dtype=np.uint16)
-        folded = columns.reshape(-1, lanes).sum(axis=0, dtype=np.uint64)
-        for lane in range(lanes):
-            totals[lane] += int(folded[lane])
-    return tuple(totals)
+        columns = table[:, start:start + LANE_BLOCK].sum(axis=1, dtype=np.uint16)
+        totals += columns.reshape(frames, -1, lanes).sum(axis=1, dtype=np.uint64)
+    return totals.tolist()
 
 
-def _rgb_sums(frame: Frame) -> tuple[int, ...]:
-    """Exact sums of the three RGB24 colour planes."""
-    pixels = frame.width * frame.height
-    return _lane_sums(np.frombuffer(frame.data, dtype=np.uint8)[:3 * pixels], 3)
-
-
-def _luma_keys(frame: Frame) -> tuple[np.ndarray, int]:
-    """Per-pixel luma as exact integer keys and the key of white (the scale),
-    so that ``luma = key / scale``."""
-    pixels = frame.width * frame.height
-    arr = np.frombuffer(frame.data, dtype=np.uint8)
-    if frame.pixel_format is PixelFormat.RGB24:
+def _luma_keys(codes: np.ndarray, pixels: int,
+               pixel_format: PixelFormat) -> tuple[np.ndarray, int]:
+    """Per-pixel luma of each frame (row) of ``codes`` as exact integer keys,
+    one row per frame, and the key of white (the scale), so that ``luma =
+    key / scale``."""
+    if pixel_format is PixelFormat.RGB24:
         # a key is at most 255000, so int32 holds it, and integer ufuncs on
         # the colour columns build it exactly
-        planes = [arr[i:3 * pixels:3].astype(np.int32) for i in range(3)]
+        planes = [codes[:, i:3 * pixels:3].astype(np.int32) for i in range(3)]
         for plane, weight in zip(planes, LUMA_WEIGHTS):
             plane *= weight
         keys, green, blue = planes
         keys += green
         keys += blue
         return keys, _RGB_SCALE
-    y = arr[:pixels]
-    if frame.pixel_format is PixelFormat.GRAY8:
+    y = codes[:, :pixels]
+    if pixel_format is PixelFormat.GRAY8:
         return y, 255
     # limited-range Y4M luma: codes clamp to [16, 235], then 16 is black
     keys = np.clip(y, 16, 235)
     keys -= 16
     return keys, 219
+
+
+def _frame_codes(frame: Frame) -> np.ndarray:
+    """The frame's bytes as a run of one frame: one row of uint8 codes."""
+    return np.frombuffer(frame.data, dtype=np.uint8)[np.newaxis]
+
+
+def _run_codes(run: FrameRun, bytes_per_frame: int) -> np.ndarray:
+    """The frames of ``run`` as rows of uint8 codes, a view of its data."""
+    return np.ndarray((run.count, bytes_per_frame), np.uint8, run.data,
+                      strides=(run.stride, 1))
 
 
 def _square_sum(keys: np.ndarray, bound: int) -> int:
@@ -193,7 +214,9 @@ def frame_contrast(frame: Frame, method: str = "rms") -> float:
     """Contrast of the frame's per-pixel luma: ``rms`` is the population
     standard deviation, ``spread`` the nearest-rank 95th minus 5th
     percentile."""
-    return _contrast(*_luma_keys(frame), method)
+    keys, scale = _luma_keys(_frame_codes(frame), frame.width * frame.height,
+                             frame.pixel_format)
+    return _contrast(keys[0], scale, method)
 
 
 _CONTRAST_METHODS = {
@@ -210,41 +233,52 @@ def _check_channels(channels: Iterable[CurveChannel], pixel_format: PixelFormat)
                              % (channel.value, pixel_format.value))
 
 
-def _measure(frame: Frame, channels: tuple[CurveChannel, ...]) -> tuple[float, ...]:
-    """One sample per channel, which ``_check_channels`` has passed for the
-    frame's format; every per-frame mean goes through here.  The RGB plane
-    sums and the luma keys are each built at most once per frame and shared
-    by the channels using them."""
-    pixels = frame.width * frame.height
-    rgb = frame.pixel_format is PixelFormat.RGB24
+def _measure(codes: np.ndarray, pixels: int, pixel_format: PixelFormat,
+             channels: tuple[CurveChannel, ...]) -> list[tuple[float, ...]]:
+    """One row per frame (row) of ``codes``, one sample per channel, which
+    ``_check_channels`` has passed for ``pixel_format``; every per-frame
+    mean goes through here.  The RGB plane sums and the luma keys are each
+    built at most once for all the frames and shared by the channels using
+    them.  Each mean is one exact integer division per frame; contrast is
+    taken frame by frame."""
+    rgb = pixel_format is PixelFormat.RGB24
     sums = keys = None
-    out = []
+    columns = []
     for channel in channels:
         if channel in _CONTRAST_METHODS:
-            keys = keys or _luma_keys(frame)
-            out.append(_contrast(*keys, _CONTRAST_METHODS[channel]))
+            keys = keys or _luma_keys(codes, pixels, pixel_format)
+            method = _CONTRAST_METHODS[channel]
+            columns.append([_contrast(row, keys[1], method) for row in keys[0]])
         elif rgb:
-            sums = sums or _rgb_sums(frame)
+            sums = sums or _lane_sums(codes[:, :3 * pixels], 3)
             if channel is CurveChannel.LUMA:
-                weighted = sum(w * s for w, s in zip(LUMA_WEIGHTS, sums))
-                out.append(weighted / (_RGB_SCALE * pixels))
+                columns.append([sum(w * s for w, s in zip(LUMA_WEIGHTS, frame))
+                                / (_RGB_SCALE * pixels) for frame in sums])
             else:
-                out.append(sums[_RGB_INDEX[channel]] / (255 * pixels))
+                lane = _RGB_INDEX[channel]
+                columns.append([frame[lane] / (255 * pixels) for frame in sums])
         else:
-            keys = keys or _luma_keys(frame)
-            out.append(_lane_sums(keys[0], 1)[0] / (keys[1] * pixels))
-    return tuple(out)
+            keys = keys or _luma_keys(codes, pixels, pixel_format)
+            white = keys[1] * pixels
+            columns.append([frame[0] / white for frame in _lane_sums(keys[0], 1)])
+    return list(zip(*columns))
+
+
+def _measure_frame(frame: Frame, channels: tuple[CurveChannel, ...]) -> tuple[float, ...]:
+    """``_measure`` of one frame."""
+    return _measure(_frame_codes(frame), frame.width * frame.height, frame.pixel_format,
+                    channels)[0]
 
 
 def frame_luma_mean(frame: Frame) -> float:
-    return _measure(frame, (CurveChannel.LUMA,))[0]
+    return _measure_frame(frame, (CurveChannel.LUMA,))[0]
 
 
 def frame_channel_mean(frame: Frame, channel: CurveChannel) -> float:
     if channel not in _RGB_INDEX:
         raise ValueError("channel %s is not an RGB plane" % channel.value)
     _check_channels((channel,), frame.pixel_format)
-    return _measure(frame, (channel,))[0]
+    return _measure_frame(frame, (channel,))[0]
 
 
 def _thread_count() -> int:
@@ -263,27 +297,33 @@ def extract_curves(
 
     The channels are checked against the stream's pixel format first.  Then
     one thread per core measures frames: under one lock a thread claims the
-    next frame in stream order, and outside it the thread loads the frame
-    and measures it (see ``FrameSource``), so reads and sums of several
-    frames overlap.  Rows are stored by frame index, so the output does not
-    depend on the thread count.  Once a claim or load fails no thread claims
-    again, and the error raised is that of the earliest frame, the one a
-    serial loop would raise.  The claims are closed when the threads are
-    done, whether or not they failed.
+    next run of frames in stream order, and outside it the thread loads the
+    run into its own reused buffer and measures every frame of it at once
+    (see ``FrameSource``), so reads and sums of several runs overlap.  A Y4M
+    file is claimed in runs of up to ``_RUN_BYTES`` (2 MiB), which take the
+    per-frame interpreter work and lock hand-offs off the many short frames
+    of a film; other sources in runs of one frame.  Rows are stored by claim,
+    so the output does not depend on the thread count.  Once a claim or load
+    fails no thread claims again, and the error raised is that of the
+    earliest claim, the one a serial loop would raise.  The claims are
+    closed when the threads are done, whether or not they failed.
     """
     wanted = tuple(dict.fromkeys(channels))
     if not wanted:
         raise ValueError("no channels requested")
     info: StreamInfo = source.info
     _check_channels(wanted, info.pixel_format)
+    bpf = info.bytes_per_frame
+    pixels = info.width * info.height
     lock = threading.Lock()
     stop = threading.Event()
     claimed = 0
-    rows: dict[int, tuple[float, ...]] = {}
+    runs: dict[int, list[tuple[float, ...]]] = {}
     failures: dict[int, BaseException] = {}
 
     def work(claims: Iterator[Frame | FrameAt]) -> None:
         nonlocal claimed
+        buffer = RunBuffer()
         while True:
             with lock:
                 if stop.is_set():
@@ -300,8 +340,8 @@ def extract_curves(
                     return
                 claimed += 1
             try:
-                frame = source.load(claim)
-                rows[frame.index] = _measure(frame, wanted)
+                codes = _run_codes(source.load(claim, buffer), bpf)
+                runs[index] = _measure(codes, pixels, info.pixel_format, wanted)
             except BaseException as exc:
                 failures[index] = exc
                 stop.set()
@@ -319,9 +359,10 @@ def extract_curves(
         raise failures[min(failures)]
     for future in futures:
         future.result()
-    if not rows:
+    if not runs:
         raise MediaFormatError("no frames in input stream")
-    table = np.array([rows[index] for index in range(len(rows))], dtype=np.float64)
+    table = np.array([row for index in range(len(runs)) for row in runs[index]],
+                     dtype=np.float64)
     rate = info.fps
     curves = {
         channel: BrightnessCurve(channel, rate, 0.0, table[:, i].copy())

@@ -14,10 +14,10 @@ from pathlib import Path
 from .composition import check_film_length, compose
 from .config import ConfigError, PipelineConfig
 from .curveprep import resample, smooth
-from .gestures import assign_motifs, classify
+from .gestures import Gesture, assign_motifs, classify
 from .ingest import open_source
 from .midi import write_smf
-from .photometry import CurveChannel, extract_curves
+from .photometry import BrightnessCurve, CurveChannel, extract_curves
 from .report import (
     CsvFormatError,
     build_report,
@@ -41,7 +41,12 @@ def extract_stage(input_path: str | Path, channels, workers: int = 1) -> bytes:
 
 
 def analyze_stage(csv_data: bytes, config: PipelineConfig, source_name: str = "<curves>") -> bytes:
-    curves = read_curves_csv(csv_data, source_name)
+    return _analyze(read_curves_csv(csv_data, source_name), config, source_name)
+
+
+def _analyze(curves: dict[CurveChannel, BrightnessCurve], config: PipelineConfig,
+             source_name: str) -> bytes:
+    """The report of the curves parsed from ``source_name``."""
     if CurveChannel.LUMA not in curves:
         raise CsvFormatError("%s: analysis needs a luma column" % source_name)
     luma = curves[CurveChannel.LUMA]
@@ -85,6 +90,11 @@ def analyze_stage(csv_data: bytes, config: PipelineConfig, source_name: str = "<
 
 def compose_stage(report_data: bytes, config: PipelineConfig, source_name: str = "<analysis>") -> bytes:
     _, gestures, curve = read_report(report_data, source_name)
+    return _compose(gestures, curve, config)
+
+
+def _compose(gestures: list[Gesture], curve: BrightnessCurve, config: PipelineConfig) -> bytes:
+    """The SMF of a report's gestures and analysis curve."""
     score = compose(
         gestures,
         curve,
@@ -98,11 +108,16 @@ def compose_stage(report_data: bytes, config: PipelineConfig, source_name: str =
 
 def plot_stage(csv_data: bytes, report_data: bytes | None = None,
                source_name: str = "<curves>", report_name: str = "<analysis>") -> bytes:
-    curves = read_curves_csv(csv_data, source_name)
+    doc = None if report_data is None else parse_report(report_data, report_name)
+    return _plot(read_curves_csv(csv_data, source_name), doc)
+
+
+def _plot(curves: dict[CurveChannel, BrightnessCurve], doc: dict | None) -> bytes:
+    """The SVG of the parsed curves, with the segments of the parsed report
+    ``doc`` if there is one."""
     curve = curves.get(CurveChannel.LUMA) or next(iter(curves.values()))
     segments = None
-    if report_data is not None:
-        doc = parse_report(report_data, report_name)
+    if doc is not None:
         segments = [
             (seg["start_s"], seg["end_s"], seg["archetype"])
             for seg in doc["segments"]
@@ -142,10 +157,14 @@ def run_pipeline(
     out = Path(out_dir)
     csv_name = str(out / "curves.csv")
     csv_data = extract_stage(input_path, (CurveChannel.LUMA,))
+    # each artifact is parsed once from its bytes, as the stages run
+    # separately parse it from the file
+    curves = read_curves_csv(csv_data, csv_name)
     report_name = str(out / "analysis.json")
-    report_data = analyze_stage(csv_data, config, csv_name)
-    midi_data = compose_stage(report_data, config, report_name)
-    svg_data = plot_stage(csv_data, report_data, csv_name, report_name)
+    report_data = _analyze(curves, config, csv_name)
+    doc, gestures, curve = read_report(report_data, report_name)
+    midi_data = _compose(gestures, curve, config)
+    svg_data = _plot(curves, doc)
     out.mkdir(parents=True, exist_ok=True)
     return _write_artifacts(out, {
         "curves.csv": csv_data,

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from lumascore import photometry
+from lumascore import ingest, photometry
 
 settings.register_profile("lumascore", print_blob=True)
 settings.load_profile("lumascore")
@@ -28,3 +28,11 @@ def thread_count(monkeypatch):
         yield lambda count: monkeypatch.setattr(photometry, "_thread_count", lambda: count)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def run_bytes(monkeypatch):
+    """Call with a byte count to have a Y4M file claimed in runs of frames
+    spanning at most that many bytes, so that a small test film holds
+    several runs."""
+    return lambda count: monkeypatch.setattr(ingest, "_RUN_BYTES", count)

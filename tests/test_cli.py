@@ -21,7 +21,7 @@ from lumascore.photometry import BrightnessCurve, CurveChannel
 from lumascore.report import build_report, read_curves_csv, report_to_bytes
 from lumascore.segmentation import Segment
 
-from _synth import build_ppm, build_y4m, feeding, unit_noise, y4m_frame_420
+from _synth import build_ppm, build_y4m, deadline, feeding, unit_noise, y4m_frame_420
 
 
 @pytest.fixture
@@ -251,6 +251,20 @@ class TestAnalyze:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "line 11: luma value %s is outside [0, 1]" % value in err
         assert not out.exists()
+
+    def test_long_still_shot_is_analysed_at_once(self, config_file, tmp_path):
+        # 1,200 s of one brightness is one plateau of 60,000 samples at 50 Hz;
+        # fitting its staircase as well took ~46 s
+        curves = tmp_path / "still.csv"
+        curves.write_text("time_s,luma\n" + "".join("%d.000000,0.5\n" % t for t in range(1201)))
+        report = tmp_path / "analysis.json"
+        with deadline(5):
+            code = main(["analyze", "--curves", str(curves),
+                         "--config", str(config_file), "--out", str(report)])
+        assert code == 0
+        segments = json.loads(report.read_text())["segments"]
+        assert [seg["kind"] for seg in segments] == ["plateau"]
+        assert segments[0]["start_s"] == 0.0
 
     def test_invalid_config_json_exits_2(self, shot_video, tmp_path):
         curves = tmp_path / "curves.csv"
@@ -559,6 +573,20 @@ class TestPipeline:
         assert report.read_bytes() == (out_dir / "analysis.json").read_bytes()
         assert midi.read_bytes() == (out_dir / "score.mid").read_bytes()
         assert svg.read_bytes() == (out_dir / "plot.svg").read_bytes()
+
+    def test_each_artifact_is_parsed_once(self, shot_video, tmp_path, monkeypatch):
+        # the curves feed analyze and plot, the report compose and plot
+        import lumascore.pipeline as pipeline
+
+        calls = []
+        for name in ("read_curves_csv", "read_report", "parse_report"):
+            def counted(*args, name=name, real=getattr(pipeline, name)):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        pipeline.run_pipeline(shot_video, parse_config({}), tmp_path / "out")
+        assert sorted(calls) == ["read_curves_csv", "read_report"]
 
     def test_override_changes_archetype(self, shot_video, tmp_path):
         config = tmp_path / "config.json"

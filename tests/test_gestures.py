@@ -8,18 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lumascore import gestures
 from lumascore.curveprep import ROUGHNESS_SCALE, residual_rms, smooth_values
 from lumascore.gestures import (
     Archetype,
     ClassifyParams,
     ExpFit,
     Gesture,
+    RRMSE_RANGE_FLOOR,
     STAIRCASE_BLOCK,
+    STAIRCASE_MAX_LEVELS,
     LinearFit,
     ShapeKind,
     StaircaseFit,
     TransientInfo,
     assign_motifs,
+    body_start,
     classify,
     detect_transient,
     fit_exponential,
@@ -428,6 +432,104 @@ class TestClassifyDetails:
         gesture = classify(body, body, RATE)
         assert gesture.kind is ShapeKind.EXPONENTIAL_RISE
         assert gesture.fit == fit_exponential(body, RATE)
+
+
+def classify_oracle(smoothed, raw, rate, params):
+    """``classify`` as it was before it decided flat bodies first: every fit
+    is made, and the rules read the winner."""
+    smoothed = np.asarray(smoothed, dtype=np.float64)
+    raw = np.asarray(raw, dtype=np.float64)
+    n = len(smoothed)
+    transient = detect_transient(smoothed, rate, params)
+    start = body_start(n, transient)
+    body = smoothed[start:]
+    nb = len(body)
+    value_range = float(body.max() - body.min())
+    linear = fit_linear(body, rate)
+    candidates = [(linear, 2)]
+    if nb >= 3:
+        exp = fit_exponential(body, rate)
+        if not exp.degenerate:
+            candidates.append((exp, 3))
+    if nb >= 2 * STAIRCASE_MAX_LEVELS:
+        stair = fit_staircase(body, rate)
+        if gestures._is_rising(stair.levels) or gestures._is_rising(stair.levels[::-1]):
+            candidates.append((stair, 2 * len(stair.levels) - 1))
+    winner = min(candidates, key=lambda c: gestures._bic(c[0].sse, nb, c[1]))[0]
+    kind = ShapeKind.PLATEAU if value_range < params.flat else gestures._kind_of(winner)
+    resid_rms = residual_rms(raw[start:], smoothed[start:])
+    granularity = min(1.0, resid_rms / ROUGHNESS_SCALE)
+    rrmse = math.sqrt(winner.sse / nb) / max(value_range, RRMSE_RANGE_FLOOR)
+    if rrmse > params.fit_rrmse or (
+        granularity > params.chaotic_rough
+        and value_range < 2.0 * resid_rms * math.sqrt(12.0)
+    ):
+        kind = ShapeKind.CHAOTIC
+    fit = linear if kind is ShapeKind.PLATEAU else winner
+    return Gesture(Segment(0, n), kind, transient, granularity, fit, float(raw.mean()),
+                   gestures._archetype_for(kind, transient, granularity, fit, params))
+
+
+def _near(draw, value):
+    """``value`` itself, the floats either side of it, or far from it, kept
+    inside (0, 1) as every threshold is."""
+    value = min(max(value, 1e-9), 0.999)
+    return draw(st.sampled_from((
+        value, math.nextafter(value, 0.0), math.nextafter(value, 1.0), value / 2,
+        min(2 * value, 0.999),
+    )))
+
+
+@st.composite
+def near_plateau(draw):
+    """(smoothed, raw, params): a small-range body of ties, a ramp or a decay
+    with noise on top, and thresholds drawn on or around the range, the
+    granularity and the line's rrmse that this body measures."""
+    n = draw(st.one_of(st.integers(2, 2 * STAIRCASE_MAX_LEVELS + 1), st.integers(12, 120)))
+    shape = draw(st.sampled_from(("ties", "ramp", "decay")))
+    if shape == "ties":
+        steps = draw(st.sampled_from((1, 2, 255)))
+        unit = np.array(draw(st.lists(st.integers(0, steps), min_size=n, max_size=n))) / steps
+    elif shape == "ramp":
+        unit = np.linspace(0.0, 1.0, n)
+    else:
+        unit = np.exp(-np.arange(n) / draw(st.floats(0.5, 50.0)))
+    level = draw(st.floats(0.0, 0.9))
+    height = draw(st.sampled_from((0.0, 0.001, 0.02, 0.05, 0.3)))
+    smoothed = level + height * unit
+    noise = draw(st.sampled_from((0.0, 0.001, 0.02, 0.2)))
+    raw = np.clip(smoothed + noise * (np.array(unit_noise(draw(st.integers(0, 999)), n)) - 0.5),
+                  0.0, 1.0)
+    start = body_start(n, detect_transient(smoothed, RATE, ClassifyParams()))
+    body = smoothed[start:]
+    value_range = float(body.max() - body.min())
+    granularity = min(1.0, residual_rms(raw[start:], body) / ROUGHNESS_SCALE)
+    line_rrmse = (math.sqrt(fit_linear(body, RATE).sse / len(body))
+                  / max(value_range, RRMSE_RANGE_FLOOR))
+    params = ClassifyParams(flat=_near(draw, value_range),
+                            chaotic_rough=_near(draw, granularity),
+                            fit_rrmse=_near(draw, line_rrmse))
+    return smoothed, raw, params
+
+
+class TestPlateauBeforeFits:
+    @given(near_plateau())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_classify_with_every_fit(self, case):
+        smoothed, raw, params = case
+        assert classify(smoothed, raw, RATE, params) == classify_oracle(smoothed, raw, RATE,
+                                                                        params)
+
+    def test_flat_body_is_decided_without_the_other_fits(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("fitted a flat body")
+
+        monkeypatch.setattr(gestures, "fit_exponential", refused)
+        monkeypatch.setattr(gestures, "fit_staircase", refused)
+        raw = 0.5 + 0.01 * (np.array(unit_noise(12, 3000)) - 0.5)
+        gesture = classify_raw(raw)
+        assert gesture.kind is ShapeKind.PLATEAU
+        assert gesture.fit == fit_linear(smooth_values(raw, RATE, 0.25), RATE)
 
 
 def make_gesture(kind, slope, duration_s=5.0, granularity=0.1, amplitude=0.0):

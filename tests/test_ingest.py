@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,7 @@ from lumascore.ingest import (
     MediaFormatError,
     PixelFormat,
     RawRgbReader,
+    RunBuffer,
     StreamInfo,
     Y4MReader,
     open_source,
@@ -23,7 +26,7 @@ from lumascore.ingest import (
     read_ppm,
     read_sidecar,
 )
-from lumascore.photometry import CurveChannel, _measure
+from lumascore.photometry import CurveChannel, _measure_frame, extract_curves
 from lumascore.pipeline import extract_stage
 from _synth import (
     build_ppm,
@@ -146,21 +149,26 @@ def test_y4m_pipe_frames_span_read_chunks(tmp_path) -> None:
         assert [frame.data for frame in reader] == frames
 
 
-@pytest.mark.parametrize("kept", (0, 2))
-def test_y4m_file_that_shrinks_after_the_claim_is_truncated(tmp_path, kept) -> None:
-    # the claim checked the file's size; the load finds the frame cut short
-    frames = [y4m_frame_420(2, 2, v) for v in (10, 200, 90)]
+@pytest.mark.parametrize("kept", (-3, 0, 2))
+def test_y4m_file_that_shrinks_after_the_claim_is_truncated(tmp_path, run_bytes, kept) -> None:
+    # the claims checked the file's size; loading the second run finds its
+    # second frame cut short, or its marker (-3), which the claim already read
+    frames = [y4m_frame_420(2, 2, v) for v in (10, 200, 90, 40)]
     path = tmp_path / "film.y4m"
     path.write_bytes(build_y4m(2, 2, frames))
+    run_bytes(2 * 12)  # two 6-byte frames, each after a 6-byte marker
     with Y4MReader(path) as reader:
         claims = reader.claims()
         first, second = next(claims), next(claims)
-        os.truncate(path, second.offset + kept)
-        assert reader.load(first).data == frames[0]
+        assert (first.index, first.count, second.index, second.count) == (0, 2, 2, 2)
+        os.truncate(path, second.offset + second.stride + kept)
+        buffer = RunBuffer()
+        run = reader.load(first, buffer)
+        assert [bytes(run.data[k * 12:k * 12 + 6]) for k in range(2)] == frames[:2]
         with pytest.raises(MediaFormatError) as err:
-            reader.load(second)
+            reader.load(second, buffer)
         claims.close()
-    assert str(err.value) == "y4m: frame 1 truncated (%d of 6 bytes)" % kept
+    assert str(err.value) == "y4m: frame 3 truncated (%d of 6 bytes)" % max(0, kept)
 
 
 def test_y4m_rejected_header_closes_file(tmp_path, monkeypatch) -> None:
@@ -229,12 +237,84 @@ def test_y4m_bad_marker_at_frame_k_raises_as_the_serial_loop(tmp_path, thread_co
     path = tmp_path / "bad.y4m"
     path.write_bytes(stream)
     with Y4MReader(path) as source, pytest.raises(MediaFormatError) as serial:
-        [_measure(frame, MARKER_CHANNELS) for frame in source]
+        [_measure_frame(frame, MARKER_CHANNELS) for frame in source]
     thread_count(count)
     with pytest.raises(MediaFormatError) as threaded:
         extract_stage(path, MARKER_CHANNELS)
     assert str(threaded.value) == str(serial.value)
     assert "marker" in str(serial.value)
+
+
+# 9x7 4:2:0 frames are 103 bytes, 109 apart after plain markers; runs of at
+# most this many bytes hold four such frames
+FOUR_FRAMES = 3 * 109 + 103
+
+
+def serial_rows(path, channels) -> np.ndarray:
+    with Y4MReader(path) as source:
+        return np.array([_measure_frame(frame, channels) for frame in source])
+
+
+def claimed_runs(path) -> list:
+    with Y4MReader(path) as source:
+        return [(claim.index, claim.count) for claim in source.claims()]
+
+
+@pytest.mark.parametrize("count", (1, 2, 8))
+def test_y4m_marker_of_another_length_ends_a_run(tmp_path, thread_count, run_bytes,
+                                                 count) -> None:
+    plain, odd = b"FRAME\n", b"FRAME Ixx\n"
+    path = tmp_path / "mixed.y4m"
+    path.write_bytes(_noise_y4m([plain] * 5 + [odd] + [plain] * 8 + [odd] * 2 + [plain] * 3))
+    run_bytes(FOUR_FRAMES)
+    assert claimed_runs(path) == [(0, 4), (4, 1), (5, 1), (6, 4), (10, 4), (14, 2), (16, 3)]
+    thread_count(count)
+    with Y4MReader(path) as source:
+        curves = extract_curves(source, MARKER_CHANNELS)
+    serial = serial_rows(path, MARKER_CHANNELS)
+    for i, channel in enumerate(MARKER_CHANNELS):
+        assert curves[channel].values.tobytes() == serial[:, i].tobytes()
+
+
+@pytest.mark.parametrize("count", (1, 2, 8))
+@pytest.mark.parametrize("kept", (0, 50))
+def test_y4m_file_cut_inside_a_run_is_truncated_at_its_frame(tmp_path, thread_count,
+                                                             run_bytes, count, kept) -> None:
+    # frame 13, the second of its run, is cut; the claims find it by the
+    # file's size, after yielding the runs before it
+    stream = _noise_y4m([b"FRAME\n"] * 20)
+    end = len(build_y4m(9, 7, [])) + 13 * 109 + 6 + kept
+    path = tmp_path / "cut.y4m"
+    path.write_bytes(stream[:end])
+    run_bytes(FOUR_FRAMES)
+    message = re.escape("y4m: frame 13 truncated (%d of 103 bytes)" % kept)
+    seen = []
+    with Y4MReader(path) as source, pytest.raises(MediaFormatError, match=message):
+        for frame in source:
+            seen.append(frame.index)
+    assert seen == list(range(13))
+    thread_count(count)
+    with pytest.raises(MediaFormatError, match=message):
+        extract_stage(path, MARKER_CHANNELS)
+
+
+@pytest.mark.parametrize("count", (1, 2, 8))
+def test_y4m_bad_marker_after_a_run_raises_as_the_serial_loop(tmp_path, thread_count,
+                                                              run_bytes, count) -> None:
+    path = tmp_path / "bad.y4m"
+    path.write_bytes(_noise_y4m([b"FRAME\n"] * 11 + [b"FRAMX\n"] + [b"FRAME\n"] * 3))
+    run_bytes(FOUR_FRAMES)
+    seen = []
+    with Y4MReader(path) as source, pytest.raises(MediaFormatError) as serial:
+        for claim in source.claims():
+            seen.append((claim.index, claim.count))
+    assert seen == [(0, 4), (4, 4), (8, 3)]
+    thread_count(count)
+    with pytest.raises(MediaFormatError) as threaded:
+        extract_stage(path, MARKER_CHANNELS)
+    assert str(threaded.value) == str(serial.value)
+    with pytest.raises(MediaFormatError, match="expected FRAME marker"):
+        serial_rows(path, MARKER_CHANNELS)
 
 
 @given(

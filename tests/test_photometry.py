@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lumascore import photometry
+from lumascore import ingest, photometry
 from lumascore.ingest import (
     Frame,
     FrameSource,
@@ -29,9 +29,10 @@ from lumascore.photometry import (
     CurveChannel,
     CurveSet,
     _contrast,
+    _frame_codes,
     _luma_keys,
     _lane_sums,
-    _measure,
+    _measure_frame,
     _square_sum,
     extract_curves,
     frame_channel_mean,
@@ -97,6 +98,13 @@ def exact_keys(frame):
     if frame.pixel_format is PixelFormat.GRAY8:
         return list(data[:pixels])
     return [min(235, max(16, code)) - 16 for code in data[:pixels]]
+
+
+def frame_keys(frame):
+    """The luma keys of one frame and their scale."""
+    keys, scale = _luma_keys(_frame_codes(frame), frame.width * frame.height,
+                             frame.pixel_format)
+    return keys[0], scale
 
 
 class ListSource(FrameSource):
@@ -344,7 +352,7 @@ class TestContrastAgainstFloatPlane:
     @given(frames())
     @settings(max_examples=100, deadline=None)
     def test_keys_are_exact(self, frame):
-        keys, scale = _luma_keys(frame)
+        keys, scale = frame_keys(frame)
         assert [int(k) for k in keys] == exact_keys(frame)
         assert scale == WHITE[frame.pixel_format]
 
@@ -424,7 +432,7 @@ class TestSpreadSelection:
         rng = np.random.default_rng(8)
         size = StreamInfo(64, 48, 24, 1, fmt).bytes_per_frame
         frame = Frame(0, 64, 48, fmt, rng.integers(0, 256, size, dtype=np.uint8).tobytes())
-        keys, scale = _luma_keys(frame)
+        keys, scale = frame_keys(frame)
         before = keys.copy()
         assert _contrast(keys, scale, "spread") == nearest_rank_spread_oracle(before, scale)
         assert np.array_equal(keys, before)
@@ -457,22 +465,36 @@ class TestLaneSums:
     @pytest.mark.parametrize("pixels", [257 * 3072, 258 * 3072, 258 * 3072 + 1])
     def test_white_gray_frame_sums_exactly(self, pixels):
         codes = np.full(pixels, 255, dtype=np.uint8)
-        assert _lane_sums(codes, 1) == (255 * pixels,)
+        assert _lane_sums(codes[np.newaxis], 1) == [[255 * pixels]]
         frame = Frame(0, pixels, 1, PixelFormat.GRAY8, codes.tobytes())
         assert frame_luma_mean(frame) == 1.0
 
     @pytest.mark.parametrize("size", [0, 1, 2, 3071, 3072, 3073, 5 * 3072 + 7])
     def test_tail_shorter_than_a_row(self, size):
         codes = np.frombuffer(bytes(range(251)) * (size // 251 + 1), dtype=np.uint8)[:size]
-        assert _lane_sums(codes, 1) == (sum(codes.tolist()),)
+        assert _lane_sums(codes[np.newaxis], 1) == [[sum(codes.tolist())]]
 
     @given(st.integers(1, 3 * 3072), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_rgb_lanes_equal_strided_plane_sums(self, pixels, seed):
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, 3 * pixels, dtype=np.uint8)
-        expected = tuple(int(data[lane::3].sum(dtype=np.int64)) for lane in range(3))
-        assert _lane_sums(data, 3) == expected
+        expected = [int(data[lane::3].sum(dtype=np.int64)) for lane in range(3)]
+        assert _lane_sums(data[np.newaxis], 3) == [expected]
+
+    @given(st.integers(1, 6), st.integers(0, 3 * 3072 + 5), st.integers(0, 7),
+           st.sampled_from([1, 3]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_run_rows_equal_one_frame_at_a_time(self, frames, size, gap, lanes, seed):
+        # frames of a run lie ``gap`` marker bytes apart in one buffer
+        size -= size % lanes
+        stride = size + gap
+        data = np.random.default_rng(seed).integers(0, 256, frames * stride, dtype=np.uint8)
+        codes = np.ndarray((frames, size), np.uint8, data, strides=(stride, 1))
+        expected = [_lane_sums(np.array(row)[np.newaxis], lanes)[0] for row in codes]
+        assert _lane_sums(codes, lanes) == expected
+        assert expected == [[int(row[lane::lanes].sum(dtype=np.int64)) for lane in range(lanes)]
+                            for row in codes]
 
     @pytest.mark.parametrize("pixels", [1023, 1025, 640 * 480 + 1, 86 * 1024 + 3])
     def test_rgb_channel_means_use_lane_sums(self, pixels):
@@ -533,7 +555,7 @@ class TestExtractCurves:
             CurveChannel.CONTRAST_RMS,
             CurveChannel.CONTRAST_SPREAD,
         )
-        serial = np.array([_measure(f, wanted) for f in gray_source(frames)])
+        serial = np.array([_measure_frame(f, wanted) for f in gray_source(frames)])
         thread_count(count)
         threaded = extract_curves(gray_source(frames), wanted)
         for i, channel in enumerate(wanted):
@@ -548,7 +570,7 @@ class TestExtractCurves:
                         rng.integers(0, 256, info.bytes_per_frame, dtype=np.uint8).tobytes())
                   for i in range(120)]
         wanted = tuple(CurveChannel)
-        serial = np.array([_measure(f, wanted) for f in ListSource(info, frames)])
+        serial = np.array([_measure_frame(f, wanted) for f in ListSource(info, frames)])
         thread_count(count)
         threaded = extract_curves(ListSource(info, frames), wanted)
         for i, channel in enumerate(wanted):
@@ -592,7 +614,7 @@ class TestExtractCurves:
         }
         expected = {channel: np.array([single[channel](f) for f in frames])
                     for channel in order}
-        assert _measure(frames[0], order) == tuple(expected[c][0] for c in order)
+        assert _measure_frame(frames[0], order) == tuple(expected[c][0] for c in order)
         thread_count(count)
         curves = extract_curves(ListSource(info, frames), order)
         for channel in order:
@@ -713,23 +735,28 @@ class TestThreadedSources:
     @pytest.mark.parametrize("count", (1, 2, 8))
     @pytest.mark.parametrize("kind", ("gray8_y4m", "y4m_420", "raw_rgb24", "image_sequence",
                                       "y4m_pipe", "raw_rgb24_fifo"))
-    def test_curves_csv_equals_the_serial_loop(self, tmp_path, thread_count, kind, count):
+    def test_curves_csv_equals_the_serial_loop(self, tmp_path, thread_count, run_bytes, kind,
+                                               count):
         opener, wanted = source_kind(kind, tmp_path)
         with opener() as source:
-            serial = rows_csv(source.info, wanted, [_measure(f, wanted) for f in source])
+            serial = rows_csv(source.info, wanted, [_measure_frame(f, wanted) for f in source])
         thread_count(count)
-        with opener() as source:
-            assert write_curves_csv(extract_curves(source, wanted)) == serial
+        # a Y4M file is one run of all 40 frames, then runs of two to four
+        for limit in (ingest._RUN_BYTES, 2000):
+            run_bytes(limit)
+            with opener() as source:
+                assert write_curves_csv(extract_curves(source, wanted)) == serial
 
-    def test_each_thread_measures_its_own_buffer(self, tmp_path, thread_count):
-        # a 640x480 frame is read while another thread measures; a buffer
-        # shared by two threads changed about one frame in 40 per run
+    def test_each_thread_measures_its_own_buffer(self, tmp_path, thread_count, run_bytes):
+        # a run of two 640x480 frames is read while another thread measures;
+        # a buffer shared by two threads changed about one frame in 40 per run
         info = StreamInfo(640, 480, 24, 1, PixelFormat.GRAY8)
         path = tmp_path / "wide.y4m"
         path.write_bytes(build_y4m(640, 480, noise_frames(info, 40), colorspace=b"Cmono"))
+        run_bytes(2 * info.bytes_per_frame + 6)
         with Y4MReader(path) as source:
             serial = rows_csv(info, (CurveChannel.LUMA,),
-                              [_measure(f, (CurveChannel.LUMA,)) for f in source])
+                              [_measure_frame(f, (CurveChannel.LUMA,)) for f in source])
         for count in (2, 8) * 3:
             thread_count(count)
             with Y4MReader(path) as source:
@@ -737,10 +764,12 @@ class TestThreadedSources:
 
     @pytest.mark.parametrize("count", (1, 2, 8))
     @pytest.mark.parametrize("piped", (False, True), ids=("file", "pipe"))
-    def test_frame_larger_than_the_input_is_truncated(self, tmp_path, thread_count,
+    def test_frame_larger_than_the_input_is_truncated(self, tmp_path, thread_count, run_bytes,
                                                       count, piped):
-        # the claimed frame is ~10 PB: a file's size refuses it at once, a
-        # pipe's bounded reads when the stream ends
+        # the claimed frame is ~10 PB: a file's size refuses it at once, as a
+        # run of one however small the runs, a pipe's bounded reads when the
+        # stream ends
+        run_bytes(1)
         stream = b"YUV4MPEG2 W99999999 H99999999 F24:1 C420\nFRAME\n" + bytes(64)
         path = tmp_path / "huge.y4m"
         if piped:
@@ -777,9 +806,9 @@ class TestThreadedSources:
                         raise MediaFormatError("frame 7 is bad")
                     yield frame
 
-            def load(self, claim):
+            def load(self, claim, buffer):
                 loaded.append(claim.index)
-                return claim
+                return super().load(claim, buffer)
 
         frames = [gray_frame([i, i, i], index=i) for i in range(20)]
         thread_count(count)
@@ -801,11 +830,11 @@ class TestThreadedSources:
                         raise MediaFormatError("claim of frame 5 failed")
                     yield frame
 
-            def load(self, claim):
+            def load(self, claim, buffer):
                 if claim.index == 2:
                     time.sleep(0.05)
                     raise MediaFormatError("load of frame 2 failed")
-                return claim
+                return super().load(claim, buffer)
 
         frames = [gray_frame([i, i, i], index=i) for i in range(20)]
         thread_count(count)
