@@ -213,34 +213,35 @@ class FrameSource:
     """Frames described by ``info``, in stream order.  As a context manager
     a source closes what it opened.
 
-    Frames are taken in two steps, so that threads can share one source.
-    ``claims()`` is a generator of claims in stream order, each of one or
-    more consecutive frames; it is advanced by one thread at a time, and
-    closing it closes what it opened.  ``load(claim, buffer)`` turns a claim
-    into a ``FrameRun`` and may run on many threads at once, each thread
-    with its own ``RunBuffer``.  The claims raise the stream's errors in
-    frame order.
+    A source implements ``__iter__``, a generator of one ``Frame`` per
+    frame, each with its own bytes, read in stream order.  Threads share a
+    source by taking frames in two steps.  ``claims()`` is a generator of
+    claims in stream order, each of one or more consecutive frames; it is
+    advanced by one thread at a time, and closing it closes what it opened.
+    ``load(claim, buffer)`` turns a claim into a ``FrameRun`` and may run on
+    many threads at once, each thread with its own ``RunBuffer``.  The
+    claims raise the stream's errors in frame order.
 
-    From a regular Y4M file a claim is a ``FrameAt``, a run of frames whose
-    markers all have one length, so the frames lie evenly spaced, and which
-    spans at most ``_RUN_BYTES`` unless it is one frame.  The claim reads
-    only the frames' ``FRAME`` markers and checks that the file holds each
-    whole frame, so a header claiming a frame larger than the file fails
-    before a buffer of that size exists.  ``load`` reads the run by offset
-    into ``buffer``, whose memory is the run's data until the buffer's next
-    load.  Elsewhere (a FIFO, a raw RGB24 dump, image files) the claim reads
-    one whole frame in stream order and is the ``Frame`` itself, which
-    ``load`` returns as a run of one without reading.
-
-    Iterating a source gives one ``Frame`` per frame, each with its own
-    bytes."""
+    The claims default to the iteration: each is a whole ``Frame``, which
+    ``load`` returns as a run of one without reading.  Only a regular Y4M
+    file claims a ``FrameAt``: a run of frames whose markers all have one
+    length, so the frames lie evenly spaced, spanning at most
+    ``_RUN_BYTES`` unless it is one frame.  The claim reads only the
+    frames' ``FRAME`` markers and checks that the file holds each whole
+    frame, so a header claiming a frame larger than the file fails before a
+    buffer of that size exists.  ``load`` reads the run by offset into
+    ``buffer``, whose memory is the run's data until the buffer's next
+    load."""
 
     info: StreamInfo
     # the container named in a truncated frame's message
     _container = ""
 
-    def claims(self) -> Iterator[Frame | FrameAt]:
+    def __iter__(self) -> Iterator[Frame]:
         raise NotImplementedError
+
+    def claims(self) -> Iterator[Frame | FrameAt]:
+        return iter(self)
 
     def load(self, claim: Frame | FrameAt, buffer: RunBuffer) -> FrameRun:
         if isinstance(claim, Frame):
@@ -262,16 +263,6 @@ class FrameSource:
                          self._container)
         return FrameRun(claim.index, claim.count, claim.stride, data)
 
-    def __iter__(self) -> Iterator[Frame]:
-        bpf = self.info.bytes_per_frame
-        for claim in self.claims():
-            if isinstance(claim, Frame):
-                yield claim
-                continue
-            for k in range(claim.count):
-                data = _pread(claim.fd, bpf, claim.offset + k * claim.stride)
-                yield _frame(self.info, claim.index + k, data, self._container)
-
     def close(self) -> None:
         pass
 
@@ -282,16 +273,9 @@ class FrameSource:
         self.close()
 
 
-def _pread(fd: int, count: int, offset: int) -> bytes:
-    """The ``count`` bytes at ``offset`` of the file open as ``fd``, fewer
-    only where the file ends."""
-    parts = []
-    # one read returns at most ~2 GiB on Linux
-    while count > 0 and (part := os.pread(fd, count, offset)):
-        parts.append(part)
-        count -= len(part)
-        offset += len(part)
-    return b"".join(parts)
+# the most bytes a Y4M header or frame marker line may hold, newline
+# included; a run-on line is refused here rather than read whole
+_LINE_BYTES = 64 << 10
 
 
 class Y4MReader(FrameSource):
@@ -302,31 +286,46 @@ class Y4MReader(FrameSource):
     def __init__(self, path: str | Path):
         self._file: BinaryIO = open(path, "rb")
         try:
-            self.info = parse_y4m_header(self._file.readline())
+            header = self._file.readline(_LINE_BYTES)
+            if len(header) == _LINE_BYTES and not header.endswith(b"\n"):
+                raise MediaFormatError("y4m: header line has no newline in its first %d bytes"
+                                       % _LINE_BYTES)
+            self.info = parse_y4m_header(header)
         except BaseException:
             self.close()
             raise
 
-    def claims(self) -> Iterator[Frame | FrameAt]:
+    def __iter__(self) -> Iterator[Frame]:
         bpf = self.info.bytes_per_frame
+        index = 0
+        while _frame_marker(self._file.readline(_LINE_BYTES)):
+            yield _frame(self.info, index, _read_chunked(self._file, bpf), self._container)
+            index += 1
+
+    def claims(self) -> Iterator[Frame | FrameAt]:
         fd = self._file.fileno()
         status = os.fstat(fd)
         if not stat.S_ISREG(status.st_mode):
-            index = 0
-            while _frame_marker(self._file.readline()):
-                yield _frame(self.info, index, _read_chunked(self._file, bpf), self._container)
-                index += 1
+            yield from self
             return
+        bpf = self.info.bytes_per_frame
+        pos = self._file.tell()
+        index = 0
         run = None
         try:
-            for frame in self._frames_at(fd, status.st_size):
-                if (run is not None and frame.stride == run.stride
-                        and run.count * run.stride + bpf <= _RUN_BYTES):
+            while _frame_marker(marker := _pread_line(fd, pos)):
+                offset = pos + len(marker)
+                _check_whole(self.info, index, status.st_size - offset, self._container)
+                stride = len(marker) + bpf
+                if (run is not None and stride == run.stride
+                        and run.count * stride + bpf <= _RUN_BYTES):
                     run = run._replace(count=run.count + 1)
-                    continue
-                if run is not None:
-                    yield run
-                run = frame
+                else:
+                    if run is not None:
+                        yield run
+                    run = FrameAt(index, fd, offset, stride, 1)
+                pos = offset + bpf
+                index += 1
         except MediaFormatError:
             # the frames before the bad one come first, as they would one by one
             if run is not None:
@@ -334,19 +333,6 @@ class Y4MReader(FrameSource):
             raise
         if run is not None:
             yield run
-
-    def _frames_at(self, fd: int, size: int) -> Iterator[FrameAt]:
-        """Each frame of the file as a run of one, its marker read and its end
-        checked against the file's ``size``."""
-        bpf = self.info.bytes_per_frame
-        pos = self._file.tell()
-        index = 0
-        while _frame_marker(marker := _pread_line(fd, pos)):
-            offset = pos + len(marker)
-            _check_whole(self.info, index, size - offset, self._container)
-            yield FrameAt(index, fd, offset, len(marker) + bpf, 1)
-            pos = offset + bpf
-            index += 1
 
     def close(self) -> None:
         self._file.close()
@@ -369,12 +355,13 @@ _MARKER_READ = 64
 
 
 def _pread_line(fd: int, pos: int) -> bytes:
-    """The line at byte ``pos`` of the file open as ``fd``, as ``readline``
-    would read it there, read without moving the file's position.  Each read
-    is twice the last, so a line of any length takes few of them."""
+    """The line at byte ``pos`` of the file open as ``fd``, as
+    ``readline(_LINE_BYTES)`` reads it there, without moving the file's
+    position.  Each read is twice the last, so a long line takes few."""
     parts = []
     count = _MARKER_READ
-    while part := os.pread(fd, count, pos):
+    stop = pos + _LINE_BYTES
+    while pos < stop and (part := os.pread(fd, min(count, stop - pos), pos)):
         end = part.find(b"\n") + 1
         if end:
             parts.append(part[:end])
@@ -456,7 +443,7 @@ class ImageSequenceReader(FrameSource):
         first = read_ppm(self._paths[0].read_bytes())
         self.info = StreamInfo(first.width, first.height, *_SEQUENCE_FPS, first.pixel_format)
 
-    def claims(self) -> Iterator[Frame]:
+    def __iter__(self) -> Iterator[Frame]:
         for index, path in enumerate(self._paths):
             frame = read_ppm(path.read_bytes(), index)
             if (frame.width, frame.height) != (self.info.width, self.info.height):
@@ -495,7 +482,7 @@ class RawRgbReader(FrameSource):
         self._path = Path(path)
         self.info = read_sidecar(Path(str(self._path) + ".json"))
 
-    def claims(self) -> Iterator[Frame]:
+    def __iter__(self) -> Iterator[Frame]:
         bpf = self.info.bytes_per_frame
         with open(self._path, "rb") as handle:
             index = 0

@@ -19,10 +19,10 @@ slower than NumPy's stable sort (5.7 ms against 1.0 ms).  Times are from a
 
 ``extract_curves`` measures frames on one thread per core the process may
 use.  The threads take runs of frames in stream order and store each run's
-rows by claim, so the curves do not depend on the thread count.  A Y4M
-file is claimed in runs of up to 2 MiB, read by offset after the claim into
-the thread's reused buffer, and the plane sums of every frame of a run are
-one NumPy reduction, so the interpreter work and lock hand-offs are paid
+rows by claim, so the curves do not depend on the thread count.  A regular
+Y4M file is claimed in runs of up to 2 MiB, read by offset after the claim
+into the thread's reused buffer, and the plane sums of every frame of a run
+are one NumPy reduction, so the interpreter work and lock hand-offs are paid
 per run, not per frame: on film90 this cut the extraction's CPU time by a
 quarter at two threads.  1 MiB runs gained less and larger ones raised the
 peak RSS (see ``ingest._RUN_BYTES``).  Reads and NumPy sums release the
@@ -299,14 +299,15 @@ def extract_curves(
     one thread per core measures frames: under one lock a thread claims the
     next run of frames in stream order, and outside it the thread loads the
     run into its own reused buffer and measures every frame of it at once
-    (see ``FrameSource``), so reads and sums of several runs overlap.  A Y4M
-    file is claimed in runs of up to ``_RUN_BYTES`` (2 MiB), which take the
-    per-frame interpreter work and lock hand-offs off the many short frames
-    of a film; other sources in runs of one frame.  Rows are stored by claim,
-    so the output does not depend on the thread count.  Once a claim or load
-    fails no thread claims again, and the error raised is that of the
-    earliest claim, the one a serial loop would raise.  The claims are
-    closed when the threads are done, whether or not they failed.
+    (see ``FrameSource``), so reads and sums of several runs overlap.  A
+    regular Y4M file is claimed in runs of up to ``_RUN_BYTES`` (2 MiB) read
+    by offset, which take the per-frame interpreter work and lock hand-offs
+    off the many short frames of a film; any other source one whole frame
+    at a time, as it iterates.  Rows are stored by claim, so the output does
+    not depend on the thread count.  Once a claim or load fails no thread
+    claims again, and the error raised is that of the earliest claim, the
+    one a serial loop would raise.  The claims are closed when the threads
+    are done, whether or not they failed.
     """
     wanted = tuple(dict.fromkeys(channels))
     if not wanted:

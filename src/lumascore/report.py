@@ -86,9 +86,12 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     channels = []
     for name in header[1:]:
         try:
-            channels.append(CurveChannel(name))
+            channel = CurveChannel(name)
         except ValueError:
             raise CsvFormatError("%s: unknown channel %r" % (source_path, name)) from None
+        if channel in channels:
+            raise CsvFormatError("%s: repeated channel %r" % (source_path, name))
+        channels.append(channel)
     rows = []
     times = []
     for ln, line in enumerate(lines[1:], start=2):
@@ -126,6 +129,13 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     n = len(times)
     # a single row carries no timing, fall back to 1 Hz
     rate = (n - 1) / (times[-1] - times[0]) if n > 1 else 1.0
+    # the rate holds only if every time lies on the grid it spans; 1e-6 s
+    # covers two six-decimal roundings, the time's own and the last time's
+    off = np.abs(np.asarray(times) - (times[0] + np.arange(n) / rate)) > 0.5 / rate + 1e-6
+    if off.any():
+        row = int(np.argmax(off))
+        raise CsvFormatError("%s: line %d: time_s %r lies off the %g Hz grid from the first "
+                             "time to the last" % (source_path, row + 2, times[row], rate))
     return {
         channel: BrightnessCurve(channel, rate, 0.0, table[:, i].copy())
         for i, channel in enumerate(channels)

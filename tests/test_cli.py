@@ -233,6 +233,20 @@ class TestAnalyze:
         assert "line 11: time_s is not strictly increasing" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_time_off_the_grid_exits_1(self, config_file, tmp_path, capsys):
+        # 100 rows 0.02 s apart and one at 100 s once analysed as a 101 s curve
+        curves = tmp_path / "curves.csv"
+        rows = ["%.6f,0.500000" % (0.02 * i) for i in range(100)] + ["100.000000,0.500000"]
+        curves.write_text("time_s,luma\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "a.json"
+        code = main(["analyze", "--curves", str(curves),
+                     "--config", str(config_file), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: %s: line 3: time_s 0.02 lies off the 1 Hz grid from the first time to "
+            "the last\n" % curves)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["7.5", "-3.0"])
     @pytest.mark.parametrize("stage", ["analyze", "plot"])
     def test_value_outside_unit_range_exits_1(self, shot_video, config_file, tmp_path,

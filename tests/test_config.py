@@ -442,6 +442,24 @@ class TestWalkerCoverage:
                     decoders.add(path.name)
         assert decoders == {"schema.py"}
 
+    def test_only_a_regular_y4m_file_reads_by_offset(self):
+        # a Y4M file's claims read markers by offset and load reads runs by
+        # offset; every other read, iteration included, is in stream order
+        def scan(node, scope, found):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope += "." + node.name
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("pread")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"):
+                found.add(scope)
+            for child in ast.iter_child_nodes(node):
+                scan(child, scope, found)
+
+        readers = set()
+        for path in SOURCE.glob("*.py"):
+            scan(ast.parse(path.read_text()), path.stem, readers)
+        assert readers == {"ingest._pread_line", "ingest.FrameSource.load"}
+
     @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
     def test_every_field_has_a_rule(self, cls):
         for name, hint in typing.get_type_hints(cls).items():

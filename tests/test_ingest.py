@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import re
 import tempfile
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lumascore.ingest import (
+    _LINE_BYTES,
     ImageSequenceReader,
     MediaFormatError,
     PixelFormat,
@@ -315,6 +318,170 @@ def test_y4m_bad_marker_after_a_run_raises_as_the_serial_loop(tmp_path, thread_c
     assert str(threaded.value) == str(serial.value)
     with pytest.raises(MediaFormatError, match="expected FRAME marker"):
         serial_rows(path, MARKER_CHANNELS)
+
+
+def iterated_frames(path) -> tuple:
+    """The (index, bytes) of each frame of iterating the Y4M file at
+    ``path``, and the message of the error that ended it, if one did."""
+    frames = []
+    with Y4MReader(path) as source:
+        try:
+            for frame in source:
+                frames.append((frame.index, frame.data))
+        except MediaFormatError as exc:
+            return frames, str(exc)
+    return frames, None
+
+
+def claimed_frames(path) -> tuple:
+    """As ``iterated_frames``, with the frames read as extraction reads
+    them: each claim loaded into one reused buffer."""
+    frames = []
+    with Y4MReader(path) as source, closing(source.claims()) as claims:
+        bpf = source.info.bytes_per_frame
+        buffer = RunBuffer()
+        try:
+            for claim in claims:
+                run = source.load(claim, buffer)
+                frames.extend((run.index + k, bytes(run.data[k * run.stride:][:bpf]))
+                              for k in range(run.count))
+        except MediaFormatError as exc:
+            return frames, str(exc)
+    return frames, None
+
+
+HUGE_FRAME = b"YUV4MPEG2 W99999999 H99999999 F24:1 C420\nFRAME\n" + bytes(64)
+ITERATED_STREAMS = {
+    "three marker lengths": (_noise_y4m([MARKERS[i % 3] for i in range(30)]), None),
+    "cut inside a run": (_noise_y4m([b"FRAME\n"] * 20)[:len(build_y4m(9, 7, [])) + 13 * 109 + 56],
+                         "y4m: frame 13 truncated (50 of 103 bytes)"),
+    "bad marker after a run": (_noise_y4m([b"FRAME\n"] * 11 + [b"FRAMX\n"] + [b"FRAME\n"] * 3),
+                               "y4m: expected FRAME marker, got b'FRAMX\\n'"),
+    "unterminated marker": (_noise_y4m([b"FRAME\n"] * 6) + b"FRAME Ip",
+                            "y4m: unterminated frame marker"),
+    "~10 PB frame": (HUGE_FRAME, "y4m: frame 0 truncated (64 of %d bytes)"
+                     % parse_y4m_header(HUGE_FRAME).bytes_per_frame),
+}
+
+
+@pytest.mark.parametrize("stream, message", ITERATED_STREAMS.values(), ids=ITERATED_STREAMS)
+def test_y4m_file_iterates_as_extraction_reads_it(tmp_path, run_bytes, stream, message) -> None:
+    # iteration reads the file in stream order, extraction by offset in runs
+    path = tmp_path / "film.y4m"
+    path.write_bytes(stream)
+    run_bytes(FOUR_FRAMES)
+    frames, error = iterated_frames(path)
+    assert (frames, error) == claimed_frames(path)
+    assert error == message
+    if message is None:
+        assert len(frames) == 30
+        return
+    with pytest.raises(MediaFormatError) as err:
+        extract_stage(path, MARKER_CHANNELS)
+    assert str(err.value) == message
+
+
+HEADER = b"YUV4MPEG2 W2 H2 F24:1 C420 X"
+LONG_HEADER = "y4m: header line has no newline in its first %d bytes" % _LINE_BYTES
+
+
+def pad_line(start: bytes, size: int) -> bytes:
+    """A line of ``size`` bytes, newline included, that starts ``start``."""
+    return start + b"x" * (size - len(start) - 1) + b"\n"
+
+
+def test_y4m_header_line_of_the_cap_is_read(tmp_path) -> None:
+    frame = y4m_frame_420(2, 2, 70)
+    path = tmp_path / "long.y4m"
+    path.write_bytes(pad_line(HEADER, _LINE_BYTES) + b"FRAME\n" + frame)
+    assert iterated_frames(path) == ([(0, frame)], None)
+    path.write_bytes(pad_line(HEADER, _LINE_BYTES + 1) + b"FRAME\n" + frame)
+    with pytest.raises(MediaFormatError) as err:
+        Y4MReader(path)
+    assert str(err.value) == LONG_HEADER
+
+
+def test_y4m_marker_line_of_the_cap_is_read(tmp_path) -> None:
+    # a marker of the cap is read, by offset and in stream order alike; one
+    # byte more is unterminated within the cap
+    plain = tmp_path / "plain.y4m"
+    plain.write_bytes(_noise_y4m([b"FRAME\n"] * 3))
+    long = tmp_path / "long.y4m"
+    long.write_bytes(_noise_y4m([b"FRAME\n", pad_line(b"FRAME X", _LINE_BYTES), b"FRAME\n"]))
+    assert iterated_frames(long) == claimed_frames(long) == iterated_frames(plain)
+    assert extract_stage(long, MARKER_CHANNELS) == extract_stage(plain, MARKER_CHANNELS)
+    long.write_bytes(_noise_y4m([b"FRAME\n", pad_line(b"FRAME X", _LINE_BYTES + 1)]))
+    assert iterated_frames(long)[1] == claimed_frames(long)[1] == "y4m: unterminated frame marker"
+    with pytest.raises(MediaFormatError, match="y4m: unterminated frame marker"):
+        extract_stage(long, MARKER_CHANNELS)
+
+
+def test_y4m_file_marker_without_newline_is_read_to_the_cap(tmp_path, monkeypatch) -> None:
+    read = []
+
+    def pread(fd, count, offset):
+        read.append(count)
+        return real(fd, count, offset)
+
+    real = os.pread
+    monkeypatch.setattr(os, "pread", pread)
+    path = tmp_path / "run-on.y4m"
+    path.write_bytes(build_y4m(2, 2, []) + b"FRAME " + b"x" * 16 * _LINE_BYTES)
+    with Y4MReader(path) as source, pytest.raises(MediaFormatError,
+                                                  match="y4m: unterminated frame marker"):
+        list(source.claims())
+    assert sum(read) == _LINE_BYTES
+
+
+def unread_after(fifo: Path, payload: bytes, read) -> int:
+    """The bytes of ``payload`` still in the FIFO at ``fifo`` after
+    ``read()`` has taken what it reads of it.  A second read end, held open
+    meanwhile, keeps the writer going when ``read`` closes its own, and then
+    drains the rest."""
+    spare = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with feeding(fifo, payload):
+            read()
+            os.set_blocking(spare, True)
+            left = 0
+            while chunk := os.read(spare, 1 << 16):
+                left += len(chunk)
+    finally:
+        os.close(spare)
+    return left
+
+
+# more than a pipe holds, so the writer waits on what the reader takes
+RUN_ON = b"x" * 16 * _LINE_BYTES
+
+
+def test_y4m_pipe_header_without_newline_is_read_to_the_cap(tmp_path) -> None:
+    fifo = tmp_path / "run-on.y4m"
+    os.mkfifo(fifo)
+
+    def read() -> None:
+        with pytest.raises(MediaFormatError) as err:
+            Y4MReader(fifo)
+        assert str(err.value) == LONG_HEADER
+
+    payload = HEADER + RUN_ON
+    taken = len(payload) - unread_after(fifo, payload, read)
+    assert _LINE_BYTES <= taken <= _LINE_BYTES + io.DEFAULT_BUFFER_SIZE
+
+
+def test_y4m_pipe_marker_without_newline_is_read_to_the_cap(tmp_path) -> None:
+    fifo = tmp_path / "run-on.y4m"
+    os.mkfifo(fifo)
+    first = build_y4m(2, 2, [y4m_frame_420(2, 2, 30)])
+
+    def read() -> None:
+        with Y4MReader(fifo) as source, pytest.raises(MediaFormatError,
+                                                      match="y4m: unterminated frame marker"):
+            list(source.claims())
+
+    payload = first + b"FRAME " + RUN_ON
+    taken = len(payload) - unread_after(fifo, payload, read) - len(first)
+    assert _LINE_BYTES <= taken <= _LINE_BYTES + io.DEFAULT_BUFFER_SIZE
 
 
 @given(

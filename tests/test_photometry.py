@@ -115,7 +115,7 @@ class ListSource(FrameSource):
         self.info = info
         self._frames = list(frames)
 
-    def claims(self):
+    def __iter__(self):
         yield from self._frames
 
 

@@ -33,6 +33,7 @@ from lumascore.midi import read_smf
 from lumascore.photometry import BrightnessCurve, CurveChannel, CurveSet
 from lumascore.pipeline import analyze_stage
 from lumascore.report import (
+    MAX_CSV_RATE_HZ,
     CsvFormatError,
     ReportFormatError,
     build_report,
@@ -156,6 +157,27 @@ class TestReadCurvesCsv:
         back = read_curves_csv(b"time_s,luma\n0.000000,0.000000\n0.040000,1.000000\n")
         assert list(back[CurveChannel.LUMA].values) == [0.0, 1.0]
 
+    @pytest.mark.parametrize("middle, off", [("1.400000", False), ("1.600000", True)])
+    def test_time_more_than_half_a_period_off_the_grid_rejected(self, middle, off):
+        # the first and last times span a 1 Hz grid; the middle one is 0.4 or 0.6 s off it
+        data = ("time_s,luma\n0.000000,0.5\n%s,0.5\n2.000000,0.5\n" % middle).encode()
+        if not off:
+            assert read_curves_csv(data)[CurveChannel.LUMA].sample_rate == 1.0
+            return
+        with pytest.raises(CsvFormatError, match="line 3: time_s 1.6 lies off the 1 Hz grid"):
+            read_curves_csv(data)
+
+    @given(rate=st.floats(1e-6, MAX_CSV_RATE_HZ),
+           values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=200))
+    @example(rate=MAX_CSV_RATE_HZ, values=[0.5] * 200)
+    @example(rate=24000 / 1001, values=[0.5] * 200)
+    def test_every_written_csv_reads_back(self, rate, values):
+        # each time is six-decimal rounded, and so is the last time the rate
+        # is recovered from; both stay within the grid's tolerance
+        back = read_curves_csv(write_curves_csv(make_curveset({CurveChannel.LUMA: values},
+                                                              rate=rate)))
+        assert len(back[CurveChannel.LUMA].values) == len(values)
+
     def test_empty_body_rejected(self):
         with pytest.raises(CsvFormatError):
             read_curves_csv(b"time_s,luma\n")
@@ -172,6 +194,9 @@ class TestReadCurvesCsv:
         (b"time_s,luma\n0,nan\n", "<curves>: line 2: value is not finite"),
         (b"time_s,luma\n0,2\n", "<curves>: line 2: luma value 2.0 is outside [0, 1]"),
         (b"time_s,luma\n0,0.5\n0,0.5\n", "<curves>: line 3: time_s is not strictly increasing"),
+        (b"time_s,luma,luma\n0,0.5,0.5\n", "<curves>: repeated channel 'luma'"),
+        (b"time_s,luma\n0,0.5\n0.02,0.5\n1,0.5\n",
+         "<curves>: line 3: time_s 0.02 lies off the 2 Hz grid from the first time to the last"),
     ])
     def test_each_fault_gives_its_message(self, data, message):
         with pytest.raises(CsvFormatError) as err:
