@@ -17,6 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple
 
+import numpy as np
+
 from .schema import load_json, parse_record
 
 
@@ -72,6 +74,11 @@ class Frame:
     data: bytes
 
 
+def frame_codes(frame: Frame) -> np.ndarray:
+    """The frame's bytes as a run of one frame: one row of uint8 codes."""
+    return np.frombuffer(frame.data, dtype=np.uint8)[np.newaxis]
+
+
 class FrameAt(NamedTuple):
     """A claimed run of ``count`` frames not read yet, from frame ``index``
     of the stream on, whose data start ``offset``, ``offset + stride``, ...
@@ -101,16 +108,6 @@ class RunBuffer:
         if self._map is None or len(self._map) < size:
             self._map = mmap.mmap(-1, size)
         return self._map
-
-
-class FrameRun(NamedTuple):
-    """A loaded run of ``count`` frames: frame ``index + k`` of the stream is
-    the frame's bytes at ``k * stride`` in ``data``."""
-
-    index: int
-    count: int
-    stride: int
-    data: bytes | mmap.mmap
 
 
 _Y4M_COLORSPACES = {
@@ -218,20 +215,21 @@ class FrameSource:
     source by taking frames in two steps.  ``claims()`` is a generator of
     claims in stream order, each of one or more consecutive frames; it is
     advanced by one thread at a time, and closing it closes what it opened.
-    ``load(claim, buffer)`` turns a claim into a ``FrameRun`` and may run on
-    many threads at once, each thread with its own ``RunBuffer``.  The
-    claims raise the stream's errors in frame order.
+    ``load(claim, buffer)`` returns the claim's frames as a 2-D ``uint8``
+    array, one row of codes per frame, and may run on many threads at once,
+    each thread with its own ``RunBuffer``.  The claims raise the stream's
+    errors in frame order.
 
     The claims default to the iteration: each is a whole ``Frame``, which
-    ``load`` returns as a run of one without reading.  Only a regular Y4M
-    file claims a ``FrameAt``: a run of frames whose markers all have one
-    length, so the frames lie evenly spaced, spanning at most
-    ``_RUN_BYTES`` unless it is one frame.  The claim reads only the
-    frames' ``FRAME`` markers and checks that the file holds each whole
-    frame, so a header claiming a frame larger than the file fails before a
-    buffer of that size exists.  ``load`` reads the run by offset into
-    ``buffer``, whose memory is the run's data until the buffer's next
-    load."""
+    ``load`` returns without reading, as one row that is a view of its
+    bytes.  Only a regular Y4M file claims a ``FrameAt``: a run of frames
+    whose markers all have one length, so the frames lie evenly spaced,
+    spanning at most ``_RUN_BYTES`` unless it is one frame.  The claim
+    reads only the frames' ``FRAME`` markers and checks that the file holds
+    each whole frame, so a header claiming a frame larger than the file
+    fails before a buffer of that size exists.  ``load`` reads the run by
+    offset into ``buffer`` and returns a view of it, rows ``stride`` bytes
+    apart, which holds the run until the buffer's next load."""
 
     info: StreamInfo
     # the container named in a truncated frame's message
@@ -243,9 +241,9 @@ class FrameSource:
     def claims(self) -> Iterator[Frame | FrameAt]:
         return iter(self)
 
-    def load(self, claim: Frame | FrameAt, buffer: RunBuffer) -> FrameRun:
+    def load(self, claim: Frame | FrameAt, buffer: RunBuffer) -> np.ndarray:
         if isinstance(claim, Frame):
-            return FrameRun(claim.index, 1, len(claim.data), claim.data)
+            return frame_codes(claim)
         bpf = self.info.bytes_per_frame
         span = (claim.count - 1) * claim.stride + bpf
         data = buffer.get(span)
@@ -261,7 +259,7 @@ class FrameSource:
         if whole < claim.count:
             _check_whole(self.info, claim.index + whole, max(0, got - whole * claim.stride),
                          self._container)
-        return FrameRun(claim.index, claim.count, claim.stride, data)
+        return np.ndarray((claim.count, bpf), np.uint8, data, strides=(claim.stride, 1))
 
     def close(self) -> None:
         pass
@@ -276,6 +274,12 @@ class FrameSource:
 # the most bytes a Y4M header or frame marker line may hold, newline
 # included; a run-on line is refused here rather than read whole
 _LINE_BYTES = 64 << 10
+# the Y4M file's read buffer.  A regular file's claims seek past each frame,
+# which empties the buffer, and ``readline`` the next marker, mostly
+# "FRAME\n", which fills it again: walking film90's 2,160 markers took a
+# median 13.7 ms with 128 B and 17.0 ms with the default 8 KiB on a 2-vCPU
+# Xeon.  Reads of frame data, far larger, go around the buffer
+_Y4M_BUFFER = 128
 
 
 class Y4MReader(FrameSource):
@@ -284,7 +288,7 @@ class Y4MReader(FrameSource):
     _container = "y4m"
 
     def __init__(self, path: str | Path):
-        self._file: BinaryIO = open(path, "rb")
+        self._file: BinaryIO = open(path, "rb", buffering=_Y4M_BUFFER)
         try:
             header = self._file.readline(_LINE_BYTES)
             if len(header) == _LINE_BYTES and not header.endswith(b"\n"):
@@ -303,6 +307,9 @@ class Y4MReader(FrameSource):
             index += 1
 
     def claims(self) -> Iterator[Frame | FrameAt]:
+        """A FIFO's frames as it iterates.  A regular file's runs of frames
+        (see ``FrameSource``): the claims walk the markers with iteration's
+        ``readline``, seeking past each frame instead of reading it."""
         fd = self._file.fileno()
         status = os.fstat(fd)
         if not stat.S_ISREG(status.st_mode):
@@ -313,7 +320,7 @@ class Y4MReader(FrameSource):
         index = 0
         run = None
         try:
-            while _frame_marker(marker := _pread_line(fd, pos)):
+            while _frame_marker(marker := self._file.readline(_LINE_BYTES)):
                 offset = pos + len(marker)
                 _check_whole(self.info, index, status.st_size - offset, self._container)
                 stride = len(marker) + bpf
@@ -324,7 +331,8 @@ class Y4MReader(FrameSource):
                     if run is not None:
                         yield run
                     run = FrameAt(index, fd, offset, stride, 1)
-                pos = offset + bpf
+                # seek's result, not tell(), which costs an lseek
+                pos = self._file.seek(offset + bpf)
                 index += 1
         except MediaFormatError:
             # the frames before the bad one come first, as they would one by one
@@ -348,28 +356,6 @@ def _frame_marker(marker: bytes) -> bool:
     if marker != b"FRAME\n" and not marker.startswith(b"FRAME "):
         raise MediaFormatError("y4m: expected FRAME marker, got %r" % marker[:16])
     return True
-
-
-# bytes read at a time for a frame marker, which is mostly "FRAME\n"
-_MARKER_READ = 64
-
-
-def _pread_line(fd: int, pos: int) -> bytes:
-    """The line at byte ``pos`` of the file open as ``fd``, as
-    ``readline(_LINE_BYTES)`` reads it there, without moving the file's
-    position.  Each read is twice the last, so a long line takes few."""
-    parts = []
-    count = _MARKER_READ
-    stop = pos + _LINE_BYTES
-    while pos < stop and (part := os.pread(fd, min(count, stop - pos), pos)):
-        end = part.find(b"\n") + 1
-        if end:
-            parts.append(part[:end])
-            break
-        parts.append(part)
-        pos += len(part)
-        count *= 2
-    return b"".join(parts)
 
 
 def read_ppm(data: bytes, index: int = 0) -> Frame:

@@ -63,7 +63,9 @@ def write_smf(score: Score) -> bytes:
     events: list[tuple[int, int, int, bytes]] = []
     for note in score.notes:
         on = ticks(note.onset_s, score.tempo_bpm, ppq)
-        off = ticks(note.onset_s + note.duration_s, score.tempo_bpm, ppq)
+        # a note shorter than half a tick would end at its start, where its
+        # release sorts before its attack and never closes it
+        off = max(ticks(note.onset_s + note.duration_s, score.tempo_bpm, ppq), on + 1)
         status_on = 0x90 | (note.channel & 0x0F)
         status_off = 0x80 | (note.channel & 0x0F)
         events.append((on, _CLASS_ON, note.pitch, bytes([status_on, note.pitch, note.velocity])))

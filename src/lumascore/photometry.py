@@ -45,12 +45,12 @@ import numpy as np
 from .ingest import (
     Frame,
     FrameAt,
-    FrameRun,
     FrameSource,
     MediaFormatError,
     PixelFormat,
     RunBuffer,
     StreamInfo,
+    frame_codes,
 )
 
 
@@ -157,17 +157,6 @@ def _luma_keys(codes: np.ndarray, pixels: int,
     return keys, 219
 
 
-def _frame_codes(frame: Frame) -> np.ndarray:
-    """The frame's bytes as a run of one frame: one row of uint8 codes."""
-    return np.frombuffer(frame.data, dtype=np.uint8)[np.newaxis]
-
-
-def _run_codes(run: FrameRun, bytes_per_frame: int) -> np.ndarray:
-    """The frames of ``run`` as rows of uint8 codes, a view of its data."""
-    return np.ndarray((run.count, bytes_per_frame), np.uint8, run.data,
-                      strides=(run.stride, 1))
-
-
 def _square_sum(keys: np.ndarray, bound: int) -> int:
     """Exact sum of squares of keys in [0, bound].  An int64 sum of at most
     (2**63 - 1) // bound**2 squares cannot wrap, so the keys are squared in
@@ -214,7 +203,7 @@ def frame_contrast(frame: Frame, method: str = "rms") -> float:
     """Contrast of the frame's per-pixel luma: ``rms`` is the population
     standard deviation, ``spread`` the nearest-rank 95th minus 5th
     percentile."""
-    keys, scale = _luma_keys(_frame_codes(frame), frame.width * frame.height,
+    keys, scale = _luma_keys(frame_codes(frame), frame.width * frame.height,
                              frame.pixel_format)
     return _contrast(keys[0], scale, method)
 
@@ -266,7 +255,7 @@ def _measure(codes: np.ndarray, pixels: int, pixel_format: PixelFormat,
 
 def _measure_frame(frame: Frame, channels: tuple[CurveChannel, ...]) -> tuple[float, ...]:
     """``_measure`` of one frame."""
-    return _measure(_frame_codes(frame), frame.width * frame.height, frame.pixel_format,
+    return _measure(frame_codes(frame), frame.width * frame.height, frame.pixel_format,
                     channels)[0]
 
 
@@ -298,12 +287,13 @@ def extract_curves(
     The channels are checked against the stream's pixel format first.  Then
     one thread per core measures frames: under one lock a thread claims the
     next run of frames in stream order, and outside it the thread loads the
-    run into its own reused buffer and measures every frame of it at once
-    (see ``FrameSource``), so reads and sums of several runs overlap.  A
-    regular Y4M file is claimed in runs of up to ``_RUN_BYTES`` (2 MiB) read
-    by offset, which take the per-frame interpreter work and lock hand-offs
-    off the many short frames of a film; any other source one whole frame
-    at a time, as it iterates.  Rows are stored by claim, so the output does
+    run, one row of codes per frame, into its own reused buffer and measures
+    the rows at once (see ``FrameSource``), so reads and sums of several
+    runs overlap.  A regular Y4M file is claimed in runs of up to
+    ``_RUN_BYTES`` (2 MiB) read by offset, which take the per-frame
+    interpreter work and lock hand-offs off the many short frames of a film;
+    any other source one whole frame at a time, as it iterates, loaded as a
+    view of the frame's bytes.  Rows are stored by claim, so the output does
     not depend on the thread count.  Once a claim or load fails no thread
     claims again, and the error raised is that of the earliest claim, the
     one a serial loop would raise.  The claims are closed when the threads
@@ -314,7 +304,6 @@ def extract_curves(
         raise ValueError("no channels requested")
     info: StreamInfo = source.info
     _check_channels(wanted, info.pixel_format)
-    bpf = info.bytes_per_frame
     pixels = info.width * info.height
     lock = threading.Lock()
     stop = threading.Event()
@@ -341,8 +330,8 @@ def extract_curves(
                     return
                 claimed += 1
             try:
-                codes = _run_codes(source.load(claim, buffer), bpf)
-                runs[index] = _measure(codes, pixels, info.pixel_format, wanted)
+                runs[index] = _measure(source.load(claim, buffer), pixels,
+                                       info.pixel_format, wanted)
             except BaseException as exc:
                 failures[index] = exc
                 stop.set()

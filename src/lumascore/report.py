@@ -112,6 +112,11 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
     if not finite.all():
         raise CsvFormatError("%s: line %d: value is not finite"
                              % (source_path, int(np.argmin(finite)) + 2))
+    # the curve's t0 is 0, as extract writes it; a later first time would
+    # shift every sample back to the film's start
+    if abs(times[0]) > 1e-6:
+        raise CsvFormatError("%s: line 2: time_s %r must be 0, the start of the film"
+                             % (source_path, times[0]))
     # every channel is a brightness in [0, 1], as extract writes it; a value
     # outside would pass into the analysis as an impossible brightness
     outside = (table < 0.0) | (table > 1.0)

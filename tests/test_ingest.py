@@ -17,6 +17,7 @@ from hypothesis import given, strategies as st
 
 from lumascore.ingest import (
     _LINE_BYTES,
+    _Y4M_BUFFER,
     ImageSequenceReader,
     MediaFormatError,
     PixelFormat,
@@ -166,8 +167,7 @@ def test_y4m_file_that_shrinks_after_the_claim_is_truncated(tmp_path, run_bytes,
         assert (first.index, first.count, second.index, second.count) == (0, 2, 2, 2)
         os.truncate(path, second.offset + second.stride + kept)
         buffer = RunBuffer()
-        run = reader.load(first, buffer)
-        assert [bytes(run.data[k * 12:k * 12 + 6]) for k in range(2)] == frames[:2]
+        assert [bytes(row) for row in reader.load(first, buffer)] == frames[:2]
         with pytest.raises(MediaFormatError) as err:
             reader.load(second, buffer)
         claims.close()
@@ -338,21 +338,38 @@ def claimed_frames(path) -> tuple:
     them: each claim loaded into one reused buffer."""
     frames = []
     with Y4MReader(path) as source, closing(source.claims()) as claims:
-        bpf = source.info.bytes_per_frame
         buffer = RunBuffer()
         try:
             for claim in claims:
-                run = source.load(claim, buffer)
-                frames.extend((run.index + k, bytes(run.data[k * run.stride:][:bpf]))
-                              for k in range(run.count))
+                rows = source.load(claim, buffer)
+                frames.extend((claim.index + k, bytes(row)) for k, row in enumerate(rows))
         except MediaFormatError as exc:
             return frames, str(exc)
     return frames, None
 
 
+def pad_line(start: bytes, size: int) -> bytes:
+    """A line of ``size`` bytes, newline included, that starts ``start``."""
+    return start + b"x" * (size - len(start) - 1) + b"\n"
+
+
+def long_markers(size: int) -> list:
+    """30 markers, two in each three of them ``size`` bytes long."""
+    return [pad_line(b"FRAME X", size) if i % 3 else b"FRAME\n" for i in range(30)]
+
+
+PLAIN = _noise_y4m([b"FRAME\n"] * 30)
 HUGE_FRAME = b"YUV4MPEG2 W99999999 H99999999 F24:1 C420\nFRAME\n" + bytes(64)
 ITERATED_STREAMS = {
     "three marker lengths": (_noise_y4m([MARKERS[i % 3] for i in range(30)]), None),
+    # markers whose newline is the last byte of the read buffer, or one
+    # byte before or after it
+    "markers of the buffer less 1": (_noise_y4m(long_markers(_Y4M_BUFFER - 1)), None),
+    "markers of the buffer": (_noise_y4m(long_markers(_Y4M_BUFFER)), None),
+    "markers of the buffer and 1": (_noise_y4m(long_markers(_Y4M_BUFFER + 1)), None),
+    "marker of the cap": (_noise_y4m(long_markers(_LINE_BYTES)), None),
+    "marker of the cap and 1": (_noise_y4m(long_markers(_LINE_BYTES + 1)[:2]),
+                                "y4m: unterminated frame marker"),
     "cut inside a run": (_noise_y4m([b"FRAME\n"] * 20)[:len(build_y4m(9, 7, [])) + 13 * 109 + 56],
                          "y4m: frame 13 truncated (50 of 103 bytes)"),
     "bad marker after a run": (_noise_y4m([b"FRAME\n"] * 11 + [b"FRAMX\n"] + [b"FRAME\n"] * 3),
@@ -364,17 +381,24 @@ ITERATED_STREAMS = {
 }
 
 
+@pytest.mark.parametrize("count", (1, 2, 8))
 @pytest.mark.parametrize("stream, message", ITERATED_STREAMS.values(), ids=ITERATED_STREAMS)
-def test_y4m_file_iterates_as_extraction_reads_it(tmp_path, run_bytes, stream, message) -> None:
-    # iteration reads the file in stream order, extraction by offset in runs
+def test_y4m_file_iterates_as_extraction_reads_it(tmp_path, run_bytes, thread_count, count,
+                                                  stream, message) -> None:
+    # iteration reads the file in stream order, extraction by offset in runs;
+    # a film that reads whole holds the frames of one with plain markers
     path = tmp_path / "film.y4m"
     path.write_bytes(stream)
     run_bytes(FOUR_FRAMES)
     frames, error = iterated_frames(path)
     assert (frames, error) == claimed_frames(path)
     assert error == message
+    thread_count(count)
     if message is None:
-        assert len(frames) == 30
+        plain = tmp_path / "plain.y4m"
+        plain.write_bytes(PLAIN)
+        assert frames == iterated_frames(plain)[0]
+        assert extract_stage(path, MARKER_CHANNELS) == extract_stage(plain, MARKER_CHANNELS)
         return
     with pytest.raises(MediaFormatError) as err:
         extract_stage(path, MARKER_CHANNELS)
@@ -383,11 +407,6 @@ def test_y4m_file_iterates_as_extraction_reads_it(tmp_path, run_bytes, stream, m
 
 HEADER = b"YUV4MPEG2 W2 H2 F24:1 C420 X"
 LONG_HEADER = "y4m: header line has no newline in its first %d bytes" % _LINE_BYTES
-
-
-def pad_line(start: bytes, size: int) -> bytes:
-    """A line of ``size`` bytes, newline included, that starts ``start``."""
-    return start + b"x" * (size - len(start) - 1) + b"\n"
 
 
 def test_y4m_header_line_of_the_cap_is_read(tmp_path) -> None:
@@ -401,36 +420,16 @@ def test_y4m_header_line_of_the_cap_is_read(tmp_path) -> None:
     assert str(err.value) == LONG_HEADER
 
 
-def test_y4m_marker_line_of_the_cap_is_read(tmp_path) -> None:
-    # a marker of the cap is read, by offset and in stream order alike; one
-    # byte more is unterminated within the cap
-    plain = tmp_path / "plain.y4m"
-    plain.write_bytes(_noise_y4m([b"FRAME\n"] * 3))
-    long = tmp_path / "long.y4m"
-    long.write_bytes(_noise_y4m([b"FRAME\n", pad_line(b"FRAME X", _LINE_BYTES), b"FRAME\n"]))
-    assert iterated_frames(long) == claimed_frames(long) == iterated_frames(plain)
-    assert extract_stage(long, MARKER_CHANNELS) == extract_stage(plain, MARKER_CHANNELS)
-    long.write_bytes(_noise_y4m([b"FRAME\n", pad_line(b"FRAME X", _LINE_BYTES + 1)]))
-    assert iterated_frames(long)[1] == claimed_frames(long)[1] == "y4m: unterminated frame marker"
-    with pytest.raises(MediaFormatError, match="y4m: unterminated frame marker"):
-        extract_stage(long, MARKER_CHANNELS)
-
-
-def test_y4m_file_marker_without_newline_is_read_to_the_cap(tmp_path, monkeypatch) -> None:
-    read = []
-
-    def pread(fd, count, offset):
-        read.append(count)
-        return real(fd, count, offset)
-
-    real = os.pread
-    monkeypatch.setattr(os, "pread", pread)
+def test_y4m_file_marker_without_newline_is_read_to_the_cap(tmp_path) -> None:
+    # the claims read a run-on marker to the cap, and at most one buffer on
+    header = build_y4m(2, 2, [])
     path = tmp_path / "run-on.y4m"
-    path.write_bytes(build_y4m(2, 2, []) + b"FRAME " + b"x" * 16 * _LINE_BYTES)
-    with Y4MReader(path) as source, pytest.raises(MediaFormatError,
-                                                  match="y4m: unterminated frame marker"):
-        list(source.claims())
-    assert sum(read) == _LINE_BYTES
+    path.write_bytes(header + b"FRAME " + b"x" * 16 * _LINE_BYTES)
+    with Y4MReader(path) as source:
+        with pytest.raises(MediaFormatError, match="y4m: unterminated frame marker"):
+            list(source.claims())
+        taken = source._file.raw.tell()
+    assert len(header) + _LINE_BYTES <= taken <= len(header) + _LINE_BYTES + _Y4M_BUFFER
 
 
 def unread_after(fifo: Path, payload: bytes, read) -> int:

@@ -22,6 +22,7 @@ from lumascore.ingest import (
     RawRgbReader,
     StreamInfo,
     Y4MReader,
+    frame_codes,
     open_source,
 )
 from lumascore.photometry import (
@@ -29,7 +30,6 @@ from lumascore.photometry import (
     CurveChannel,
     CurveSet,
     _contrast,
-    _frame_codes,
     _luma_keys,
     _lane_sums,
     _measure_frame,
@@ -102,7 +102,7 @@ def exact_keys(frame):
 
 def frame_keys(frame):
     """The luma keys of one frame and their scale."""
-    keys, scale = _luma_keys(_frame_codes(frame), frame.width * frame.height,
+    keys, scale = _luma_keys(frame_codes(frame), frame.width * frame.height,
                              frame.pixel_format)
     return keys[0], scale
 

@@ -195,6 +195,8 @@ class TestReadCurvesCsv:
         (b"time_s,luma\n0,2\n", "<curves>: line 2: luma value 2.0 is outside [0, 1]"),
         (b"time_s,luma\n0,0.5\n0,0.5\n", "<curves>: line 3: time_s is not strictly increasing"),
         (b"time_s,luma,luma\n0,0.5,0.5\n", "<curves>: repeated channel 'luma'"),
+        (b"time_s,luma\n5,0.5\n5.5,0.5\n", "<curves>: line 2: time_s 5.0 must be 0, the start "
+                                            "of the film"),
         (b"time_s,luma\n0,0.5\n0.02,0.5\n1,0.5\n",
          "<curves>: line 3: time_s 0.02 lies off the 2 Hz grid from the first time to the last"),
     ])
