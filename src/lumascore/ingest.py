@@ -211,10 +211,11 @@ class FrameSource:
     a source closes what it opened.
 
     A source implements ``__iter__``, a generator of one ``Frame`` per
-    frame, each with its own bytes, read in stream order.  Threads share a
-    source by taking frames in two steps.  ``claims()`` is a generator of
-    claims in stream order, each of one or more consecutive frames; it is
-    advanced by one thread at a time, and closing it closes what it opened.
+    frame, each with its own bytes, read in stream order.  The threads of
+    ``photometry.extract_curves`` share a source by taking frames in two
+    steps.  ``claims()`` is a generator of claims in stream order, each of
+    one or more consecutive frames; it is advanced by one thread at a time,
+    and closing it closes what it opened.
     ``load(claim, buffer)`` returns the claim's frames as a 2-D ``uint8``
     array, one row of codes per frame, and may run on many threads at once,
     each thread with its own ``RunBuffer``.  The claims raise the stream's

@@ -17,16 +17,12 @@ partitions, ~0.2 ms per 640x480 frame against ~1.6 ms for a full sort);
 slower than NumPy's stable sort (5.7 ms against 1.0 ms).  Times are from a
 2-vCPU Xeon with NumPy 2.4.
 
-``extract_curves`` measures frames on one thread per core the process may
-use.  The threads take runs of frames in stream order and store each run's
-rows by claim, so the curves do not depend on the thread count.  A regular
-Y4M file is claimed in runs of up to 2 MiB, read by offset after the claim
-into the thread's reused buffer, and the plane sums of every frame of a run
-are one NumPy reduction, so the interpreter work and lock hand-offs are paid
-per run, not per frame: on film90 this cut the extraction's CPU time by a
-quarter at two threads.  1 MiB runs gained less and larger ones raised the
-peak RSS (see ``ingest._RUN_BYTES``).  Reads and NumPy sums release the
-interpreter lock, so one thread can read while another sums.
+``extract_curves`` gives its thread loop.  The plane sums of every frame of
+a run are one NumPy reduction, so the interpreter work and lock hand-offs
+are paid per run, not per frame: on film90 2 MiB runs cut the extraction's
+CPU time by a quarter at two threads.  1 MiB runs gained less and larger
+ones raised the peak RSS (see ``ingest._RUN_BYTES``).  Reads and NumPy sums
+release the interpreter lock, so one thread can read while another sums.
 """
 
 from __future__ import annotations
@@ -34,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing
 from dataclasses import dataclass, field
 from enum import Enum
@@ -285,19 +280,18 @@ def extract_curves(
     """Reduce a frame source to one sample per frame for each channel.
 
     The channels are checked against the stream's pixel format first.  Then
-    one thread per core measures frames: under one lock a thread claims the
-    next run of frames in stream order, and outside it the thread loads the
-    run, one row of codes per frame, into its own reused buffer and measures
-    the rows at once (see ``FrameSource``), so reads and sums of several
-    runs overlap.  A regular Y4M file is claimed in runs of up to
-    ``_RUN_BYTES`` (2 MiB) read by offset, which take the per-frame
-    interpreter work and lock hand-offs off the many short frames of a film;
-    any other source one whole frame at a time, as it iterates, loaded as a
-    view of the frame's bytes.  Rows are stored by claim, so the output does
-    not depend on the thread count.  Once a claim or load fails no thread
-    claims again, and the error raised is that of the earliest claim, the
-    one a serial loop would raise.  The claims are closed when the threads
-    are done, whether or not they failed.
+    the calling thread measures frames beside ``_thread_count() - 1`` helper
+    threads, one thread per core and no helper at one core.  Under one lock
+    a thread claims the next run of frames in stream order; outside it the
+    thread loads the run, one row of codes per frame, into its own reused
+    buffer and measures the rows at once (see ``FrameSource``), so reads and
+    sums of several runs overlap.  A regular Y4M file is claimed in runs of
+    up to ``_RUN_BYTES`` (2 MiB) read by offset, any other source one whole
+    frame at a time as it iterates.  Rows are stored by claim, so the output
+    does not depend on the thread count.  Once a claim or load fails no
+    thread claims again, and the error raised is that of the earliest
+    claim, the one a serial loop would raise.  The claims are closed when
+    every thread is done, whether or not the call failed or was interrupted.
     """
     wanted = tuple(dict.fromkeys(channels))
     if not wanted:
@@ -307,55 +301,59 @@ def extract_curves(
     pixels = info.width * info.height
     lock = threading.Lock()
     stop = threading.Event()
-    claimed = 0
-    runs: dict[int, list[tuple[float, ...]]] = {}
-    failures: dict[int, BaseException] = {}
+    # one slot per claim, in claim order: the claim until its rows are
+    # measured, then the rows, or the exception its claim or load raised
+    results: list = []
 
     def work(claims: Iterator[Frame | FrameAt]) -> None:
-        nonlocal claimed
         buffer = RunBuffer()
         while True:
             with lock:
                 if stop.is_set():
                     return
-                index = claimed
+                index = len(results)
                 try:
                     claim = next(claims, None)
                 except BaseException as exc:
-                    # set under the lock, so no thread claims after this one
-                    failures[index] = exc
+                    # stored under the lock, so no thread claims after this one
+                    results.append(exc)
                     stop.set()
-                    raise
+                    return
                 if claim is None:
                     return
-                claimed += 1
+                results.append(claim)
             try:
-                runs[index] = _measure(source.load(claim, buffer), pixels,
-                                       info.pixel_format, wanted)
+                results[index] = _measure(source.load(claim, buffer), pixels,
+                                          info.pixel_format, wanted)
             except BaseException as exc:
-                failures[index] = exc
+                results[index] = exc
                 stop.set()
-                raise
+                return
 
-    threads = _thread_count()
-    with closing(source.claims()) as claims, ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(work, claims) for _ in range(threads)]
+    with closing(source.claims()) as claims:
+        helpers = [threading.Thread(target=work, args=(claims,))
+                   for _ in range(_thread_count() - 1)]
         try:
-            wait(futures)
+            # no helper claims before every one is started, so no interrupt
+            # that a frame's load brings about can end a start() early
+            with lock:
+                for helper in helpers:
+                    helper.start()
+            work(claims)
         finally:
-            # an interrupted wait leaves no thread claiming
+            # an interrupt leaves no thread claiming, and the claims close
+            # only after every started helper is done
             stop.set()
-    if failures:
-        raise failures[min(failures)]
-    for future in futures:
-        future.result()
-    if not runs:
+            for helper in filter(threading.Thread.is_alive, helpers):
+                helper.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    if not results:
         raise MediaFormatError("no frames in input stream")
-    table = np.array([row for index in range(len(runs)) for row in runs[index]],
-                     dtype=np.float64)
-    rate = info.fps
+    table = np.array([row for rows in results for row in rows], dtype=np.float64)
     curves = {
-        channel: BrightnessCurve(channel, rate, 0.0, table[:, i].copy())
+        channel: BrightnessCurve(channel, info.fps, 0.0, table[:, i].copy())
         for i, channel in enumerate(wanted)
     }
     return CurveSet(info, curves)

@@ -56,7 +56,7 @@ def _analyze(curves: dict[CurveChannel, BrightnessCurve], config: PipelineConfig
     check_film_length(raw.duration, "the luma curve at %.6g Hz" % raw.sample_rate)
     smoothed = smooth(raw, config.analysis.smooth_window_s)
     if config.manual_boundaries_s is not None:
-        segments = apply_manual_boundaries(smoothed, config.manual_boundaries_s)
+        segments = apply_manual_boundaries(smoothed, config.manual_boundaries_s, ConfigError)
     else:
         segments = segment(smoothed, config.analysis)
     params = config.classify_params()
@@ -127,20 +127,25 @@ def _plot(curves: dict[CurveChannel, BrightnessCurve], doc: dict | None) -> byte
 
 def _write_artifacts(out: Path, artifacts: dict[str, bytes]) -> dict[str, Path]:
     """Write every artifact to a temporary file in ``out`` first, then rename
-    each over its name, so a failed write replaces none of them."""
-    temps = []
+    each over its name, so a failed write replaces none of them.  A failed
+    rename leaves the artifacts renamed before it in place and the rest as
+    they were.  Either way no temporary file is left.  A temporary name
+    carries 64 random bits, not the PID, which a restarted container reuses,
+    so a killed run's stale temporary does not block the next run."""
+    temps: list[Path] = []
     try:
         for name, data in artifacts.items():
-            temp = out / (".%s.%d.tmp" % (name, os.getpid()))
+            temp = out / (".%s.%s.tmp" % (name, os.urandom(8).hex()))
             with open(temp, "xb") as fh:
                 temps.append(temp)
                 fh.write(data)
+        for temp, name in zip(temps, artifacts):
+            os.replace(temp, out / name)
     except BaseException:
         for temp in temps:
-            temp.unlink()
+            # a renamed temporary is gone already
+            temp.unlink(missing_ok=True)
         raise
-    for temp, name in zip(temps, artifacts):
-        os.replace(temp, out / name)
     return {name: out / name for name in artifacts}
 
 

@@ -148,19 +148,25 @@ def segment(curve: BrightnessCurve, params: SegmentationParams | None = None) ->
     return segments
 
 
-def apply_manual_boundaries(curve: BrightnessCurve, times_s: list[float]) -> list[Segment]:
-    """Cut the curve at the given times instead of detecting changepoints."""
+def apply_manual_boundaries(curve: BrightnessCurve, times_s: list[float],
+                            error: type = ValueError) -> list[Segment]:
+    """Cut the curve at the given times, the config's ``manual_boundaries_s``,
+    instead of detecting changepoints.  Only the curve tells whether a
+    boundary lies inside the film and leaves every piece at least 2 samples
+    long; one that does not raises ``error`` naming its entry."""
     n = len(curve.values)
     if n < 2:
         raise ValueError("curve has %d samples, need at least 2" % n)
     duration = n / curve.sample_rate
-    for t in times_s:
+    for i, t in enumerate(times_s):
         if not 0.0 < t < duration:
-            raise ValueError("boundary %g s outside (0, %g)" % (t, duration))
+            raise error("config: manual_boundaries_s[%d] must lie inside the film: boundary %g s "
+                        "outside (0, %g)" % (i, t, duration))
     edges = [0] + [round_half_up(t * curve.sample_rate) for t in times_s] + [n]
-    segments = []
-    for a, b in zip(edges, edges[1:]):
+    pieces = list(zip(edges, edges[1:]))
+    for i, (a, b) in enumerate(pieces):
         if b - a < 2:
-            raise ValueError("segment [%d, %d) is shorter than 2 samples" % (a, b))
-        segments.append(Segment(a, b))
-    return segments
+            # the entry that ends the piece, or starts the last one
+            raise error("config: manual_boundaries_s[%d] must leave pieces of 2 samples: segment "
+                        "[%d, %d) is shorter than 2 samples" % (min(i, len(times_s) - 1), a, b))
+    return [Segment(a, b) for a, b in pieces]

@@ -630,6 +630,24 @@ class TestPipeline:
             "error: config: overrides[%d].segment_index must lie in [0, 4]\n" % entry)
         assert not (tmp_path / "a").exists()
 
+    # the three-second film resamples to 148 samples at 50 Hz, 2.96 s, and
+    # 1.01 s rounds to sample 51
+    @pytest.mark.parametrize("boundaries, message", [
+        ([1.0, 100.0], "config: manual_boundaries_s[1] must lie inside the film: "
+                       "boundary 100 s outside (0, 2.96)"),
+        ([1.0, 1.01], "config: manual_boundaries_s[1] must leave pieces of 2 samples: "
+                      "segment [50, 51) is shorter than 2 samples"),
+    ], ids=["outside the film", "short piece"])
+    def test_manual_boundary_the_film_rules_out_exits_2(self, shot_video, tmp_path, capsys,
+                                                        boundaries, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"manual_boundaries_s": boundaries}))
+        code = main(["pipeline", "--input", str(shot_video),
+                     "--config", str(config), "--out-dir", str(tmp_path / "a")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not (tmp_path / "a").exists()
+
     @pytest.mark.parametrize("text", [
         '{"analysis": {"penalty_beta": NaN}}',
         '{"analysis": {"thresholds": {"flat": NaN}}}',
@@ -740,3 +758,28 @@ class TestPipeline:
         assert _write_artifacts(tmp_path, {"a.csv": b"new"}) == {"a.csv": tmp_path / "a.csv"}
         assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
         assert (tmp_path / "a.csv").read_bytes() == b"new"
+
+    def test_failed_rename_leaves_no_temporary(self, tmp_path):
+        # the renames before the failed one stand, the ones after it are not made
+        (tmp_path / "score.mid").mkdir()
+        (tmp_path / "curves.csv").write_bytes(b"old")
+        with pytest.raises(IsADirectoryError):
+            _write_artifacts(tmp_path, {"curves.csv": b"new", "analysis.json": b"new",
+                                        "score.mid": b"new", "plot.svg": b"new"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "analysis.json", "curves.csv", "score.mid"]
+        assert (tmp_path / "curves.csv").read_bytes() == b"new"
+        assert (tmp_path / "score.mid").is_dir()
+
+    def test_stale_temporary_of_a_recurring_pid_does_not_block(self, shot_video, config_file,
+                                                               tmp_path):
+        # a killed run left a temporary named by the PID this run has
+        out_dir = tmp_path / "artifacts"
+        out_dir.mkdir()
+        stale = out_dir / (".curves.csv.%d.tmp" % os.getpid())
+        stale.write_bytes(b"stale")
+        assert main(["pipeline", "--input", str(shot_video),
+                     "--config", str(config_file), "--out-dir", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            stale.name, "analysis.json", "curves.csv", "plot.svg", "score.mid"]
+        assert stale.read_bytes() == b"stale"

@@ -4,8 +4,9 @@ import contextlib
 import json
 import math
 import os
+import signal
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -621,30 +622,32 @@ class TestExtractCurves:
             assert curves[channel].values.tobytes() == expected[channel].tobytes()
 
     @pytest.fixture
-    def pools(self, monkeypatch):
-        """Records the ``max_workers`` of every pool extract_curves builds."""
-        built = []
+    def helpers(self, monkeypatch):
+        """Records every thread extract_curves starts."""
+        started = []
 
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                built.append(max_workers)
-                super().__init__(max_workers=max_workers)
+        class Recording(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        monkeypatch.setattr(photometry, "ThreadPoolExecutor", Recording)
-        return built
+        monkeypatch.setattr(threading, "Thread", Recording)
+        return started
 
     @pytest.mark.parametrize("wanted", [
         (CurveChannel.LUMA,),
         (CurveChannel.LUMA, CurveChannel.CONTRAST_RMS),
     ])
-    def test_one_pool_of_the_thread_count_for_any_channels(self, pools, thread_count,
+    def test_one_pool_of_the_thread_count_for_any_channels(self, helpers, thread_count,
                                                            wanted):
-        # means alone are measured on the pool too
+        # means alone are measured beside helpers too: the calling thread
+        # and two helpers make three
         values = [int(u * 256) % 256 for u in unit_noise(808, 240)]
         frames = [values[4 * i:4 * i + 4] for i in range(60)]
         thread_count(3)
         extract_curves(gray_source(frames), wanted)
-        assert pools == [3]
+        assert len(helpers) == 2
+        assert not any(helper.is_alive() for helper in helpers)
 
     def test_hard_cuts_mark_the_only_nonzero_differences(self):
         # constant-brightness shots joined by hard cuts
@@ -816,6 +819,36 @@ class TestThreadedSources:
             extract_curves(Failing(info, frames))
         assert calls == list(range(8))
         assert sorted(loaded) == list(range(7))
+
+    @pytest.mark.parametrize("count", (1, 2, 8))
+    def test_interrupt_stops_every_thread_and_closes_the_claims(self, thread_count, count):
+        # the load of frame 0 interrupts the calling thread, whichever thread
+        # runs it
+        info = StreamInfo(3, 1, 24, 1, PixelFormat.GRAY8)
+        total = 100_000
+        claimed, closed = [], []
+
+        class Interrupting(ListSource):
+            def claims(self):
+                try:
+                    for index in range(total):
+                        claimed.append(index)
+                        yield gray_frame([index % 256] * 3, index=index)
+                finally:
+                    closed.append(True)
+
+            def load(self, claim, buffer):
+                if claim.index == 0:
+                    os.kill(os.getpid(), signal.SIGINT)
+                return super().load(claim, buffer)
+
+        before = set(threading.enumerate())
+        thread_count(count)
+        with pytest.raises(KeyboardInterrupt):
+            extract_curves(Interrupting(info, []))
+        assert closed == [True]
+        assert set(threading.enumerate()) <= before
+        assert len(claimed) < total
 
     @pytest.mark.parametrize("count", (1, 2, 8))
     def test_the_earliest_frame_error_is_raised(self, thread_count, count):
