@@ -12,6 +12,7 @@ import math
 import mmap
 import os
 import stat
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -82,32 +83,12 @@ def frame_codes(frame: Frame) -> np.ndarray:
 class FrameAt(NamedTuple):
     """A claimed run of ``count`` frames not read yet, from frame ``index``
     of the stream on, whose data start ``offset``, ``offset + stride``, ...
-    bytes into the regular file open as ``fd``."""
+    bytes into a regular Y4M file."""
 
     index: int
-    fd: int
     offset: int
     stride: int
     count: int
-
-
-class RunBuffer:
-    """Memory that one thread reuses to load runs of frames into.
-
-    It is an anonymous ``mmap``, outside malloc's heap: glibc raises its
-    mmap threshold to the size of any mapped block it frees, so a 2 MiB
-    ``bytearray`` freed after extraction moved later arrays onto the heap,
-    which kept ~1.5 MB more resident through film90's analysis."""
-
-    def __init__(self) -> None:
-        self._map: mmap.mmap | None = None
-
-    def get(self, size: int) -> mmap.mmap:
-        """At least ``size`` writable bytes.  A larger request maps new
-        memory, so views of the old memory stay valid."""
-        if self._map is None or len(self._map) < size:
-            self._map = mmap.mmap(-1, size)
-        return self._map
 
 
 _Y4M_COLORSPACES = {
@@ -210,27 +191,14 @@ class FrameSource:
     """Frames described by ``info``, in stream order.  As a context manager
     a source closes what it opened.
 
-    A source implements ``__iter__``, a generator of one ``Frame`` per
-    frame, each with its own bytes, read in stream order.  The threads of
-    ``photometry.extract_curves`` share a source by taking frames in two
-    steps.  ``claims()`` is a generator of claims in stream order, each of
-    one or more consecutive frames; it is advanced by one thread at a time,
-    and closing it closes what it opened.
-    ``load(claim, buffer)`` returns the claim's frames as a 2-D ``uint8``
-    array, one row of codes per frame, and may run on many threads at once,
-    each thread with its own ``RunBuffer``.  The claims raise the stream's
-    errors in frame order.
-
-    The claims default to the iteration: each is a whole ``Frame``, which
-    ``load`` returns without reading, as one row that is a view of its
-    bytes.  Only a regular Y4M file claims a ``FrameAt``: a run of frames
-    whose markers all have one length, so the frames lie evenly spaced,
-    spanning at most ``_RUN_BYTES`` unless it is one frame.  The claim
-    reads only the frames' ``FRAME`` markers and checks that the file holds
-    each whole frame, so a header claiming a frame larger than the file
-    fails before a buffer of that size exists.  ``load`` reads the run by
-    offset into ``buffer`` and returns a view of it, rows ``stride`` bytes
-    apart, which holds the run until the buffer's next load."""
+    Iteration yields one ``Frame`` per frame, each with its own bytes.  The
+    threads of ``photometry.extract_curves`` take frames in two steps.
+    ``claims()`` generates claims of one or more consecutive frames in
+    stream order, one thread at a time, raising the stream's errors in
+    frame order; closing it closes what it opened.  ``load(claim)``, which
+    may run on many threads at once, returns the claim's frames as a 2-D
+    ``uint8`` array, one row of codes per frame.  By default a claim is a
+    ``Frame`` of the iteration, whose row is a view of its bytes."""
 
     info: StreamInfo
     # the container named in a truncated frame's message
@@ -242,25 +210,8 @@ class FrameSource:
     def claims(self) -> Iterator[Frame | FrameAt]:
         return iter(self)
 
-    def load(self, claim: Frame | FrameAt, buffer: RunBuffer) -> np.ndarray:
-        if isinstance(claim, Frame):
-            return frame_codes(claim)
-        bpf = self.info.bytes_per_frame
-        span = (claim.count - 1) * claim.stride + bpf
-        data = buffer.get(span)
-        got = 0
-        with memoryview(data) as view:
-            # one read returns at most ~2 GiB on Linux; 0 bytes is the end of
-            # a file that shrank after the claim checked its size
-            while got < span and (count := os.preadv(claim.fd, [view[got:span]],
-                                                     claim.offset + got)):
-                got += count
-        # the frames before the first one the read did not finish are whole
-        whole = (got + claim.stride - bpf) // claim.stride
-        if whole < claim.count:
-            _check_whole(self.info, claim.index + whole, max(0, got - whole * claim.stride),
-                         self._container)
-        return np.ndarray((claim.count, bpf), np.uint8, data, strides=(claim.stride, 1))
+    def load(self, claim: Frame | FrameAt) -> np.ndarray:
+        return frame_codes(claim)
 
     def close(self) -> None:
         pass
@@ -284,11 +235,28 @@ _Y4M_BUFFER = 128
 
 
 class Y4MReader(FrameSource):
-    """Frame source over a YUV4MPEG2 file or FIFO."""
+    """Frame source over a YUV4MPEG2 file or FIFO.
+
+    A FIFO's claims are its frames.  A regular file's claims are ``FrameAt``
+    runs of evenly spaced frames, whose markers have one length, spanning
+    at most ``_RUN_BYTES`` unless the run is one frame.  The claims walk the
+    markers with iteration's ``readline``, seeking past each frame, and
+    check that the file holds each whole frame, so a header claiming a frame
+    larger than the file fails before a buffer of that size exists.
+    ``load`` reads a run by offset into the loading thread's buffer and
+    returns a view of it, rows ``stride`` bytes apart, valid until that
+    thread's next load.
+
+    A thread's buffer goes when the thread ends or the reader closes.  It is
+    an anonymous ``mmap``: glibc raises its mmap threshold to the size of a
+    mapped block it frees, so a freed 2 MiB ``bytearray`` moved later arrays
+    onto malloc's heap and kept ~1.5 MB more resident through film90's
+    analysis."""
 
     _container = "y4m"
 
     def __init__(self, path: str | Path):
+        self._local = threading.local()
         self._file: BinaryIO = open(path, "rb", buffering=_Y4M_BUFFER)
         try:
             header = self._file.readline(_LINE_BYTES)
@@ -308,11 +276,7 @@ class Y4MReader(FrameSource):
             index += 1
 
     def claims(self) -> Iterator[Frame | FrameAt]:
-        """A FIFO's frames as it iterates.  A regular file's runs of frames
-        (see ``FrameSource``): the claims walk the markers with iteration's
-        ``readline``, seeking past each frame instead of reading it."""
-        fd = self._file.fileno()
-        status = os.fstat(fd)
+        status = os.fstat(self._file.fileno())
         if not stat.S_ISREG(status.st_mode):
             yield from self
             return
@@ -331,7 +295,7 @@ class Y4MReader(FrameSource):
                 else:
                     if run is not None:
                         yield run
-                    run = FrameAt(index, fd, offset, stride, 1)
+                    run = FrameAt(index, offset, stride, 1)
                 # seek's result, not tell(), which costs an lseek
                 pos = self._file.seek(offset + bpf)
                 index += 1
@@ -343,7 +307,31 @@ class Y4MReader(FrameSource):
         if run is not None:
             yield run
 
+    def load(self, claim: Frame | FrameAt) -> np.ndarray:
+        if isinstance(claim, Frame):
+            return super().load(claim)
+        bpf = self.info.bytes_per_frame
+        span = (claim.count - 1) * claim.stride + bpf
+        data = getattr(self._local, "buffer", None)
+        if data is None or len(data) < span:
+            # new memory, so views of the old memory stay valid
+            data = self._local.buffer = mmap.mmap(-1, span)
+        got = 0
+        with memoryview(data) as view:
+            # one read returns at most ~2 GiB on Linux; 0 bytes is the end of
+            # a file that shrank after the claim checked its size
+            while got < span and (count := os.preadv(self._file.fileno(), [view[got:span]],
+                                                     claim.offset + got)):
+                got += count
+        # the frames before the first one the read did not finish are whole
+        whole = (got + claim.stride - bpf) // claim.stride
+        if whole < claim.count:
+            _check_whole(self.info, claim.index + whole, max(0, got - whole * claim.stride),
+                         self._container)
+        return np.ndarray((claim.count, bpf), np.uint8, data, strides=(claim.stride, 1))
+
     def close(self) -> None:
+        self._local = threading.local()
         self._file.close()
 
 

@@ -17,12 +17,14 @@ partitions, ~0.2 ms per 640x480 frame against ~1.6 ms for a full sort);
 slower than NumPy's stable sort (5.7 ms against 1.0 ms).  Times are from a
 2-vCPU Xeon with NumPy 2.4.
 
-``extract_curves`` gives its thread loop.  The plane sums of every frame of
-a run are one NumPy reduction, so the interpreter work and lock hand-offs
-are paid per run, not per frame: on film90 2 MiB runs cut the extraction's
-CPU time by a quarter at two threads.  1 MiB runs gained less and larger
-ones raised the peak RSS (see ``ingest._RUN_BYTES``).  Reads and NumPy sums
-release the interpreter lock, so one thread can read while another sums.
+``extract_curves`` gives its thread loop, which sees a source only through
+``claims()``, opaque claims in stream order, and ``load(claim)``, one row of
+codes per frame of the claim.  The plane sums of every frame of a run are
+one NumPy reduction, so the interpreter work and lock hand-offs are paid
+per run, not per frame: on film90 2 MiB runs cut the extraction's CPU time
+by a quarter at two threads.  1 MiB runs gained less and larger ones raised
+the peak RSS (see ``ingest._RUN_BYTES``).  Reads and NumPy sums release the
+interpreter lock, so one thread can read while another sums.
 """
 
 from __future__ import annotations
@@ -39,11 +41,9 @@ import numpy as np
 
 from .ingest import (
     Frame,
-    FrameAt,
     FrameSource,
     MediaFormatError,
     PixelFormat,
-    RunBuffer,
     StreamInfo,
     frame_codes,
 )
@@ -282,16 +282,14 @@ def extract_curves(
     The channels are checked against the stream's pixel format first.  Then
     the calling thread measures frames beside ``_thread_count() - 1`` helper
     threads, one thread per core and no helper at one core.  Under one lock
-    a thread claims the next run of frames in stream order; outside it the
-    thread loads the run, one row of codes per frame, into its own reused
-    buffer and measures the rows at once (see ``FrameSource``), so reads and
-    sums of several runs overlap.  A regular Y4M file is claimed in runs of
-    up to ``_RUN_BYTES`` (2 MiB) read by offset, any other source one whole
-    frame at a time as it iterates.  Rows are stored by claim, so the output
-    does not depend on the thread count.  Once a claim or load fails no
-    thread claims again, and the error raised is that of the earliest
-    claim, the one a serial loop would raise.  The claims are closed when
-    every thread is done, whether or not the call failed or was interrupted.
+    a thread claims the next frames in stream order; outside it the thread
+    has the source load the claim, one row of codes per frame, and measures
+    the rows at once, so reads and sums of several claims overlap.  Rows are
+    stored by claim, so the output does not depend on the thread count.
+    Once a claim or load fails no thread claims again, and the error raised
+    is that of the earliest claim, the one a serial loop would raise.  The
+    claims are closed when every thread is done, whether or not the call
+    failed or was interrupted.
     """
     wanted = tuple(dict.fromkeys(channels))
     if not wanted:
@@ -305,8 +303,7 @@ def extract_curves(
     # measured, then the rows, or the exception its claim or load raised
     results: list = []
 
-    def work(claims: Iterator[Frame | FrameAt]) -> None:
-        buffer = RunBuffer()
+    def work(claims: Iterator) -> None:
         while True:
             with lock:
                 if stop.is_set():
@@ -323,8 +320,7 @@ def extract_curves(
                     return
                 results.append(claim)
             try:
-                results[index] = _measure(source.load(claim, buffer), pixels,
-                                          info.pixel_format, wanted)
+                results[index] = _measure(source.load(claim), pixels, info.pixel_format, wanted)
             except BaseException as exc:
                 results[index] = exc
                 stop.set()

@@ -1,9 +1,11 @@
 """Command line behaviour: subcommands, artifacts, and exit codes."""
 
 import contextlib
+import errno
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -175,6 +177,55 @@ class TestExtract:
         joined = [a + "," + b.split(",")[1] for a, b in zip(rms, spread)]
         assert columns["contrast_spread,contrast_rms"] == joined
         assert joined[0] == "time_s,contrast_rms,contrast_spread"
+
+
+def extract_in_child(film, out, **kwargs) -> subprocess.CompletedProcess:
+    """``lumascore extract`` of ``film`` into ``out``, run in a child."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "lumascore.cli", "extract", "--input", str(film),
+         "--out", str(out)],
+        capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}, **kwargs)
+
+
+class TestStageOut:
+    """A single stage writes ``--out`` as ``pipeline`` writes its artifacts."""
+
+    def test_failed_write_leaves_the_old_file_whole(self, shot_video, tmp_path):
+        out = tmp_path / "curves.csv"
+        out.write_bytes(b"time_s,luma\n0.0,0.5\n")
+        limit = 1024
+
+        def cap_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        result = extract_in_child(shot_video, out, preexec_fn=cap_file_size)
+        assert result.returncode == 1
+        assert result.stderr.startswith(b"error: [Errno %d] " % errno.EFBIG)
+        assert out.read_bytes() == b"time_s,luma\n0.0,0.5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.csv", "shots.y4m"]
+        # the CSV is longer than the cap
+        assert main(["extract", "--input", str(shot_video), "--out", str(out)]) == 0
+        assert out.stat().st_size > limit
+
+    def test_dev_stdout_under_a_pipe_prints_the_csv(self, shot_video, tmp_path):
+        result = extract_in_child(shot_video, "/dev/stdout")
+        assert (result.returncode, result.stderr) == (0, b"")
+        out = tmp_path / "curves.csv"
+        assert main(["extract", "--input", str(shot_video), "--out", str(out)]) == 0
+        assert result.stdout == out.read_bytes()
+
+    def test_symlinked_out_updates_its_target(self, shot_video, tmp_path):
+        target = tmp_path / "real" / "curves.csv"
+        target.parent.mkdir()
+        target.write_bytes(b"old\n")
+        link = tmp_path / "curves.csv"
+        link.symlink_to(Path("real") / "curves.csv")
+        assert main(["extract", "--input", str(shot_video), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("time_s,luma\n")
+        assert [p.name for p in target.parent.iterdir()] == ["curves.csv"]
 
 
 class TestAnalyze:
@@ -559,6 +610,29 @@ class TestNotUtf8:
         assert not (tmp_path / "x.csv").exists()
 
 
+def assert_stages_match_pipeline(film, config, tmp_path) -> Path:
+    """Run ``pipeline`` into ``tmp_path / "pipe"`` and the four stages by
+    hand into ``tmp_path``, check that both write the same bytes, and return
+    the pipeline's directory."""
+    out_dir = tmp_path / "pipe"
+    assert main(["pipeline", "--input", str(film),
+                 "--config", str(config), "--out-dir", str(out_dir)]) == 0
+    curves = tmp_path / "curves.csv"
+    report = tmp_path / "analysis.json"
+    midi = tmp_path / "score.mid"
+    svg = tmp_path / "plot.svg"
+    assert main(["extract", "--input", str(film), "--out", str(curves)]) == 0
+    assert main(["analyze", "--curves", str(curves),
+                 "--config", str(config), "--out", str(report)]) == 0
+    assert main(["compose", "--analysis", str(report),
+                 "--config", str(config), "--out", str(midi)]) == 0
+    assert main(["plot", "--curves", str(curves),
+                 "--analysis", str(report), "--out", str(svg)]) == 0
+    for path in (curves, report, midi, svg):
+        assert path.read_bytes() == (out_dir / path.name).read_bytes(), path.name
+    return out_dir
+
+
 class TestPipeline:
     def test_writes_all_four_artifacts(self, shot_video, config_file, tmp_path):
         out_dir = tmp_path / "artifacts"
@@ -569,24 +643,7 @@ class TestPipeline:
             assert (out_dir / name).is_file(), name
 
     def test_stage_chain_matches_pipeline_bytes(self, shot_video, config_file, tmp_path):
-        out_dir = tmp_path / "pipe"
-        main(["pipeline", "--input", str(shot_video),
-              "--config", str(config_file), "--out-dir", str(out_dir)])
-        curves = tmp_path / "curves.csv"
-        report = tmp_path / "analysis.json"
-        midi = tmp_path / "score.mid"
-        svg = tmp_path / "plot.svg"
-        main(["extract", "--input", str(shot_video), "--out", str(curves)])
-        main(["analyze", "--curves", str(curves),
-              "--config", str(config_file), "--out", str(report)])
-        main(["compose", "--analysis", str(report),
-              "--config", str(config_file), "--out", str(midi)])
-        main(["plot", "--curves", str(curves),
-              "--analysis", str(report), "--out", str(svg)])
-        assert curves.read_bytes() == (out_dir / "curves.csv").read_bytes()
-        assert report.read_bytes() == (out_dir / "analysis.json").read_bytes()
-        assert midi.read_bytes() == (out_dir / "score.mid").read_bytes()
-        assert svg.read_bytes() == (out_dir / "plot.svg").read_bytes()
+        assert_stages_match_pipeline(shot_video, config_file, tmp_path)
 
     def test_each_artifact_is_parsed_once(self, shot_video, tmp_path, monkeypatch):
         # the curves feed analyze and plot, the report compose and plot
@@ -647,6 +704,14 @@ class TestPipeline:
         assert code == 2
         assert capsys.readouterr().err == "error: %s\n" % message
         assert not (tmp_path / "a").exists()
+
+    def test_manual_boundaries_cut_the_film_there(self, shot_video, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"manual_boundaries_s": [1.0, 2.0]}))
+        out_dir = assert_stages_match_pipeline(shot_video, config, tmp_path)
+        doc = json.loads((out_dir / "analysis.json").read_text())
+        assert [(seg["start_s"], seg["end_s"]) for seg in doc["segments"]] == [
+            (0.0, 1.0), (1.0, 2.0), (2.0, 2.96)]
 
     @pytest.mark.parametrize("text", [
         '{"analysis": {"penalty_beta": NaN}}',

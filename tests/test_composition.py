@@ -283,6 +283,21 @@ class TestRenderGesture:
         assert [e.velocity for e in events] == [
             velocity_at(v) for v in (0.2, 0.4, 0.6, 0.8)
         ]
+        # an override can force the archetype onto a fit without steps: one
+        # note on the chord's root where the body starts, after the transient
+        curve = make_curve([0.1] * 105 + [0.9] * 95)
+        gesture = make_gesture(
+            Segment(100, 200),
+            Archetype.ARPEGGIO_DETACHED,
+            kind=ShapeKind.LINEAR_RISE,
+            transient=TransientInfo(4, 0.3),
+            fit=LinearFit(0.5, 0.1, 0.0),
+            mean_brightness=0.5,
+        )
+        events = render_gesture(gesture, curve, HarmonyConfig(), SplitMix64(0))
+        root = chord_for(0, register_center(0.5, HarmonyConfig().register), HarmonyConfig())[0]
+        assert [(e.onset_s, e.duration_s, e.pitch, e.velocity) for e in events] == [
+            (pytest.approx(2.1, abs=1e-12), 0.2, root, velocity_at(0.9))]
 
     def test_granular_with_zero_granularity_is_silent(self):
         curve = make_curve([0.9] * 100)

@@ -422,6 +422,36 @@ RECORDS = _records(PipelineConfig, report._Report, *report._FITS.values(), inges
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "lumascore"
 
 
+def _scopes(predicate) -> set:
+    """The scopes of ``src/lumascore``, each a module name followed by the
+    names of the classes and functions around it, that directly hold a node
+    ``predicate`` accepts."""
+    def scan(node, scope, found):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope += "." + node.name
+        if predicate(node):
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            scan(child, scope, found)
+
+    found = set()
+    for path in SOURCE.glob("*.py"):
+        scan(ast.parse(path.read_text()), path.stem, found)
+    return found
+
+
+def _names(node) -> set:
+    """The identifiers ``node`` itself spells: a name, an attribute or an
+    imported name and its alias."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return {node.name, node.asname} - {None}
+    return set()
+
+
 class TestWalkerCoverage:
     """Each field of every record the JSON inputs hold has a rule of its own, so
     a new field cannot fall through to the number check."""
@@ -445,20 +475,31 @@ class TestWalkerCoverage:
     def test_only_a_regular_y4m_file_reads_by_offset(self):
         # load reads a Y4M file's runs by offset; every other read, the
         # claims' marker walk and iteration included, is in stream order
-        def scan(node, scope, found):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                scope += "." + node.name
-            if (isinstance(node, ast.Attribute) and node.attr.startswith("pread")
+        def pread(node):
+            return (isinstance(node, ast.Attribute) and node.attr.startswith("pread")
                     and isinstance(node.value, ast.Name) and node.value.id == "os"
-                    or isinstance(node, ast.ImportFrom) and node.module == "os"):
-                found.add(scope)
-            for child in ast.iter_child_nodes(node):
-                scan(child, scope, found)
+                    or isinstance(node, ast.ImportFrom) and node.module == "os")
 
-        readers = set()
-        for path in SOURCE.glob("*.py"):
-            scan(ast.parse(path.read_text()), path.stem, readers)
-        assert readers == {"ingest.FrameSource.load"}
+        assert _scopes(pread) == {"ingest.Y4MReader.load"}
+
+    def test_reading_state_stays_in_ingest(self):
+        # photometry measures opaque claims; the run buffers and the claims
+        # that locate frames in a file are made by the sources alone
+        def mmap(node):
+            return (isinstance(node, ast.Import) and any(a.name == "mmap" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "mmap"
+                    or isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "mmap")
+
+        def frame_at(node):
+            return isinstance(node, ast.Call) and "FrameAt" in _names(node.func)
+
+        for predicate in (mmap, frame_at):
+            assert {scope.split(".")[0] for scope in _scopes(predicate)} == {"ingest"}
+        names = set()
+        for node in ast.walk(ast.parse((SOURCE / "photometry.py").read_text())):
+            names |= _names(node)
+        assert not {name for name in names if name == "FrameAt" or "Buffer" in name}
 
     @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
     def test_every_field_has_a_rule(self, cls):

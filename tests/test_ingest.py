@@ -22,7 +22,6 @@ from lumascore.ingest import (
     MediaFormatError,
     PixelFormat,
     RawRgbReader,
-    RunBuffer,
     StreamInfo,
     Y4MReader,
     open_source,
@@ -166,10 +165,9 @@ def test_y4m_file_that_shrinks_after_the_claim_is_truncated(tmp_path, run_bytes,
         first, second = next(claims), next(claims)
         assert (first.index, first.count, second.index, second.count) == (0, 2, 2, 2)
         os.truncate(path, second.offset + second.stride + kept)
-        buffer = RunBuffer()
-        assert [bytes(row) for row in reader.load(first, buffer)] == frames[:2]
+        assert [bytes(row) for row in reader.load(first)] == frames[:2]
         with pytest.raises(MediaFormatError) as err:
-            reader.load(second, buffer)
+            reader.load(second)
         claims.close()
     assert str(err.value) == "y4m: frame 3 truncated (%d of 6 bytes)" % max(0, kept)
 
@@ -335,13 +333,12 @@ def iterated_frames(path) -> tuple:
 
 def claimed_frames(path) -> tuple:
     """As ``iterated_frames``, with the frames read as extraction reads
-    them: each claim loaded into one reused buffer."""
+    them: each claim loaded on one thread."""
     frames = []
     with Y4MReader(path) as source, closing(source.claims()) as claims:
-        buffer = RunBuffer()
         try:
             for claim in claims:
-                rows = source.load(claim, buffer)
+                rows = source.load(claim)
                 frames.extend((claim.index + k, bytes(row)) for k, row in enumerate(rows))
         except MediaFormatError as exc:
             return frames, str(exc)

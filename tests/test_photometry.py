@@ -3,10 +3,13 @@
 import contextlib
 import json
 import math
+import mmap
 import os
 import signal
 import threading
 import time
+import types
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -765,6 +768,33 @@ class TestThreadedSources:
             with Y4MReader(path) as source:
                 assert write_curves_csv(extract_curves(source)) == serial
 
+    def test_run_buffers_go_with_their_threads(self, tmp_path, thread_count, run_bytes,
+                                               monkeypatch):
+        # a helper's buffer goes when the helper ends and the calling
+        # thread's when the source closes, so none is held through analysis
+        class Buffer(mmap.mmap):
+            pass
+
+        buffers = []
+
+        def mapped(*args):
+            buffers.append(weakref.ref(buffer := Buffer(*args)))
+            return buffer
+
+        monkeypatch.setattr(ingest, "mmap", types.SimpleNamespace(mmap=mapped))
+        info = StreamInfo(16, 16, 24, 1, PixelFormat.GRAY8)
+        path = tmp_path / "film.y4m"
+        path.write_bytes(build_y4m(16, 16, noise_frames(info, 200), colorspace=b"Cmono"))
+        run_bytes(2 * (info.bytes_per_frame + 6))
+        for count in (1, 8):
+            thread_count(count)
+            with Y4MReader(path) as source:
+                extract_curves(source)
+                # the calling thread's, which at one thread loaded every run
+                alive = [ref for ref in buffers if ref() is not None]
+                assert len(alive) == 1 or count > 1 and not alive
+            assert all(ref() is None for ref in buffers)
+
     @pytest.mark.parametrize("count", (1, 2, 8))
     @pytest.mark.parametrize("piped", (False, True), ids=("file", "pipe"))
     def test_frame_larger_than_the_input_is_truncated(self, tmp_path, thread_count, run_bytes,
@@ -809,9 +839,9 @@ class TestThreadedSources:
                         raise MediaFormatError("frame 7 is bad")
                     yield frame
 
-            def load(self, claim, buffer):
+            def load(self, claim):
                 loaded.append(claim.index)
-                return super().load(claim, buffer)
+                return super().load(claim)
 
         frames = [gray_frame([i, i, i], index=i) for i in range(20)]
         thread_count(count)
@@ -837,10 +867,10 @@ class TestThreadedSources:
                 finally:
                     closed.append(True)
 
-            def load(self, claim, buffer):
+            def load(self, claim):
                 if claim.index == 0:
                     os.kill(os.getpid(), signal.SIGINT)
-                return super().load(claim, buffer)
+                return super().load(claim)
 
         before = set(threading.enumerate())
         thread_count(count)
@@ -863,11 +893,11 @@ class TestThreadedSources:
                         raise MediaFormatError("claim of frame 5 failed")
                     yield frame
 
-            def load(self, claim, buffer):
+            def load(self, claim):
                 if claim.index == 2:
                     time.sleep(0.05)
                     raise MediaFormatError("load of frame 2 failed")
-                return super().load(claim, buffer)
+                return super().load(claim)
 
         frames = [gray_frame([i, i, i], index=i) for i in range(20)]
         thread_count(count)
