@@ -7,14 +7,12 @@ curves, 2 for configuration problems.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .config import ConfigError, load_config
 from .photometry import CurveChannel
-from .pipeline import (_write_artifacts, analyze_stage, compose_stage, extract_stage,
-                       plot_stage, run_pipeline)
+from .pipeline import analyze_stage, compose_stage, extract_stage, plot_stage, run_pipeline, write_out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,18 +62,6 @@ def _parse_channels(raw: str) -> list[CurveChannel]:
     return out
 
 
-def _write_out(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` as ``pipeline`` writes its artifacts: a
-    failed write leaves the old file whole, a symlink's target is replaced.
-    A path that exists and is not a regular file, such as a pipe or
-    ``/dev/stdout`` under a pipe, cannot be renamed over and is written in place."""
-    if os.path.exists(path) and not os.path.isfile(path):
-        path.write_bytes(data)
-    else:
-        target = Path(os.path.realpath(path))
-        _write_artifacts(target.parent, {target.name: data})
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -99,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             run_pipeline(args.input, load_config(args.config), args.out_dir)
             return 0
-        _write_out(Path(args.out), data)
+        write_out(Path(args.out), data)
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -247,8 +247,9 @@ class Y4MReader(FrameSource):
     returns a view of it, rows ``stride`` bytes apart, valid until that
     thread's next load.
 
-    A thread's buffer goes when the thread ends or the reader closes.  It is
-    an anonymous ``mmap``: glibc raises its mmap threshold to the size of a
+    A thread's buffer goes when the thread ends or the reader closes, so
+    the one calling ``extract_curves`` holds its own until ``close()``.  It
+    is an anonymous ``mmap``: glibc raises its mmap threshold to the size of a
     mapped block it frees, so a freed 2 MiB ``bytearray`` moved later arrays
     onto malloc's heap and kept ~1.5 MB more resident through film90's
     analysis."""

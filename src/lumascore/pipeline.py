@@ -149,6 +149,25 @@ def _write_artifacts(out: Path, artifacts: dict[str, bytes]) -> dict[str, Path]:
     return {name: out / name for name in artifacts}
 
 
+def write_out(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path``, a single stage's ``--out``, as the
+    artifacts are written: a failed write leaves the old file whole, and a
+    symlink's target is replaced.  A path that exists and is not a regular
+    file, such as a pipe, cannot be renamed over, and whoever reads fd 1
+    holds the file ``/dev/stdout`` names, so both are written in place.  An
+    error names ``path``, not the temporary."""
+    try:
+        # fd 1 is compared only if it is open
+        if os.path.exists(path) and (not os.path.isfile(path) or os.path.exists(1)
+                                     and os.path.samestat(os.stat(path), os.fstat(1))):
+            path.write_bytes(data)
+        else:
+            target = Path(os.path.realpath(path))
+            _write_artifacts(target.parent, {target.name: data})
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
 def run_pipeline(
     input_path: str | Path,
     config: PipelineConfig,

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -185,8 +186,8 @@ def extract_in_child(film, out, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "lumascore.cli", "extract", "--input", str(film),
          "--out", str(out)],
-        capture_output=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}, **kwargs)
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs})
 
 
 class TestStageOut:
@@ -215,6 +216,42 @@ class TestStageOut:
         out = tmp_path / "curves.csv"
         assert main(["extract", "--input", str(shot_video), "--out", str(out)]) == 0
         assert result.stdout == out.read_bytes()
+
+    def test_dev_stdout_to_an_unlinked_file_writes_that_file(self, shot_video, tmp_path):
+        # /dev/stdout resolves to "<dir>/#<inode> (deleted)", a name a rename
+        # would create beside the file fd 1 writes to
+        with tempfile.TemporaryFile(dir=tmp_path) as captured:
+            result = extract_in_child(shot_video, "/dev/stdout", stdout=captured)
+            assert (result.returncode, result.stderr) == (0, b"")
+            captured.seek(0)
+            csv = captured.read()
+        assert csv.startswith(b"time_s,luma\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["shots.y4m"]
+
+    def test_dev_stdout_to_a_named_file_keeps_its_inode(self, shot_video, tmp_path):
+        # the caller reads what the child wrote through its own descriptor
+        out = tmp_path / "captured.csv"
+        with open(out, "w+b") as captured:
+            result = extract_in_child(shot_video, "/dev/stdout", stdout=captured)
+            assert (result.returncode, result.stderr) == (0, b"")
+            captured.seek(0)
+            assert captured.read() == out.read_bytes()
+        assert out.read_bytes().startswith(b"time_s,luma\n")
+
+    def test_closed_stdout_still_replaces_a_file(self, shot_video, tmp_path):
+        out = tmp_path / "curves.csv"
+        out.write_bytes(b"old\n")
+        result = extract_in_child(shot_video, out, stdout=None,
+                                  preexec_fn=lambda: os.close(1))
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert out.read_bytes().startswith(b"time_s,luma\n")
+
+    def test_missing_directory_names_the_out_path(self, shot_video, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["extract", "--input", str(shot_video), "--out", "nodir/x.csv"]) == 1
+        assert capsys.readouterr().err == (
+            "error: [Errno %d] No such file or directory: 'nodir/x.csv'\n" % errno.ENOENT)
 
     def test_symlinked_out_updates_its_target(self, shot_video, tmp_path):
         target = tmp_path / "real" / "curves.csv"

@@ -770,8 +770,8 @@ class TestThreadedSources:
 
     def test_run_buffers_go_with_their_threads(self, tmp_path, thread_count, run_bytes,
                                                monkeypatch):
-        # a helper's buffer goes when the helper ends and the calling
-        # thread's when the source closes, so none is held through analysis
+        # a helper's buffer goes when the helper ends; the calling thread's
+        # stays until the source closes, as extract_stage does before analysis
         class Buffer(mmap.mmap):
             pass
 
