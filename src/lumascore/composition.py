@@ -177,26 +177,22 @@ def _note(onset: float, duration: float, pitch: int, velocity: int, channel: int
 def _descending_pitches(chord: list[int], motif_id: int, harmony: HarmonyConfig, count: int) -> list[int]:
     """Chord tones top down, then scale degrees walking below the root.
 
-    The walk restarts from the top when it would leave the playable range,
-    which keeps long runs cycling instead of falling off the keyboard.
+    The sequence cycles back to the top where the walk would leave the
+    playable range, which keeps long runs cycling instead of falling off the
+    keyboard.
     """
     scale = harmony.scale
     size = len(scale)
     floor = max(0, harmony.register[0] - 12)
-    out: list[int] = []
-    while len(out) < count:
-        out.extend(chord[::-1][: count - len(out)])
-        idx = motif_id % size
-        pitch = chord[0]
-        while len(out) < count:
-            step = (scale[idx % size] - scale[(idx - 1) % size]) % 12
-            step = step or 12
-            pitch -= step
-            idx -= 1
-            if pitch < floor:
-                break
-            out.append(pitch)
-    return out[:count]
+    cycle = chord[::-1]
+    pitch, idx = chord[0], motif_id % size
+    while True:
+        # a repeated degree steps down an octave, so every step falls
+        pitch -= (scale[idx % size] - scale[(idx - 1) % size]) % 12 or 12
+        if pitch < floor:
+            return [cycle[i % len(cycle)] for i in range(count)]
+        cycle.append(pitch)
+        idx -= 1
 
 
 def render_gesture(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import re
 import stat
 import threading
 from dataclasses import dataclass, field
@@ -348,24 +349,29 @@ def _frame_marker(marker: bytes) -> bool:
     return True
 
 
+_PPM_MAGIC = {b"P6": (PixelFormat.RGB24, 3), b"P5": (PixelFormat.GRAY8, 1)}
+# one header field: spaces, tabs, CRs, LFs and # comments to the end of their
+# line, then its digits
+_PPM_FIELD = re.compile(rb"(?:[ \t\r\n]|#[^\r\n]*)*([0-9]*)")
+
+
 def read_ppm(data: bytes, index: int = 0) -> Frame:
     """Decode one binary PPM (P6) or PGM (P5) image, maxval 255 only."""
     if len(data) < 2:
         raise MediaFormatError("ppm: file too short for magic")
     magic = data[:2]
-    if magic == b"P6":
-        pixel_format = PixelFormat.RGB24
-        channels = 3
-    elif magic == b"P5":
-        pixel_format = PixelFormat.GRAY8
-        channels = 1
-    else:
+    if magic not in _PPM_MAGIC:
         raise MediaFormatError("ppm: unsupported magic %r" % magic)
+    pixel_format, channels = _PPM_MAGIC[magic]
     pos = 2
     fields = []
-    while len(fields) < 3:
-        value, pos = _next_ppm_int(data, pos)
-        fields.append(value)
+    for _ in range(3):
+        match = _PPM_FIELD.match(data, pos)
+        pos = match.end()
+        # no image needs a ten-digit field, and int() refuses 4300+ digits
+        if not 0 < len(match[1]) < 10:
+            raise MediaFormatError("ppm: malformed header near byte %d" % pos)
+        fields.append(int(match[1]))
     width, height, maxval = fields
     if maxval != 255:
         raise MediaFormatError("ppm: maxval %d not supported" % maxval)
@@ -380,27 +386,6 @@ def read_ppm(data: bytes, index: int = 0) -> Frame:
             "ppm: raster truncated (%d of %d bytes)" % (len(raster), expected)
         )
     return Frame(index, width, height, pixel_format, raster)
-
-
-def _next_ppm_int(data: bytes, pos: int) -> tuple[int, int]:
-    """Read the next header integer, skipping whitespace and # comments."""
-    n = len(data)
-    while pos < n:
-        byte = data[pos]
-        if byte in b"#":
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        elif byte in b" \t\r\n":
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos] in b"0123456789":
-        pos += 1
-    # no image needs a ten-digit field, and int() refuses 4300+ digits
-    if not 0 < pos - start < 10:
-        raise MediaFormatError("ppm: malformed header near byte %d" % pos)
-    return int(data[start:pos]), pos
 
 
 _SEQUENCE_FPS = (24, 1)

@@ -9,6 +9,7 @@ until every stage has succeeded.
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from pathlib import Path
 
 from .composition import check_film_length, compose
@@ -21,7 +22,6 @@ from .photometry import BrightnessCurve, CurveChannel, extract_curves
 from .report import (
     CsvFormatError,
     build_report,
-    parse_report,
     read_curves_csv,
     read_report,
     report_to_bytes,
@@ -89,8 +89,7 @@ def _analyze(curves: dict[CurveChannel, BrightnessCurve], config: PipelineConfig
 
 
 def compose_stage(report_data: bytes, config: PipelineConfig, source_name: str = "<analysis>") -> bytes:
-    _, gestures, curve = read_report(report_data, source_name)
-    return _compose(gestures, curve, config)
+    return _compose(*read_report(report_data, source_name), config)
 
 
 def _compose(gestures: list[Gesture], curve: BrightnessCurve, config: PipelineConfig) -> bytes:
@@ -108,21 +107,20 @@ def _compose(gestures: list[Gesture], curve: BrightnessCurve, config: PipelineCo
 
 def plot_stage(csv_data: bytes, report_data: bytes | None = None,
                source_name: str = "<curves>", report_name: str = "<analysis>") -> bytes:
-    doc = None if report_data is None else parse_report(report_data, report_name)
-    return _plot(read_curves_csv(csv_data, source_name), doc)
+    curves = read_curves_csv(csv_data, source_name)
+    if report_data is None:
+        return _plot(curves)
+    gestures, analysis = read_report(report_data, report_name)
+    return _plot(curves, gestures, analysis.sample_rate)
 
 
-def _plot(curves: dict[CurveChannel, BrightnessCurve], doc: dict | None) -> bytes:
-    """The SVG of the parsed curves, with the segments of the parsed report
-    ``doc`` if there is one."""
+def _plot(curves: dict[CurveChannel, BrightnessCurve], gestures: Sequence[Gesture] = (),
+          rate: float = 1.0) -> bytes:
+    """The SVG of the parsed curves with a report's gestures, drawn where
+    compose plays them: on the analysis grid of ``rate``."""
     curve = curves.get(CurveChannel.LUMA) or next(iter(curves.values()))
-    segments = None
-    if doc is not None:
-        segments = [
-            (seg["start_s"], seg["end_s"], seg["archetype"])
-            for seg in doc["segments"]
-        ]
-    return plot_svg(curve, segments)
+    return plot_svg(curve, [(g.segment.start_idx / rate, g.segment.end_idx / rate,
+                             g.archetype.value) for g in gestures])
 
 
 def _write_artifacts(out: Path, artifacts: dict[str, bytes]) -> dict[str, Path]:
@@ -152,14 +150,18 @@ def _write_artifacts(out: Path, artifacts: dict[str, bytes]) -> dict[str, Path]:
 def write_out(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path``, a single stage's ``--out``, as the
     artifacts are written: a failed write leaves the old file whole, and a
-    symlink's target is replaced.  A path that exists and is not a regular
-    file, such as a pipe, cannot be renamed over, and whoever reads fd 1
-    holds the file ``/dev/stdout`` names, so both are written in place.  An
-    error names ``path``, not the temporary."""
+    symlink's target is replaced.  Whoever reads fd 1 holds the file it
+    writes to, so that file is written through fd 1, at its offset, which
+    keeps what a shell writes around the command.  Any other path that exists
+    and is not a regular file, such as a pipe, cannot be renamed over, so it
+    is written in place.  An error names ``path``, not the temporary."""
     try:
+        exists = os.path.exists(path)
         # fd 1 is compared only if it is open
-        if os.path.exists(path) and (not os.path.isfile(path) or os.path.exists(1)
-                                     and os.path.samestat(os.stat(path), os.fstat(1))):
+        if exists and os.path.exists(1) and os.path.samestat(os.stat(path), os.fstat(1)):
+            with open(1, "wb", closefd=False) as stdout:
+                stdout.write(data)
+        elif exists and not os.path.isfile(path):
             path.write_bytes(data)
         else:
             target = Path(os.path.realpath(path))
@@ -186,9 +188,9 @@ def run_pipeline(
     curves = read_curves_csv(csv_data, csv_name)
     report_name = str(out / "analysis.json")
     report_data = _analyze(curves, config, csv_name)
-    doc, gestures, curve = read_report(report_data, report_name)
+    gestures, curve = read_report(report_data, report_name)
     midi_data = _compose(gestures, curve, config)
-    svg_data = _plot(curves, doc)
+    svg_data = _plot(curves, gestures, curve.sample_rate)
     out.mkdir(parents=True, exist_ok=True)
     return _write_artifacts(out, {
         "curves.csv": csv_data,

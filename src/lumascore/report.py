@@ -278,12 +278,14 @@ def gestures_from_report(doc: dict, source_path: str = "<analysis>"
                                      channel.values)
 
 
-def read_report(data: bytes, source_path: str = "<analysis>") -> tuple:
-    """(document, gestures, analysis curve) of a report, checked and read in one walk."""
-    doc = load_json(data, source_path, ReportFormatError)
-    return (doc, *gestures_from_report(doc, source_path))
+def read_report(data: bytes, source_path: str = "<analysis>"
+                ) -> tuple[list[Gesture], BrightnessCurve]:
+    """The gestures and analysis curve of a report, checked and read in one walk."""
+    return gestures_from_report(load_json(data, source_path, ReportFormatError), source_path)
 
 
 def parse_report(data: bytes, source_path: str = "<analysis>") -> dict:
     """Parse a report and check every field compose and plot read."""
-    return read_report(data, source_path)[0]
+    doc = load_json(data, source_path, ReportFormatError)
+    gestures_from_report(doc, source_path)
+    return doc

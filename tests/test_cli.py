@@ -92,6 +92,30 @@ class TestExtract:
         assert code == 1
         assert capsys.readouterr().err != ""
 
+    # each refusal on one line, with nothing written
+    @pytest.mark.parametrize("name, files, message", [
+        ("w0.y4m", {"": b"YUV4MPEG2 W0 H16 F24:1 C420\n"}, "stream dimensions must be positive"),
+        ("f0.y4m", {"": b"YUV4MPEG2 W16 H16 F0:1 C420\n"}, "frame rate must be positive"),
+        ("zero.pgm", {"": b"P5 0 1 255\n"}, "ppm: non-positive dimensions"),
+        ("frames", {}, "image sequence: no input files"),
+        ("frames", {"a.ppm": build_ppm(2, 2, bytes(4), magic=b"P5"),
+                    "b.ppm": build_ppm(2, 2, bytes(12))},
+         "image sequence: b.ppm changes pixel format"),
+    ], ids=["y4m width 0", "y4m rate 0", "ppm width 0", "empty directory",
+            "gray then rgb"])
+    def test_media_refusal_exits_1(self, tmp_path, capsys, name, files, message):
+        source = tmp_path / name
+        if "" in files:
+            source.write_bytes(files[""])
+        else:
+            source.mkdir()
+            for file_name, data in files.items():
+                (source / file_name).write_bytes(data)
+        out = tmp_path / "x.csv"
+        assert main(["extract", "--input", str(source), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
+        assert not out.exists()
+
     def test_frame_larger_than_file_exits_1(self, tmp_path, capsys):
         source = tmp_path / "huge.y4m"
         source.write_bytes(b"YUV4MPEG2 W99999999 H99999999 F24:1\nFRAME\n" + bytes(100))
@@ -238,6 +262,20 @@ class TestStageOut:
             assert captured.read() == out.read_bytes()
         assert out.read_bytes().startswith(b"time_s,luma\n")
 
+    def test_dev_stdout_keeps_what_its_descriptor_writes_around_it(self, shot_video,
+                                                                  tmp_path):
+        # as `{ echo header; lumascore extract --out /dev/stdout; echo trailer; } > all`
+        # does, which once lost the header to a truncating reopen
+        out = tmp_path / "all.csv"
+        with open(out, "wb", buffering=0) as shared:
+            shared.write(b"header\n")
+            result = extract_in_child(shot_video, "/dev/stdout", stdout=shared)
+            assert (result.returncode, result.stderr) == (0, b"")
+            shared.write(b"trailer\n")
+        csv = tmp_path / "curves.csv"
+        assert main(["extract", "--input", str(shot_video), "--out", str(csv)]) == 0
+        assert out.read_bytes() == b"header\n" + csv.read_bytes() + b"trailer\n"
+
     def test_closed_stdout_still_replaces_a_file(self, shot_video, tmp_path):
         out = tmp_path / "curves.csv"
         out.write_bytes(b"old\n")
@@ -294,6 +332,16 @@ class TestAnalyze:
                      "--config", str(config_file), "--out", str(tmp_path / "a.json")])
         assert code == 1
         assert str(curves) in capsys.readouterr().err
+
+    def test_curves_without_luma_exit_1(self, config_file, tmp_path, capsys):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("time_s,red\n0.000000,0.5\n0.041667,0.5\n")
+        out = tmp_path / "a.json"
+        code = main(["analyze", "--curves", str(curves),
+                     "--config", str(config_file), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: %s: analysis needs a luma column\n" % curves
+        assert not out.exists()
 
     def test_nan_sample_exits_1(self, shot_video, config_file, tmp_path, capsys):
         curves = tmp_path / "curves.csv"
@@ -417,6 +465,33 @@ class TestComposeAndPlot:
         end = ticks(600.0, 1000.0, 32767)
         assert end > MAX_VLQ
         assert notes == [(0, "note_on")] * 3 + [(end, "note_off")] * 3
+
+    def test_plot_draws_an_off_grid_report_where_compose_plays_it(self, shot_video,
+                                                                  config_file, tmp_path):
+        # compose rounds each time to the 50 Hz analysis grid; plot once drew
+        # the times as the report wrote them
+        curves = tmp_path / "curves.csv"
+        report = tmp_path / "analysis.json"
+        assert main(["extract", "--input", str(shot_video), "--out", str(curves)]) == 0
+        assert main(["analyze", "--curves", str(curves), "--config", str(config_file),
+                     "--out", str(report)]) == 0
+
+        def artifacts():
+            svg, midi = tmp_path / "plot.svg", tmp_path / "score.mid"
+            assert main(["plot", "--curves", str(curves), "--analysis", str(report),
+                         "--out", str(svg)]) == 0
+            assert main(["compose", "--analysis", str(report), "--config", str(config_file),
+                         "--out", str(midi)]) == 0
+            return svg.read_bytes(), midi.read_bytes()
+
+        on_grid = artifacts()
+        doc = json.loads(report.read_text())
+        assert len(doc["segments"]) > 1
+        for seg in doc["segments"]:
+            seg["start_s"] += 0.003
+            seg["end_s"] += 0.003
+        report.write_text(json.dumps(doc))
+        assert artifacts() == on_grid
 
     def test_plot_without_analysis(self, shot_video, tmp_path):
         curves = tmp_path / "curves.csv"
@@ -687,7 +762,7 @@ class TestPipeline:
         import lumascore.pipeline as pipeline
 
         calls = []
-        for name in ("read_curves_csv", "read_report", "parse_report"):
+        for name in ("read_curves_csv", "read_report"):
             def counted(*args, name=name, real=getattr(pipeline, name)):
                 calls.append(name)
                 return real(*args)

@@ -6,6 +6,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lumascore import composition
 from lumascore.composition import (
@@ -151,6 +152,40 @@ class TestChordFor:
             chord = chord_for(motif, 60, HarmonyConfig())
             assert chord == sorted(chord)
             assert len(set(chord)) == 3
+
+
+def _restarted_pitches(chord, motif_id, harmony, count):
+    """The arpeggio's pitch walk as a restart loop once wrote it: the oracle
+    the cycle is held to."""
+    scale = harmony.scale
+    size = len(scale)
+    floor = max(0, harmony.register[0] - 12)
+    out = []
+    while len(out) < count:
+        out.extend(chord[::-1][: count - len(out)])
+        idx = motif_id % size
+        pitch = chord[0]
+        while len(out) < count:
+            step = (scale[idx % size] - scale[(idx - 1) % size]) % 12
+            step = step or 12
+            pitch -= step
+            idx -= 1
+            if pitch < floor:
+                break
+            out.append(pitch)
+    return out[:count]
+
+
+class TestDescendingPitches:
+    @given(st.sets(st.integers(0, 11), min_size=1).map(sorted), st.integers(0, 11),
+           st.lists(st.integers(0, 127), min_size=2, max_size=2, unique=True).map(sorted),
+           st.integers(0, 1000), st.floats(0.0, 1.0), st.integers(0, 200))
+    def test_the_cycle_matches_the_restart_loop(self, scale, root_pc, register, motif,
+                                                 brightness, count):
+        harmony = HarmonyConfig(tuple(scale), root_pc, tuple(register))
+        chord = chord_for(motif, register_center(brightness, harmony.register), harmony)
+        assert (composition._descending_pitches(chord, motif, harmony, count)
+                == _restarted_pitches(chord, motif, harmony, count))
 
 
 class TestArpeggioTimes:

@@ -472,6 +472,16 @@ class TestWalkerCoverage:
                     decoders.add(path.name)
         assert decoders == {"schema.py"}
 
+    def test_only_the_report_reads_a_report_document(self):
+        # every other module takes the report's checked records, so a plot
+        # and a score cannot read one report two ways
+        def document(node):
+            return (isinstance(node, ast.alias) and node.name == "parse_report"
+                    or isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                    and node.slice.value == "segments")
+
+        assert {scope.split(".")[0] for scope in _scopes(document)} <= {"report"}
+
     def test_only_a_regular_y4m_file_reads_by_offset(self):
         # load reads a Y4M file's runs by offset; every other read, the
         # claims' marker walk and iteration included, is in stream order

@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 from lumascore.ingest import (
     _LINE_BYTES,
     _Y4M_BUFFER,
+    Frame,
     ImageSequenceReader,
     MediaFormatError,
     PixelFormat,
@@ -538,6 +539,87 @@ def test_ppm_round_trips_raster_bytes() -> None:
     # re-encoding from the parsed fields reproduces the original file
     again = build_ppm(rebuilt.width, rebuilt.height, rebuilt.data)
     assert again == build_ppm(4, 2, raster)
+
+
+def _next_ppm_int(data: bytes, pos: int) -> tuple[int, int]:
+    """Read the next header integer, skipping whitespace and # comments."""
+    n = len(data)
+    while pos < n:
+        byte = data[pos]
+        if byte in b"#":
+            while pos < n and data[pos] not in b"\r\n":
+                pos += 1
+        elif byte in b" \t\r\n":
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and data[pos] in b"0123456789":
+        pos += 1
+    if not 0 < pos - start < 10:
+        raise MediaFormatError("ppm: malformed header near byte %d" % pos)
+    return int(data[start:pos]), pos
+
+
+def _scanned_ppm(data: bytes, index: int = 0) -> Frame:
+    """``read_ppm`` as it read the header with the character scanner above:
+    the oracle the header pattern is held to."""
+    if len(data) < 2:
+        raise MediaFormatError("ppm: file too short for magic")
+    magic = data[:2]
+    if magic == b"P6":
+        pixel_format, channels = PixelFormat.RGB24, 3
+    elif magic == b"P5":
+        pixel_format, channels = PixelFormat.GRAY8, 1
+    else:
+        raise MediaFormatError("ppm: unsupported magic %r" % magic)
+    pos = 2
+    fields = []
+    while len(fields) < 3:
+        value, pos = _next_ppm_int(data, pos)
+        fields.append(value)
+    width, height, maxval = fields
+    if maxval != 255:
+        raise MediaFormatError("ppm: maxval %d not supported" % maxval)
+    if width < 1 or height < 1:
+        raise MediaFormatError("ppm: non-positive dimensions")
+    pos += 1
+    expected = width * height * channels
+    raster = data[pos:pos + expected]
+    if len(raster) < expected:
+        raise MediaFormatError(
+            "ppm: raster truncated (%d of %d bytes)" % (len(raster), expected)
+        )
+    return Frame(index, width, height, pixel_format, raster)
+
+
+# gaps of every byte the scanner skips, and of \v, which it refuses; a
+# comment may run to the end of the file
+_PPM_GAP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" # 1 x\n\t", b"#\r", b"\n\n",
+                            b"\v", b" #", b""])
+# fields of 0 to 10 digits
+_PPM_SIZE = st.sampled_from([b"1", b"2", b"3", b"1", b"2", b"02", b"0", b"", b"000000003",
+                             b"1000000000"])
+_PPM_MAXVAL = st.sampled_from([b"255", b"255", b"0255", b"256", b"", b"000000255",
+                               b"0000000255"])
+
+
+@given(st.sampled_from([b"P5", b"P6", b"P5", b"P6", b"P4", b"P"]),
+       st.tuples(_PPM_GAP, _PPM_SIZE, _PPM_GAP, _PPM_SIZE, _PPM_GAP, _PPM_MAXVAL),
+       st.binary(min_size=28, max_size=40) | st.binary(max_size=8),
+       st.sampled_from([0, 0, 0, 1, 5, 20, 40]))
+def test_ppm_header_pattern_matches_the_scanner(magic, header, tail, cut) -> None:
+    data = magic + b"".join(header) + tail
+    # a cut ends the file inside the raster or inside the header
+    data = data[:max(0, len(data) - cut)]
+
+    def outcome(read):
+        try:
+            return read(data, 3)
+        except MediaFormatError as exc:
+            return str(exc)
+
+    assert outcome(read_ppm) == outcome(_scanned_ppm)
 
 
 def test_sequence_lexicographic_order(tmp_path) -> None:

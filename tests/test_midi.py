@@ -261,6 +261,23 @@ class TestReaderStrictness:
         with pytest.raises(MidiFormatError, match="^truncated"):
             read_smf(data)
 
+    # one minimal file or track for each fault of the reader
+    @pytest.mark.parametrize("data, message", [
+        (b"MThd" + struct.pack(">IHHH", 6, 0, 1, 480), "unsupported format 0"),
+        (b"\x81", "truncated variable-length quantity"),
+        (b"\x81\x81\x81\x81\x00", "variable-length quantity longer than 4 bytes"),
+        (b"\x00", "truncated event"),
+        (b"\x00\xff\x2f\x00\x00", "data after end-of-track"),
+        (b"\x00\x90\x3c", "truncated channel event"),
+    ], ids=["format 0", "vlq cut after 0x81", "five-byte vlq", "delta without event",
+            "byte after end-of-track", "note-on cut after its pitch"])
+    def test_each_fault_names_itself(self, data, message):
+        if not data.startswith(b"MThd"):
+            data = (b"MThd" + struct.pack(">IHHH", 6, 1, 1, 480)
+                    + b"MTrk" + struct.pack(">I", len(data)) + data)
+        with pytest.raises(MidiFormatError, match="^%s$" % message):
+            read_smf(data)
+
     def test_trailing_bytes_rejected(self):
         with pytest.raises(MidiFormatError):
             read_smf(write_smf(make_score()) + b"\x00")
