@@ -8,6 +8,7 @@ scores are reproducible bit for bit from the seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .curveprep import round_half_up
@@ -112,7 +113,7 @@ def register_center(mean_brightness: float, register: tuple[int, int]) -> int:
 
 
 def velocity_at(value: float) -> int:
-    return max(1, min(127, round_half_up(20.0 + 100.0 * _clamp_unit(value))))
+    return round_half_up(20.0 + 100.0 * _clamp_unit(value))
 
 
 def _voice_near(pitch_class: int, center: int) -> int:
@@ -155,13 +156,7 @@ def arpeggio_times(fit: ExpFit, duration_s: float) -> list[float]:
     if fit.scale <= 0 or fit.degenerate:
         return []
     spacing = fit.tau_s * math.log(1.0 / ARPEGGIO_RHO)
-    times = []
-    for k in range(1, 33):
-        t = spacing * k
-        if t >= duration_s:
-            break
-        times.append(t)
-    return times
+    return [spacing * k for k in range(1, 33) if spacing * k < duration_s]
 
 
 def _value_at(curve: BrightnessCurve, t: float) -> float:
@@ -170,8 +165,12 @@ def _value_at(curve: BrightnessCurve, t: float) -> float:
     return float(curve.values[idx])
 
 
-def _note(onset: float, duration: float, pitch: int, velocity: int, channel: int) -> MusicalEvent:
-    return MusicalEvent(onset, duration, max(0, min(127, pitch)), velocity, channel)
+def _grid(start: float, step: float, end: float) -> Iterator[float]:
+    """Onsets start + k * step, k = 0, 1, ..., for as long as they fall before end."""
+    k = 0
+    while (at := start + k * step) < end - 1e-9:
+        yield at
+        k += 1
 
 
 def _descending_pitches(chord: list[int], motif_id: int, harmony: HarmonyConfig, count: int) -> list[int]:
@@ -212,77 +211,68 @@ def render_gesture(
     center = register_center(gesture.mean_brightness, harmony.register)
     motif = gesture.motif_id or 0
     chord = chord_for(motif, center, harmony)
-    channel = harmony.channel
     onset = seg_start
     if gesture.transient is not None:
         onset = seg_start + gesture.transient.onset_idx / rate
     # where classify fitted the body, so its fits play where they were measured
     body_at = seg_start + body_start(seg.end_idx - seg.start_idx, gesture.transient) / rate
-    arche = gesture.archetype
-    events: list[MusicalEvent] = []
 
+    def note(at: float, duration: float, pitch: int, level: float | None = None) -> MusicalEvent:
+        """A note as loud as ``level``, or as the curve at its onset, on the
+        harmony's channel.  A pitch past the keyboard moves by whole octaves
+        onto it, so it keeps its pitch class."""
+        if pitch > 127:
+            pitch = 127 - (127 - pitch) % 12
+        elif pitch < 0:
+            pitch %= 12
+        value = _value_at(curve, at) if level is None else level
+        return MusicalEvent(at, duration, pitch, velocity_at(value), harmony.channel)
+
+    arche = gesture.archetype
     if arche in (Archetype.CHORD_RESONANCE, Archetype.CHORD_HELD,
                  Archetype.CRESCENDO_HELD, Archetype.DIMINUENDO_HELD):
-        vel = velocity_at(_value_at(curve, onset))
-        for pitch in chord:
-            events.append(_note(onset, seg_end - onset, pitch, vel, channel))
-    elif arche is Archetype.CHORD_ARPEGGIO:
-        vel = velocity_at(_value_at(curve, onset))
-        chord_dur = min(1.0, 0.25 * seg_dur)
-        for pitch in chord:
-            events.append(_note(onset, chord_dur, pitch, vel, channel))
+        return [note(onset, seg_end - onset, pitch) for pitch in chord]
+    if arche is Archetype.CHORD_ARPEGGIO:
+        events = [note(onset, min(1.0, 0.25 * seg_dur), pitch) for pitch in chord]
         fit = gesture.fit
         if isinstance(fit, ExpFit):
             times = arpeggio_times(fit, seg_end - body_at)
             pitches = _descending_pitches(chord, motif, harmony, len(times))
-            for t, pitch in zip(times, pitches):
-                at = body_at + t
-                # 80% of the inter-onset gap, times[0], but a slowly fitted decay must
-                # not ring past the one-second tail allowed after the segment
-                dur = min(0.8 * times[0], seg_end + 1.0 - at)
-                events.append(
-                    _note(at, dur, pitch, velocity_at(_value_at(curve, at)), channel)
-                )
-    elif arche is Archetype.TREMOLO_SCRATCH:
+            # 80% of the inter-onset gap, times[0], but a slowly fitted decay must
+            # not ring past the one-second tail allowed after the segment
+            events += [note(at, min(0.8 * times[0], seg_end + 1.0 - at), pitch)
+                       for at, pitch in zip([body_at + t for t in times], pitches)]
+        return events
+    if arche is Archetype.TREMOLO_SCRATCH:
         period = 0.120 - 0.085 * gesture.granularity
-        k = 0
         # the train starts on the transient when one was detected, so the
         # first attack stays synchronized with the visual accent
-        while (at := onset + k * period) < seg_end - 1e-9:
-            events.append(
-                _note(at, 0.6 * period, chord[0], velocity_at(_value_at(curve, at)), channel)
-            )
-            k += 1
-    elif arche is Archetype.ARPEGGIO_DETACHED:
+        return [note(at, 0.6 * period, chord[0]) for at in _grid(onset, period, seg_end)]
+    if arche is Archetype.ARPEGGIO_DETACHED:
         fit = gesture.fit
-        scale = harmony.scale
-        size = len(scale)
-        j = motif % size
-        if isinstance(fit, StaircaseFit):
-            onsets = (0.0,) + fit.step_times_s
-            for k, (t, level) in enumerate(zip(onsets, fit.levels)):
-                pc = (scale[(j + k) % size] + harmony.root_pc) % 12
-                pitch = _voice_near(pc, register_center(_clamp_unit(level), harmony.register))
-                events.append(
-                    _note(body_at + t, 0.2, pitch, velocity_at(level), channel)
-                )
-        else:
+        if not isinstance(fit, StaircaseFit):
             # archetype forced onto a segment without staircase structure
-            events.append(_note(body_at, 0.2, chord[0],
-                                velocity_at(_value_at(curve, body_at)), channel))
-    else:  # GranularTexture
-        pcs = {(s + harmony.root_pc) % 12 for s in harmony.scale}
-        candidates = [p for p in range(center - 12, center + 13)
-                      if p % 12 in pcs and 0 <= p <= 127]
-        k = 0
-        while (at := seg_start + k * TEXTURE_GRID_S) < seg_end - 1e-9:
-            draw = rng.next_unit()
-            value = _value_at(curve, at)
-            if draw < lambda_max * gesture.granularity * value * TEXTURE_GRID_S:
-                pick = rng.next_unit()
-                pitch = candidates[min(len(candidates) - 1, int(pick * len(candidates)))]
-                events.append(_note(at, grain_s, pitch, velocity_at(value), channel))
-            k += 1
+            return [note(body_at, 0.2, chord[0])]
+        scale = harmony.scale
+
+        def step_pitch(k: int, level: float) -> int:
+            pc = (scale[(motif + k) % len(scale)] + harmony.root_pc) % 12
+            return _voice_near(pc, register_center(_clamp_unit(level), harmony.register))
+
+        return [note(body_at + t, 0.2, step_pitch(k, level), level)
+                for k, (t, level) in enumerate(zip((0.0,) + fit.step_times_s, fit.levels))]
+    # GranularTexture
+    pcs = {(s + harmony.root_pc) % 12 for s in harmony.scale}
+    candidates = [p for p in range(center - 12, center + 13)
+                  if p % 12 in pcs and 0 <= p <= 127]
+    events = []
+    for at in _grid(seg_start, TEXTURE_GRID_S, seg_end):
+        draw = rng.next_unit()
+        value = _value_at(curve, at)
+        if draw < lambda_max * gesture.granularity * value * TEXTURE_GRID_S:
+            pick = rng.next_unit()
+            pitch = candidates[min(len(candidates) - 1, int(pick * len(candidates)))]
+            events.append(note(at, grain_s, pitch, value))
     return events
 
 
@@ -299,7 +289,7 @@ def expression_track(curve: BrightnessCurve, channel: int = 0) -> list[ControlEv
     for k in range(steps + 1):
         t = k / EXPRESSION_RATE_HZ
         value = round_half_up(_clamp_unit(_value_at(curve, t)) * 127.0)
-        if k == 0 or value != previous:
+        if value != previous:
             events.append(ControlEvent(t, 11, value, channel))
             previous = value
     return events

@@ -383,23 +383,19 @@ def _fit_slope(fit: FitRecord, duration_s: float) -> float:
     return (fit.levels[-1] - fit.levels[0]) / duration_s
 
 
-_KIND_INDEX = {kind: i for i, kind in enumerate(ShapeKind)}
-
-
 def _features(gesture: Gesture, rate: float) -> np.ndarray:
     duration = (gesture.segment.end_idx - gesture.segment.start_idx) / rate
-    vec = np.zeros(len(ShapeKind) + 5)
-    vec[_KIND_INDEX[gesture.kind]] = 1.0
+    vec = np.zeros(5)
     slope = _fit_slope(gesture.fit, duration)
-    vec[len(ShapeKind)] = math.copysign(min(1.0, abs(slope) * duration), slope)
+    vec[0] = math.copysign(min(1.0, abs(slope) * duration), slope)
     if isinstance(gesture.fit, ExpFit) and gesture.kind in (
         ShapeKind.EXPONENTIAL_RISE, ShapeKind.EXPONENTIAL_DECAY
     ):
-        vec[len(ShapeKind) + 1] = min(1.0, gesture.fit.tau_s / duration)
-    vec[len(ShapeKind) + 2] = gesture.granularity
+        vec[1] = min(1.0, gesture.fit.tau_s / duration)
+    vec[2] = gesture.granularity
     if gesture.transient is not None:
-        vec[len(ShapeKind) + 3] = gesture.transient.amplitude
-    vec[len(ShapeKind) + 4] = math.log(duration) / math.log(60.0)
+        vec[3] = gesture.transient.amplitude
+    vec[4] = math.log(duration) / math.log(60.0)
     return vec
 
 

@@ -6,15 +6,20 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lumascore import composition
 from lumascore.composition import (
     ARPEGGIO_RHO,
+    TEXTURE_GRID_S,
     ControlEvent,
     HarmonyConfig,
+    MusicalEvent,
     Score,
     SplitMix64,
+    _descending_pitches,
+    _value_at,
+    _voice_near,
     arpeggio_times,
     chord_for,
     compose,
@@ -31,9 +36,13 @@ from lumascore.gestures import (
     ShapeKind,
     StaircaseFit,
     TransientInfo,
+    body_start,
 )
+from lumascore.curveprep import round_half_up
 from lumascore.photometry import BrightnessCurve, CurveChannel
 from lumascore.segmentation import Segment
+
+from test_report import gestures_on
 
 DATA = pathlib.Path(__file__).parent / "data"
 RATE = 50.0
@@ -217,6 +226,147 @@ class TestArpeggioTimes:
     def test_degenerate_fit_rejected(self):
         assert arpeggio_times(ExpFit(0.5, 0.0, 1.0, 0.0, degenerate=True), 5.0) == []
 
+    @given(st.builds(ExpFit, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                     st.floats(0.0, exclude_min=True, allow_infinity=False),
+                     st.just(0.0), st.booleans()),
+           st.floats(-1.0, 1e6) | st.floats(allow_nan=False))
+    @settings(max_examples=50)
+    def test_the_filter_matches_the_loop(self, fit, duration_s):
+        assert arpeggio_times(fit, duration_s) == _parent_arpeggio_times(fit, duration_s)
+
+
+# The rules of render_gesture as they were written out once per archetype,
+# one velocity_at call and one channel argument per note: the oracle the one
+# note maker and the one onset grid are held to.  Its pitch clamp differs
+# from the note maker's octave move only outside [0, 127].
+
+def _parent_velocity_at(value):
+    return max(1, min(127, round_half_up(20.0 + 100.0 * min(1.0, max(0.0, value)))))
+
+
+def _parent_arpeggio_times(fit, duration_s):
+    if fit.scale <= 0 or fit.degenerate:
+        return []
+    spacing = fit.tau_s * math.log(1.0 / ARPEGGIO_RHO)
+    times = []
+    for k in range(1, 33):
+        t = spacing * k
+        if t >= duration_s:
+            break
+        times.append(t)
+    return times
+
+
+def _parent_note(onset, duration, pitch, velocity, channel):
+    return MusicalEvent(onset, duration, max(0, min(127, pitch)), velocity, channel)
+
+
+def _parent_render(gesture, curve, harmony, rng, lambda_max, grain_s):
+    rate = curve.sample_rate
+    seg = gesture.segment
+    seg_start = seg.start_idx / rate
+    seg_end = seg.end_idx / rate
+    seg_dur = seg_end - seg_start
+    center = register_center(gesture.mean_brightness, harmony.register)
+    motif = gesture.motif_id or 0
+    chord = chord_for(motif, center, harmony)
+    channel = harmony.channel
+    onset = seg_start
+    if gesture.transient is not None:
+        onset = seg_start + gesture.transient.onset_idx / rate
+    body_at = seg_start + body_start(seg.end_idx - seg.start_idx, gesture.transient) / rate
+    arche = gesture.archetype
+    events = []
+    if arche in (Archetype.CHORD_RESONANCE, Archetype.CHORD_HELD,
+                 Archetype.CRESCENDO_HELD, Archetype.DIMINUENDO_HELD):
+        vel = _parent_velocity_at(_value_at(curve, onset))
+        for pitch in chord:
+            events.append(_parent_note(onset, seg_end - onset, pitch, vel, channel))
+    elif arche is Archetype.CHORD_ARPEGGIO:
+        vel = _parent_velocity_at(_value_at(curve, onset))
+        chord_dur = min(1.0, 0.25 * seg_dur)
+        for pitch in chord:
+            events.append(_parent_note(onset, chord_dur, pitch, vel, channel))
+        fit = gesture.fit
+        if isinstance(fit, ExpFit):
+            times = _parent_arpeggio_times(fit, seg_end - body_at)
+            pitches = _descending_pitches(chord, motif, harmony, len(times))
+            for t, pitch in zip(times, pitches):
+                at = body_at + t
+                dur = min(0.8 * times[0], seg_end + 1.0 - at)
+                events.append(_parent_note(at, dur, pitch,
+                                           _parent_velocity_at(_value_at(curve, at)), channel))
+    elif arche is Archetype.TREMOLO_SCRATCH:
+        period = 0.120 - 0.085 * gesture.granularity
+        k = 0
+        while (at := onset + k * period) < seg_end - 1e-9:
+            events.append(_parent_note(at, 0.6 * period, chord[0],
+                                       _parent_velocity_at(_value_at(curve, at)), channel))
+            k += 1
+    elif arche is Archetype.ARPEGGIO_DETACHED:
+        fit = gesture.fit
+        scale = harmony.scale
+        size = len(scale)
+        j = motif % size
+        if isinstance(fit, StaircaseFit):
+            onsets = (0.0,) + fit.step_times_s
+            for k, (t, level) in enumerate(zip(onsets, fit.levels)):
+                pc = (scale[(j + k) % size] + harmony.root_pc) % 12
+                pitch = _voice_near(pc, register_center(min(1.0, max(0.0, level)),
+                                                        harmony.register))
+                events.append(_parent_note(body_at + t, 0.2, pitch,
+                                           _parent_velocity_at(level), channel))
+        else:
+            events.append(_parent_note(body_at, 0.2, chord[0],
+                                       _parent_velocity_at(_value_at(curve, body_at)), channel))
+    else:
+        pcs = {(s + harmony.root_pc) % 12 for s in harmony.scale}
+        candidates = [p for p in range(center - 12, center + 13)
+                      if p % 12 in pcs and 0 <= p <= 127]
+        k = 0
+        while (at := seg_start + k * TEXTURE_GRID_S) < seg_end - 1e-9:
+            draw = rng.next_unit()
+            value = _value_at(curve, at)
+            if draw < lambda_max * gesture.granularity * value * TEXTURE_GRID_S:
+                pick = rng.next_unit()
+                pitch = candidates[min(len(candidates) - 1, int(pick * len(candidates)))]
+                events.append(_parent_note(at, grain_s, pitch, _parent_velocity_at(value),
+                                           channel))
+            k += 1
+    return events
+
+
+@st.composite
+def renderings(draw):
+    """(gesture, curve, harmony, seed, lambda_max, grain_s): a gesture of any
+    archetype, transient and fit on a curve of up to 100 samples, and a
+    harmony whose register keeps every chord tone on the keyboard: tones lie
+    within 6 below and 29 above the register's centre."""
+    rate = draw(st.floats(0.5, 1000.0))
+    n = draw(st.integers(1, 100))
+    curve = make_curve(draw(st.lists(st.floats(-0.1, 1.1), min_size=n, max_size=n)), rate)
+    start = draw(st.integers(0, n - 1))
+    gesture = draw(gestures_on(rate, start, draw(st.integers(start + 1, n))))
+    harmony = HarmonyConfig(
+        tuple(draw(st.sets(st.integers(0, 11), min_size=1).map(sorted))),
+        draw(st.integers(0, 11)),
+        tuple(draw(st.lists(st.integers(6, 98), min_size=2, max_size=2, unique=True).map(sorted))),
+        channel=draw(st.integers(0, 15)))
+    return (gesture, curve, harmony, draw(st.integers(0, 2 ** 64 - 1)),
+            draw(st.floats(0.0, 1e6, exclude_min=True)),
+            draw(st.floats(0.0, 1.0, exclude_min=True)))
+
+
+class TestRenderMatchesTheRulesWrittenOut:
+    @given(renderings())
+    @settings(max_examples=40, deadline=None)
+    def test_same_events_and_draws(self, case):
+        gesture, curve, harmony, seed, lambda_max, grain_s = case
+        rng, oracle_rng = SplitMix64(seed), SplitMix64(seed)
+        assert (render_gesture(gesture, curve, harmony, rng, lambda_max, grain_s)
+                == _parent_render(gesture, curve, harmony, oracle_rng, lambda_max, grain_s))
+        assert rng.next_u64() == oracle_rng.next_u64()
+
 
 class TestRenderGesture:
     def test_held_chord_spans_transient_to_segment_end(self):
@@ -333,6 +483,23 @@ class TestRenderGesture:
         root = chord_for(0, register_center(0.5, HarmonyConfig().register), HarmonyConfig())[0]
         assert [(e.onset_s, e.duration_s, e.pitch, e.velocity) for e in events] == [
             (pytest.approx(2.1, abs=1e-12), 0.2, root, velocity_at(0.9))]
+
+    # full brightness at [100, 127] voices motif 0 at 132, 135 and 139;
+    # darkness at [0, 1] voices motif 4 at -5, -2 and 2
+    @pytest.mark.parametrize("register, brightness, motif, keys", [
+        ((100, 127), 1.0, 0, [120, 123, 127]), ((0, 1), 0.0, 4, [2, 7, 10])])
+    def test_a_chord_past_the_keyboard_moves_by_octaves(self, register, brightness,
+                                                         motif, keys):
+        curve = make_curve([brightness] * 100)
+
+        def chord(register):
+            gesture = make_gesture(Segment(0, 100), Archetype.CHORD_HELD,
+                                   mean_brightness=brightness, motif_id=motif)
+            harmony = HarmonyConfig(register=register)
+            return sorted(e.pitch for e in render_gesture(gesture, curve, harmony, SplitMix64(0)))
+
+        assert chord(register) == keys
+        assert {p % 12 for p in keys} == {p % 12 for p in chord((36, 84))}
 
     def test_granular_with_zero_granularity_is_silent(self):
         curve = make_curve([0.9] * 100)

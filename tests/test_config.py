@@ -482,6 +482,18 @@ class TestWalkerCoverage:
 
         assert {scope.split(".")[0] for scope in _scopes(document)} <= {"report"}
 
+    def test_one_note_maker_plays_every_note(self):
+        # each note takes its velocity, key and channel from one rule, so no
+        # archetype can play by a copy of its own
+        for name in ("velocity_at", "MusicalEvent"):
+            def call(node):
+                return isinstance(node, ast.Call) and name in _names(node.func)
+
+            sites = [node for path in SOURCE.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text())) if call(node)]
+            assert len(sites) == 1, name
+            assert _scopes(call) == {"composition.render_gesture.note"}, name
+
     def test_only_a_regular_y4m_file_reads_by_offset(self):
         # load reads a Y4M file's runs by offset; every other read, the
         # claims' marker walk and iteration included, is in stream order

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lumascore import gestures
 from lumascore.curveprep import ROUGHNESS_SCALE, residual_rms, smooth_values
 from lumascore.gestures import (
+    MOTIF_EPSILON,
     Archetype,
     ClassifyParams,
     ExpFit,
@@ -613,3 +614,71 @@ class TestAssignMotifs:
         assign_motifs(first, RATE)
         assign_motifs(second, RATE)
         assert [g.motif_id for g in first] == [g.motif_id for g in second]
+
+
+# The motif features as they once held a one-hot block of the gesture's kind
+# before the five numbers: the oracle the five numbers alone are held to.
+# assign_motifs compares only gestures of one kind, whose blocks cancel.
+_KIND_INDEX = {kind: i for i, kind in enumerate(ShapeKind)}
+
+
+def _one_hot_features(gesture, rate):
+    duration = (gesture.segment.end_idx - gesture.segment.start_idx) / rate
+    vec = np.zeros(len(ShapeKind) + 5)
+    vec[_KIND_INDEX[gesture.kind]] = 1.0
+    slope = gestures._fit_slope(gesture.fit, duration)
+    vec[len(ShapeKind)] = math.copysign(min(1.0, abs(slope) * duration), slope)
+    if isinstance(gesture.fit, ExpFit) and gesture.kind in (
+        ShapeKind.EXPONENTIAL_RISE, ShapeKind.EXPONENTIAL_DECAY
+    ):
+        vec[len(ShapeKind) + 1] = min(1.0, gesture.fit.tau_s / duration)
+    vec[len(ShapeKind) + 2] = gesture.granularity
+    if gesture.transient is not None:
+        vec[len(ShapeKind) + 3] = gesture.transient.amplitude
+    vec[len(ShapeKind) + 4] = math.log(duration) / math.log(60.0)
+    return vec
+
+
+def _one_hot_motifs(gestures_, rate):
+    representatives = []
+    ids = []
+    for gesture in gestures_:
+        vec = _one_hot_features(gesture, rate)
+        for motif_id, (kind, ref) in enumerate(representatives):
+            if kind is gesture.kind and float(np.linalg.norm(vec - ref)) <= MOTIF_EPSILON:
+                ids.append(motif_id)
+                break
+        else:
+            ids.append(len(representatives))
+            representatives.append((gesture.kind, vec))
+    return ids
+
+
+# a few values near one another, so that distances often fall near MOTIF_EPSILON
+NEAR = st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.3, 0.5]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def motif_runs(draw):
+    """(rate, gestures): up to 12 gestures of up to 3 kinds over spans of 1
+    to 300 samples, with every fit model."""
+    rate = draw(st.floats(0.5, 1000.0))
+    kinds = st.sampled_from(draw(st.lists(st.sampled_from(ShapeKind), min_size=1, max_size=3)))
+    fits = st.one_of(st.builds(LinearFit, NEAR, NEAR, st.just(0.0)),
+                     st.builds(ExpFit, NEAR, NEAR, st.floats(0.01, 100.0), st.just(0.0)),
+                     st.builds(StaircaseFit, st.lists(NEAR, min_size=1, max_size=4).map(tuple),
+                               st.just(()), st.just(0.0)))
+    transients = st.none() | st.builds(TransientInfo, st.just(0), NEAR)
+    return rate, [Gesture(Segment(0, draw(st.integers(1, 300))), draw(kinds), draw(transients),
+                          draw(NEAR.map(abs)), draw(fits), 0.5, Archetype.CHORD_HELD)
+                  for _ in range(draw(st.integers(0, 12)))]
+
+
+class TestMotifFeatures:
+    @given(motif_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_ids_match_the_one_hot_features(self, run):
+        rate, drawn = run
+        expected = _one_hot_motifs(drawn, rate)
+        assign_motifs(drawn, rate)
+        assert [g.motif_id for g in drawn] == expected

@@ -29,9 +29,9 @@ from lumascore.gestures import (
     body_start,
 )
 from lumascore.ingest import PixelFormat, StreamInfo
-from lumascore.midi import read_smf
+from lumascore.midi import read_smf, ticks
 from lumascore.photometry import BrightnessCurve, CurveChannel, CurveSet
-from lumascore.pipeline import analyze_stage
+from lumascore.pipeline import analyze_stage, compose_stage
 from lumascore.report import (
     MAX_CSV_RATE_HZ,
     CsvFormatError,
@@ -764,6 +764,65 @@ class TestWriteCheckReadAgree:
             parse_report(report_to_bytes(doc))
         assert str(err.value) == message
 
+
+
+@st.composite
+def compose_configs(draw):
+    """A config whose compose fields are drawn from their schema ranges, now
+    and then at the slowest MIDI clock, 4 bpm at ppq 24 (1.6 ticks a second)."""
+    tempo_bpm, ppq = draw(st.just((4.0, 24))
+                          | st.tuples(st.floats(4.0, 1000.0), st.integers(24, 32767)))
+    return parse_config({
+        "harmony": {"scale": draw(st.sets(st.integers(0, 11), min_size=1).map(sorted)),
+                    "root_pc": draw(st.integers(0, 11)),
+                    "register": draw(st.lists(st.integers(0, 127), min_size=2, max_size=2,
+                                              unique=True).map(sorted)),
+                    "tempo_bpm": tempo_bpm, "ppq": ppq, "channel": draw(st.integers(0, 15))},
+        "texture": {"lambda_max": draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+                    "grain_ms": draw(st.floats(0.0, 1000.0, exclude_min=True))},
+        "seed": draw(st.integers(0, 2 ** 64 - 1))})
+
+
+SAMPLE_CURVE = BrightnessCurve(CurveChannel.LUMA, 50.0, 0.0, np.linspace(0.2, 0.8, 300))
+# a transient 0.04 s before the end leaves one sample, so the staircase was
+# fitted from the segment's start, where its steps must play
+LATE_TRANSIENT = SAMPLE_GESTURES[:2] + [dataclasses.replace(
+    SAMPLE_GESTURES[2], transient=TransientInfo(98, 0.3), fit=StaircaseFit(
+        (0.2, 0.5, 0.8), (0.5, 1.9), 3e-5))]
+FULL_TEXTURE = [Gesture(Segment(0, 300), ShapeKind.CHAOTIC, None, 1.0, LinearFit(0.5, 0.0, 0.0),
+                        0.5, Archetype.GRANULAR_TEXTURE, 0)]
+# 596 s between the chords, more than the largest SMF delta at 1000 bpm and ppq 32767
+FAR_APART = (0.5, BrightnessCurve(CurveChannel.LUMA, 0.5, 0.0, np.full(300, 0.5)), [
+    Gesture(Segment(i, i + 1), ShapeKind.PLATEAU, None, 0.0, LinearFit(0.5, 0.0, 0.0), 0.5,
+            Archetype.CHORD_HELD, i) for i in (0, 299)])
+
+
+class TestComposeGate:
+    """compose on a report parse_report accepts, with a config inside the
+    schema's ranges, ends within 5 s: in an SMF whose notes start by the
+    film's end and end by 1 s after it, or in one error naming the report."""
+
+    @given(analyses(), compose_configs())
+    @example((50.0, SAMPLE_CURVE, LATE_TRANSIENT), parse_config({}))
+    @example((50.0, SAMPLE_CURVE, FULL_TEXTURE),
+             parse_config({"texture": {"lambda_max": 1e6, "grain_ms": 1000.0}}))
+    @example(FAR_APART, parse_config({"harmony": {"tempo_bpm": 1000.0, "ppq": 32767}}))
+    @settings(max_examples=15, deadline=None)
+    def test_every_note_lies_inside_the_film(self, analysis, config):
+        rate, curve, gestures = analysis
+        data = report_to_bytes(build_report({}, rate, curve, gestures, parse_config({})))
+        try:
+            with deadline(5):
+                smf = compose_stage(data, config, "gate.json")
+        except ValueError as exc:
+            assert str(exc).startswith("gate.json: "), exc
+            return
+        clock = (config.harmony.tempo_bpm, config.harmony.ppq)
+        film_end = len(curve.values) / rate
+        last_on, last_off = ticks(film_end, *clock), ticks(film_end + 1.0, *clock)
+        for tick, event in read_smf(smf)["tracks"][1]:
+            assert tick <= {"note_on": last_on, "note_off": last_off}.get(event[0], tick), (
+                tick, event)
 
 
 def _report_fields(cls, doc, path):
