@@ -130,7 +130,9 @@ def chord_for(motif_id: int, center: int, harmony: HarmonyConfig) -> list[int]:
 
     The root goes to its closest octave; the third and fifth of the scale
     stack upward from it so the pitch-class content depends only on the
-    motif and harmony, never on the register.
+    motif and harmony, never on the register.  A chord that would leave the
+    keyboard moves onto it by whole octaves, all its tones together, so they
+    stay three keys (the chord spans at most two octaves).
     """
     scale = harmony.scale
     size = len(scale)
@@ -144,7 +146,12 @@ def chord_for(motif_id: int, center: int, harmony: HarmonyConfig) -> list[int]:
         while note in notes:
             note += 12
         notes.append(note)
-    return sorted(notes)
+    notes.sort()
+    while notes[-1] > 127:
+        notes = [note - 12 for note in notes]
+    while notes[0] < 0:
+        notes = [note + 12 for note in notes]
+    return notes
 
 
 def arpeggio_times(fit: ExpFit, duration_s: float) -> list[float]:

@@ -140,10 +140,14 @@ def parse_y4m_header(data: bytes) -> StreamInfo:
 
 
 def _int_token(raw: bytes, tag: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise MediaFormatError("y4m: malformed %s token" % tag) from None
+    """The value of a token's ASCII digits; a sign, a space, an underscore or
+    any other byte makes it malformed."""
+    if raw.isdigit():
+        try:
+            return int(raw)
+        except ValueError:  # int() refuses 4,300 digits or more
+            pass
+    raise MediaFormatError("y4m: malformed %s token" % tag)
 
 
 _READ_CHUNK = 1 << 20

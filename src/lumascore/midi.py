@@ -1,7 +1,9 @@
 """Standard MIDI File output (format 1) and a reader for round-trip checks.
 
 The writer never uses running status and always emits explicit note-off
-events, so the byte stream is a pure function of the score.
+events, so the byte stream is a pure function of the score.  Two tables are
+the whole event grammar: the writer emits only their events and the reader
+accepts nothing else.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ from .curveprep import round_half_up
 
 MAX_VLQ = 0x0FFFFFFF
 
-# an empty text meta event, which carries a delta longer than MAX_VLQ in parts
-_EMPTY_TEXT = b"\xff\x01\x00"
+# channel events by status high nibble, in the order events at one tick are
+# written: releases, then controls, then attacks
+_CHANNEL = {0x80: "note_off", 0xB0: "control", 0x90: "note_on"}
+# meta events by type: name and payload length; an empty text event carries
+# a delta longer than MAX_VLQ in parts
+_META = {0x01: ("text", 0), 0x51: ("tempo", 3), 0x2F: ("end_of_track", 0)}
 
-# event ordering classes at equal ticks: releases, controls, attacks
-_CLASS_OFF = 0
-_CLASS_CONTROL = 1
-_CLASS_ON = 2
+_STATUS = {name: status for status, name in _CHANNEL.items()}
+_RANK = {name: rank for rank, name in enumerate(_CHANNEL.values())}
+_META_TYPE = {name: (meta, size) for meta, (name, size) in _META.items()}
 
 
 class MidiFormatError(ValueError):
@@ -47,50 +52,53 @@ def ticks(t_s: float, tempo_bpm: float, ppq: int) -> int:
     return tick
 
 
-def _track_chunk(payload: bytes) -> bytes:
+def _encode(event: tuple) -> bytes:
+    """The bytes of one event, given as :func:`read_smf` returns it."""
+    name = event[0]
+    if name in _STATUS:
+        # the channel is masked, because MusicalEvent does not check it
+        return bytes((_STATUS[name] | (event[1] & 0x0F), event[2], event[3]))
+    meta, size = _META_TYPE[name]
+    # each length in _META is below 0x80, so it is its own one-byte VLQ
+    return bytes((0xFF, meta, size)) + b"".join(v.to_bytes(size, "big") for v in event[1:])
+
+
+def _track_chunk(events: list[tuple[int, tuple]]) -> bytes:
+    """An MTrk chunk of ``(tick, event)`` pairs in tick order, closed by
+    end-of-track at the last tick."""
+    parts, cursor = [], 0
+    for tick, event in events:
+        delta = tick - cursor
+        while delta > MAX_VLQ:
+            parts.append(encode_vlq(MAX_VLQ) + _encode(("text",)))
+            delta -= MAX_VLQ
+        parts.append(encode_vlq(delta) + _encode(event))
+        cursor = tick
+    parts.append(encode_vlq(0) + _encode(("end_of_track",)))
+    payload = b"".join(parts)
     return b"MTrk" + struct.pack(">I", len(payload)) + payload
 
 
 def write_smf(score: Score) -> bytes:
-    ppq = score.ppq
-    tempo_us = round_half_up(60_000_000.0 / score.tempo_bpm)
-    header = b"MThd" + struct.pack(">IHHH", 6, 1, 2, ppq)
+    clock = (score.tempo_bpm, score.ppq)
+    tempo_track = _track_chunk([(0, ("tempo", round_half_up(60_000_000.0 / score.tempo_bpm)))])
+    header = b"MThd" + struct.pack(">IHHH", 6, 1, 2, score.ppq)
 
-    tempo_track = (
-        b"\x00\xff\x51\x03" + tempo_us.to_bytes(3, "big") + b"\x00\xff\x2f\x00"
-    )
-
-    events: list[tuple[int, int, int, bytes]] = []
+    events: list[tuple[int, tuple]] = []
     for note in score.notes:
-        on = ticks(note.onset_s, score.tempo_bpm, ppq)
+        on = ticks(note.onset_s, *clock)
         # a note shorter than half a tick would end at its start, where its
         # release sorts before its attack and never closes it
-        off = max(ticks(note.onset_s + note.duration_s, score.tempo_bpm, ppq), on + 1)
-        status_on = 0x90 | (note.channel & 0x0F)
-        status_off = 0x80 | (note.channel & 0x0F)
-        events.append((on, _CLASS_ON, note.pitch, bytes([status_on, note.pitch, note.velocity])))
-        events.append((off, _CLASS_OFF, note.pitch, bytes([status_off, note.pitch, 0])))
+        off = max(ticks(note.onset_s + note.duration_s, *clock), on + 1)
+        events.append((on, ("note_on", note.channel, note.pitch, note.velocity)))
+        events.append((off, ("note_off", note.channel, note.pitch, 0)))
     for control in score.controls:
-        tick = ticks(control.time_s, score.tempo_bpm, ppq)
-        status = 0xB0 | (control.channel & 0x0F)
-        events.append((tick, _CLASS_CONTROL, control.controller,
-                       bytes([status, control.controller, control.value])))
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
+        events.append((ticks(control.time_s, *clock),
+                       ("control", control.channel, control.controller, control.value)))
+    # at one tick by the table's order, then by pitch or controller
+    events.sort(key=lambda e: (e[0], _RANK[e[1][0]], e[1][2]))
 
-    parts = []
-    cursor = 0
-    for tick, _, _, payload in events:
-        delta = tick - cursor
-        while delta > MAX_VLQ:
-            parts.append(encode_vlq(MAX_VLQ) + _EMPTY_TEXT)
-            delta -= MAX_VLQ
-        parts.append(encode_vlq(delta))
-        parts.append(payload)
-        cursor = tick
-    parts.append(b"\x00\xff\x2f\x00")
-    note_track = b"".join(parts)
-
-    return header + _track_chunk(tempo_track) + _track_chunk(note_track)
+    return header + tempo_track + _track_chunk(events)
 
 
 def read_smf(data: bytes) -> dict:
@@ -143,8 +151,7 @@ def _read_vlq(body: bytes, pos: int) -> tuple[int, int]:
 
 def _read_track(body: bytes) -> list[tuple[int, tuple]]:
     events: list[tuple[int, tuple]] = []
-    tick = 0
-    pos = 0
+    tick = pos = 0
     while pos < len(body):
         delta, pos = _read_vlq(body, pos)
         tick += delta
@@ -161,30 +168,20 @@ def _read_track(body: bytes) -> list[tuple[int, tuple]]:
             if len(payload) < size:
                 raise MidiFormatError("truncated meta event")
             pos += size
-            if meta == 0x01 and size == 0:
-                pass
-            elif meta == 0x51 and size == 3:
-                events.append((tick, ("tempo", int.from_bytes(payload, "big"))))
-            elif meta == 0x2F and size == 0:
-                events.append((tick, ("end_of_track",)))
+            name, expected = _META.get(meta, (None, None))
+            if size != expected:
+                raise MidiFormatError("unsupported meta event 0x%02X" % meta)
+            if name != "text":
+                events.append((tick, (name, int.from_bytes(payload, "big")) if size else (name,)))
+            if name == "end_of_track":
                 if pos != len(body):
                     raise MidiFormatError("data after end-of-track")
                 return events
-            else:
-                raise MidiFormatError("unsupported meta event 0x%02X" % meta)
-        elif 0x80 <= status <= 0xBF:
+        elif status & 0xF0 in _CHANNEL:
             if pos + 2 > len(body):
                 raise MidiFormatError("truncated channel event")
-            d1, d2 = body[pos], body[pos + 1]
+            events.append((tick, (_CHANNEL[status & 0xF0], status & 0x0F, body[pos], body[pos + 1])))
             pos += 2
-            channel = status & 0x0F
-            kind = status & 0xF0
-            if kind == 0x90:
-                events.append((tick, ("note_on", channel, d1, d2)))
-            elif kind == 0x80:
-                events.append((tick, ("note_off", channel, d1, d2)))
-            else:
-                events.append((tick, ("control", channel, d1, d2)))
         else:
             # running status in particular lands here on purpose
             raise MidiFormatError("unsupported status byte 0x%02X" % status)

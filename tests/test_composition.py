@@ -6,7 +6,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lumascore import composition
 from lumascore.composition import (
@@ -485,9 +485,9 @@ class TestRenderGesture:
             (pytest.approx(2.1, abs=1e-12), 0.2, root, velocity_at(0.9))]
 
     # full brightness at [100, 127] voices motif 0 at 132, 135 and 139;
-    # darkness at [0, 1] voices motif 4 at -5, -2 and 2
+    # darkness at [0, 1] voices motif 4 at -5, -2 and 2; each chord moves whole
     @pytest.mark.parametrize("register, brightness, motif, keys", [
-        ((100, 127), 1.0, 0, [120, 123, 127]), ((0, 1), 0.0, 4, [2, 7, 10])])
+        ((100, 127), 1.0, 0, [120, 123, 127]), ((0, 1), 0.0, 4, [7, 10, 14])])
     def test_a_chord_past_the_keyboard_moves_by_octaves(self, register, brightness,
                                                          motif, keys):
         curve = make_curve([brightness] * 100)
@@ -500,6 +500,23 @@ class TestRenderGesture:
 
         assert chord(register) == keys
         assert {p % 12 for p in keys} == {p % 12 for p in chord((36, 84))}
+
+    # one pitch class stacked at 132, 144 and 156 once played key 120 three times
+    @given(st.sets(st.integers(0, 11), min_size=1).map(sorted), st.integers(0, 11),
+           st.lists(st.integers(0, 127), min_size=2, max_size=2, unique=True).map(sorted),
+           st.integers(0, 1000), st.floats(0.0, 1.0))
+    @example([0], 0, [100, 127], 0, 1.0)
+    def test_a_held_chord_plays_three_keys_at_any_register(self, scale, root_pc, register,
+                                                           motif, brightness):
+        gesture = make_gesture(Segment(0, 100), Archetype.CHORD_HELD,
+                               mean_brightness=brightness, motif_id=motif)
+        harmony = HarmonyConfig(tuple(scale), root_pc, tuple(register))
+        keys = [e.pitch for e in render_gesture(gesture, make_curve([brightness] * 100),
+                                                harmony, SplitMix64(0))]
+        assert len(set(keys)) == 3 and all(0 <= key <= 127 for key in keys), keys
+        home = chord_for(motif, register_center(brightness, (36, 84)),
+                         HarmonyConfig(tuple(scale), root_pc, (36, 84)))
+        assert sorted(key % 12 for key in keys) == sorted(p % 12 for p in home)
 
     def test_granular_with_zero_granularity_is_silent(self):
         curve = make_curve([0.9] * 100)

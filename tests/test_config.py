@@ -494,6 +494,22 @@ class TestWalkerCoverage:
             assert len(sites) == 1, name
             assert _scopes(call) == {"composition.render_gesture.note"}, name
 
+    def test_one_pair_of_tables_states_the_smf_grammar(self):
+        # the writer and the reader take every status nibble from _CHANNEL and
+        # every meta event from _META, so they cannot disagree on an event
+        midi = ast.parse((SOURCE / "midi.py").read_text())
+        table = next(node for node in midi.body if isinstance(node, ast.Assign)
+                     and {"_CHANNEL"} == {target.id for target in node.targets})
+        for status in (0x90, 0xB0):
+            sites = [(path.name, node.lineno) for path in SOURCE.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Constant) and type(node.value) is int
+                     and node.value == status]
+            assert [name for name, _ in sites] == ["midi.py"], hex(status)
+            assert table.lineno <= sites[0][1] <= table.end_lineno, hex(status)
+        assert not [node.value for node in ast.walk(midi) if isinstance(node, ast.Constant)
+                    and isinstance(node.value, bytes) and b"\xff" in node.value]
+
     def test_only_a_regular_y4m_file_reads_by_offset(self):
         # load reads a Y4M file's runs by offset; every other read, the
         # claims' marker walk and iteration included, is in stream order

@@ -118,6 +118,28 @@ def test_y4m_frame_rate_outside_the_float_range_rejected(fps) -> None:
         parse_y4m_header(b"YUV4MPEG2 W2 H2 " + fps + b"\n")
 
 
+# int() once read W1_0 as 10, W+4 as 4 and F24:1 before a CR as 24:1; a
+# number is ASCII digits, as in a Netpbm header
+@pytest.mark.parametrize("header, tag", [
+    (b"YUV4MPEG2 W1_0 H2 F24:1\n", "W"),
+    (b"YUV4MPEG2 W+4 H2 F24:1\n", "W"),
+    (b"YUV4MPEG2 W2 H2 F24\n", "F"),
+    (b"YUV4MPEG2 W4x H2 F24:1\n", "W"),
+    (b"YUV4MPEG2 W2 H2 F24:x\n", "F"),
+    (b"YUV4MPEG2 W2 H2 F24:1\r\n", "F"),
+    (b"YUV4MPEG2 W2 H" + b"1" * 4400 + b" F24:1\n", "H"),
+], ids=["underscore", "plus sign", "rate without colon", "trailing letter",
+        "letter denominator", "carriage return", "4400 digits"])
+def test_y4m_malformed_integer_token_rejected(header, tag) -> None:
+    with pytest.raises(MediaFormatError, match="^y4m: malformed %s token$" % tag):
+        parse_y4m_header(header)
+
+
+def test_y4m_header_tokens_may_be_separated_by_several_spaces() -> None:
+    info = parse_y4m_header(b"YUV4MPEG2 W4  H3   F25:1\n")
+    assert (info.width, info.height, info.fps_num, info.fps_den) == (4, 3, 25, 1)
+
+
 def test_y4m_truncated_frame() -> None:
     stream = build_y4m(2, 2, [y4m_frame_420(2, 2, 50)[:-1]])
     with pytest.raises(MediaFormatError, match="y4m: frame 0 truncated"):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumascore.composition import ControlEvent, MusicalEvent, Score
+from lumascore.curveprep import round_half_up
 from lumascore.midi import (
     MAX_VLQ,
     MidiFormatError,
@@ -269,8 +270,10 @@ class TestReaderStrictness:
         (b"\x00", "truncated event"),
         (b"\x00\xff\x2f\x00\x00", "data after end-of-track"),
         (b"\x00\x90\x3c", "truncated channel event"),
+        (b"MThd" + struct.pack(">IHHH", 6, 1, 1, 480) + b"MTrx" + struct.pack(">I", 0),
+         "missing MTrk chunk at byte 14"),
     ], ids=["format 0", "vlq cut after 0x81", "five-byte vlq", "delta without event",
-            "byte after end-of-track", "note-on cut after its pitch"])
+            "byte after end-of-track", "note-on cut after its pitch", "misnamed track"])
     def test_each_fault_names_itself(self, data, message):
         if not data.startswith(b"MThd"):
             data = (b"MThd" + struct.pack(">IHHH", 6, 1, 1, 480)
@@ -312,3 +315,107 @@ class TestReaderStrictness:
         )
         with pytest.raises(MidiFormatError):
             read_smf(data)
+
+    def track(self, payload):
+        return (b"MThd" + struct.pack(">IHHH", 6, 1, 1, 480)
+                + b"MTrk" + struct.pack(">I", len(payload)) + payload)
+
+    def test_the_reader_takes_exactly_the_channel_events_the_writer_emits(self):
+        # 0xA0, a polyphonic key pressure, once read as a control change
+        taken = set()
+        for status in range(0x80, 0xF0):
+            try:
+                read_smf(self.track(bytes([0, status, 60, 64]) + bytes.fromhex("00ff2f00")))
+                taken.add(status)
+            except MidiFormatError as exc:
+                assert str(exc) == "unsupported status byte 0x%02X" % status
+        assert taken == {status for status in range(0x80, 0xF0)
+                         if status & 0xF0 in (0x80, 0x90, 0xB0)}
+
+    def test_the_reader_takes_exactly_the_meta_events_the_writer_emits(self):
+        # each at the payload length the writer gives it, and at one more
+        taken = set()
+        for meta in range(0x80):
+            for size in (0, 1, 3, 4):
+                event = bytes([0, 0xFF, meta, size]) + bytes(size)
+                try:
+                    read_smf(self.track(event if meta == 0x2F else
+                                        event + bytes.fromhex("00ff2f00")))
+                    taken.add((meta, size))
+                except MidiFormatError as exc:
+                    assert str(exc) == "unsupported meta event 0x%02X" % meta
+        assert taken == {(0x01, 0), (0x2F, 0), (0x51, 3)}
+
+    def test_the_writer_emits_the_events_the_reader_takes(self):
+        # each channel's note-on, note-off and control, a text event that
+        # carries a delta past MAX_VLQ, the tempo and end-of-track
+        notes = [MusicalEvent(0.0, 1.0, 60, 100, ch) for ch in range(16)]
+        notes.append(MusicalEvent(0.0, 2 * MAX_VLQ / 480, 61, 100, 0))
+        data = write_smf(make_score(notes, [ControlEvent(0.0, 11, 64, ch) for ch in range(16)]))
+        for ch in range(16):
+            for event in ([0x90 | ch, 60, 100], [0x80 | ch, 60, 0], [0xB0 | ch, 11, 64]):
+                assert bytes(event) in data
+        for meta in (b"\xff\x01\x00", b"\xff\x51\x03", b"\xff\x2f\x00"):
+            assert meta in data
+
+
+def _parent_write_smf(score):
+    """The writer as it was before one pair of tables held the event grammar:
+    the oracle the writer's bytes are held to."""
+    ppq = score.ppq
+    tempo_us = round_half_up(60_000_000.0 / score.tempo_bpm)
+    header = b"MThd" + struct.pack(">IHHH", 6, 1, 2, ppq)
+    tempo_track = b"\x00\xff\x51\x03" + tempo_us.to_bytes(3, "big") + b"\x00\xff\x2f\x00"
+    events = []
+    for note in score.notes:
+        on = ticks(note.onset_s, score.tempo_bpm, ppq)
+        off = max(ticks(note.onset_s + note.duration_s, score.tempo_bpm, ppq), on + 1)
+        events.append((on, 2, note.pitch, bytes([0x90 | (note.channel & 0x0F), note.pitch,
+                                                 note.velocity])))
+        events.append((off, 0, note.pitch, bytes([0x80 | (note.channel & 0x0F), note.pitch, 0])))
+    for control in score.controls:
+        tick = ticks(control.time_s, score.tempo_bpm, ppq)
+        events.append((tick, 1, control.controller,
+                       bytes([0xB0 | (control.channel & 0x0F), control.controller, control.value])))
+    events.sort(key=lambda e: (e[0], e[1], e[2]))
+    parts = []
+    cursor = 0
+    for tick, _, _, payload in events:
+        delta = tick - cursor
+        while delta > MAX_VLQ:
+            parts.append(encode_vlq(MAX_VLQ) + b"\xff\x01\x00")
+            delta -= MAX_VLQ
+        parts.append(encode_vlq(delta))
+        parts.append(payload)
+        cursor = tick
+    parts.append(b"\x00\xff\x2f\x00")
+    note_track = b"".join(parts)
+
+    def chunk(payload):
+        return b"MTrk" + struct.pack(">I", len(payload)) + payload
+
+    return header + chunk(tempo_track) + chunk(note_track)
+
+
+# onsets up to 3,000 s, past MAX_VLQ ticks at the fastest clock; durations
+# under a millisecond, shorter than half a tick at all but the fastest
+differential_notes = st.builds(
+    MusicalEvent,
+    onset_s=st.floats(0.0, 20.0) | st.floats(0.0, 3000.0),
+    duration_s=st.floats(0.0, 3.0) | st.floats(0.0, 0.001),
+    pitch=st.integers(0, 127),
+    velocity=st.integers(1, 127),
+    channel=st.integers(0, 15),
+)
+
+
+class TestWriterMatchesTheGrammarWrittenOut:
+    @given(st.lists(differential_notes, max_size=24), st.lists(control_strategy, max_size=10),
+           st.sampled_from([4.0, 1000.0]) | st.floats(4.0, 1000.0),
+           st.sampled_from([24, 32767]) | st.integers(24, 32767))
+    @example([MusicalEvent(0.0, 0.1, 60, 90, 0), MusicalEvent(3000.0, 1.0, 62, 90, 0)], [],
+             1000.0, 32767)
+    @settings(max_examples=100, deadline=None)
+    def test_same_bytes(self, notes, controls, tempo, ppq):
+        score = make_score(notes, controls, tempo, ppq)
+        assert write_smf(score) == _parent_write_smf(score)

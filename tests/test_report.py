@@ -11,7 +11,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lumascore import composition
@@ -45,6 +45,7 @@ from lumascore.report import (
     _FITS,
     _Report,
 )
+from lumascore.schema import to_json
 from lumascore.segmentation import Segment
 
 from _synth import deadline
@@ -795,6 +796,10 @@ FULL_TEXTURE = [Gesture(Segment(0, 300), ShapeKind.CHAOTIC, None, 1.0, LinearFit
 FAR_APART = (0.5, BrightnessCurve(CurveChannel.LUMA, 0.5, 0.0, np.full(300, 0.5)), [
     Gesture(Segment(i, i + 1), ShapeKind.PLATEAU, None, 0.0, LinearFit(0.5, 0.0, 0.0), 0.5,
             Archetype.CHORD_HELD, i) for i in (0, 299)])
+# 200,000 s of curve, longer than MAX_FILM_S, which compose refuses naming the report
+TOO_LONG = (1e-5, BrightnessCurve(CurveChannel.LUMA, 1e-5, 0.0, np.full(2, 0.5)), [
+    Gesture(Segment(0, 2), ShapeKind.PLATEAU, None, 0.0, LinearFit(0.5, 0.0, 0.0), 0.5,
+            Archetype.CHORD_HELD, 0)])
 
 
 class TestComposeGate:
@@ -823,6 +828,40 @@ class TestComposeGate:
         for tick, event in read_smf(smf)["tracks"][1]:
             assert tick <= {"note_on": last_on, "note_off": last_off}.get(event[0], tick), (
                 tick, event)
+
+    # the same reports and configs through the command line: the bytes
+    # compose_stage gives, or exit 1 with one line naming the report
+    @given(analysis=analyses(), config=compose_configs())
+    @example(analysis=(50.0, SAMPLE_CURVE, LATE_TRANSIENT), config=parse_config({}))
+    @example(analysis=(50.0, SAMPLE_CURVE, FULL_TEXTURE),
+             config=parse_config({"texture": {"lambda_max": 1e6, "grain_ms": 1000.0}}))
+    @example(analysis=FAR_APART,
+             config=parse_config({"harmony": {"tempo_bpm": 1000.0, "ppq": 32767}}))
+    @example(analysis=TOO_LONG, config=parse_config({}))
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_the_cli_writes_what_compose_stage_gives(self, analysis, config, tmp_path, capsys):
+        rate, curve, gestures = analysis
+        data = report_to_bytes(build_report({}, rate, curve, gestures, parse_config({})))
+        report, config_file, out = (tmp_path / "gate.json", tmp_path / "config.json",
+                                    tmp_path / "score.mid")
+        report.write_bytes(data)
+        config_file.write_text(json.dumps(to_json(config)))
+        out.unlink(missing_ok=True)
+        try:
+            with deadline(5):
+                expected = compose_stage(data, config, str(report))
+        except ValueError as exc:
+            expected = exc
+        with deadline(5):
+            code = main(["compose", "--analysis", str(report), "--config", str(config_file),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        if isinstance(expected, bytes):
+            assert (code, err, out.read_bytes()) == (0, "", expected)
+        else:
+            assert (code, err) == (1, "error: %s\n" % expected), err
+            assert err.startswith("error: %s: " % report) and not out.exists()
 
 
 def _report_fields(cls, doc, path):
