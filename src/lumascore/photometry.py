@@ -4,12 +4,16 @@ All measurements land in [0, 1].  Luma has one definition: per-pixel exact
 integer keys over the key of white (``luma = key / scale``), which are
 ``299 R + 587 G + 114 B`` (the Rec.601 weights times 1000) over 255000 for
 RGB24, the code over 255 for GRAY8, and for the limited-range Y4M luma plane
-the code clamped to [16, 235], minus 16, over 219.
+the code clamped to [16, 235], minus 16, over 219.  RGB24 keys come from a
+float32 product of the codes with the weights, which is exact, because every
+partial sum is an integer below 2**24.
 
-A frame's mean luma is the exact sum of its keys over ``scale * n``, one
-correctly rounded division; for RGB24 the key sum is taken from the three
-exact colour plane sums, ``299 ΣR + 587 ΣG + 114 ΣB``.  ``rms`` contrast is
-the population standard deviation from exact integer moments of the keys,
+Each frame's key sum is taken once and serves both the mean and ``rms``:
+for RGB24 from the three exact colour plane sums, ``299 ΣR + 587 ΣG + 114
+ΣB``, and for the 8-bit formats from the keys.  A frame's mean luma is that
+sum over ``scale * n``, one correctly rounded division.  ``rms`` contrast is
+the population standard deviation from the exact key sum and square sum
+(a second pass over a 640x480 frame's keys for the sum took 0.14-0.21 ms),
 and ``spread`` the nearest-rank 95th minus 5th percentile of the keys.  The
 two ranks of the int32 RGB24 keys are selected in place (two single-rank
 partitions, ~0.2 ms per 640x480 frame against ~1.6 ms for a full sort);
@@ -29,6 +33,7 @@ interpreter lock, so one thread can read while another sums.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -59,10 +64,16 @@ class CurveChannel(Enum):
     CONTRAST_SPREAD = "contrast_spread"
 
 
-# Rec.601 luma weights times 1000, which make an RGB24 pixel's luma key; the
-# key of white is 255 times their sum
+# Rec.601 luma weights times 1000, which make an RGB24 pixel's luma key
 LUMA_WEIGHTS = (299, 587, 114)
-_RGB_SCALE = 255 * sum(LUMA_WEIGHTS)
+
+# the key of white of each pixel format, so that luma = key / white
+_WHITE = {
+    PixelFormat.RGB24: 255 * sum(LUMA_WEIGHTS),
+    PixelFormat.GRAY8: 255,
+    PixelFormat.Y4M_444: 219,
+    PixelFormat.Y4M_420: 219,
+}
 
 _RGB_INDEX = {
     CurveChannel.RED: 0,
@@ -128,28 +139,39 @@ def _lane_sums(codes: np.ndarray, lanes: int) -> list[list[int]]:
     return totals.tolist()
 
 
+# RGB24 keys are built this many pixels at a time, which keeps the float32
+# copy of the codes in cache (384 KB)
+_KEY_BLOCK = 2 ** 15
+_WEIGHTS32 = np.array(LUMA_WEIGHTS, dtype=np.float32)
+
+
 def _luma_keys(codes: np.ndarray, pixels: int,
                pixel_format: PixelFormat) -> tuple[np.ndarray, int]:
     """Per-pixel luma of each frame (row) of ``codes`` as exact integer keys,
     one row per frame, and the key of white (the scale), so that ``luma =
     key / scale``."""
     if pixel_format is PixelFormat.RGB24:
-        # a key is at most 255000, so int32 holds it, and integer ufuncs on
-        # the colour columns build it exactly
-        planes = [codes[:, i:3 * pixels:3].astype(np.int32) for i in range(3)]
-        for plane, weight in zip(planes, LUMA_WEIGHTS):
-            plane *= weight
-        keys, green, blue = planes
-        keys += green
-        keys += blue
-        return keys, _RGB_SCALE
-    y = codes[:, :pixels]
-    if pixel_format is PixelFormat.GRAY8:
-        return y, 255
-    # limited-range Y4M luma: codes clamp to [16, 235], then 16 is black
-    keys = np.clip(y, 16, 235)
-    keys -= 16
-    return keys, 219
+        # a float32 product of each block of pixels with the weights: every
+        # product and partial sum is an integer of at most 255000 < 2**24, so
+        # float32 holds it exactly in any summation order.  Per 640x480
+        # frame this took ~0.37 ms (~0.65 ms with OpenBLAS's AVX2 kernel)
+        # against ~0.73 ms for int32 ufuncs on the three strided colour
+        # columns; whole-frame products took ~0.51 ms and 5 MB more peak RSS
+        # at two threads.  The keys are stored as int32, because float32 keys
+        # partition ~3x slower
+        frames = len(codes)
+        keys = np.empty((frames, pixels), dtype=np.int32)
+        for start in range(0, pixels, _KEY_BLOCK):
+            stop = min(pixels, start + _KEY_BLOCK)
+            block = codes[:, 3 * start:3 * stop].reshape(frames, stop - start, 3)
+            keys[:, start:stop] = block.astype(np.float32) @ _WEIGHTS32
+    elif pixel_format is PixelFormat.GRAY8:
+        keys = codes[:, :pixels]
+    else:
+        # limited-range Y4M luma: codes clamp to [16, 235], then 16 is black
+        keys = np.clip(codes[:, :pixels], 16, 235)
+        keys -= 16
+    return keys, _WHITE[pixel_format]
 
 
 def _square_sum(keys: np.ndarray, bound: int) -> int:
@@ -164,49 +186,34 @@ def _square_sum(keys: np.ndarray, bound: int) -> int:
     return total
 
 
-def _contrast(keys: np.ndarray, scale: int, method: str) -> float:
-    """Contrast of the integer luma ``keys`` (see :func:`_luma_keys`).
-    ``spread`` reorders wide keys in place; ``rms`` reads only their exact
-    sums, so the order does not matter to it."""
+def _rms(keys: np.ndarray, scale: int, total: int) -> float:
+    """Population standard deviation of the integer luma ``keys`` (see
+    :func:`_luma_keys`), whose exact sum is ``total``.  n**2 var equals the
+    integer n sum(k**2) - total**2, which is 0 exactly when all keys are equal
+    and positive otherwise; the order of the keys does not matter to it."""
     n = len(keys)
-    if method == "rms":
-        # population standard deviation from exact moments: n**2 var equals
-        # the integer n sum(k**2) - sum(k)**2, which is 0 exactly when all
-        # keys are equal and positive otherwise
-        total = int(keys.sum(dtype=np.int64))
-        return math.sqrt(n * _square_sum(keys, scale) - total * total) / (n * scale)
-    if method == "spread":
-        hi = (95 * n + 99) // 100  # nearest-rank, 1-based
-        lo = (5 * n + 99) // 100
-        if keys.itemsize == 1:
-            # NumPy radix-sorts 8-bit keys only for a stable sort (~1.0 ms on
-            # a 640x480 plane); two selections on them took ~5.7 ms
-            ordered = np.sort(keys, kind="stable")
-            return (int(ordered[hi - 1]) - int(ordered[lo - 1])) / scale
-        # wide keys: two single-rank selections in place (~0.2 ms against a
-        # ~1.6 ms sort; one call with both ranks took ~5.8 ms).  The high
-        # rank is read before the second selection moves it; the low rank
-        # is the (lo)th smallest of the hi smallest keys
-        keys.partition(hi - 1)
-        top = int(keys[hi - 1])
-        keys[:hi].partition(lo - 1)
-        return (top - int(keys[lo - 1])) / scale
-    raise ValueError("unknown contrast method %r" % method)
+    return math.sqrt(n * _square_sum(keys, scale) - total * total) / (n * scale)
 
 
-def frame_contrast(frame: Frame, method: str = "rms") -> float:
-    """Contrast of the frame's per-pixel luma: ``rms`` is the population
-    standard deviation, ``spread`` the nearest-rank 95th minus 5th
-    percentile."""
-    keys, scale = _luma_keys(frame_codes(frame), frame.width * frame.height,
-                             frame.pixel_format)
-    return _contrast(keys[0], scale, method)
-
-
-_CONTRAST_METHODS = {
-    CurveChannel.CONTRAST_RMS: "rms",
-    CurveChannel.CONTRAST_SPREAD: "spread",
-}
+def _spread(keys: np.ndarray, scale: int) -> float:
+    """Nearest-rank 95th minus 5th percentile of the integer luma ``keys``
+    over ``scale``.  Wide keys are reordered in place."""
+    n = len(keys)
+    hi = (95 * n + 99) // 100  # nearest-rank, 1-based
+    lo = (5 * n + 99) // 100
+    if keys.itemsize == 1:
+        # NumPy radix-sorts 8-bit keys only for a stable sort (~1.0 ms on
+        # a 640x480 plane); two selections on them took ~5.7 ms
+        ordered = np.sort(keys, kind="stable")
+        return (int(ordered[hi - 1]) - int(ordered[lo - 1])) / scale
+    # wide keys: two single-rank selections in place (~0.2 ms against a
+    # ~1.6 ms sort; one call with both ranks took ~5.8 ms).  The high
+    # rank is read before the second selection moves it; the low rank
+    # is the (lo)th smallest of the hi smallest keys
+    keys.partition(hi - 1)
+    top = int(keys[hi - 1])
+    keys[:hi].partition(lo - 1)
+    return (top - int(keys[lo - 1])) / scale
 
 
 def _check_channels(channels: Iterable[CurveChannel], pixel_format: PixelFormat) -> None:
@@ -221,30 +228,40 @@ def _measure(codes: np.ndarray, pixels: int, pixel_format: PixelFormat,
              channels: tuple[CurveChannel, ...]) -> list[tuple[float, ...]]:
     """One row per frame (row) of ``codes``, one sample per channel, which
     ``_check_channels`` has passed for ``pixel_format``; every per-frame
-    mean goes through here.  The RGB plane sums and the luma keys are each
-    built at most once for all the frames and shared by the channels using
-    them.  Each mean is one exact integer division per frame; contrast is
-    taken frame by frame."""
-    rgb = pixel_format is PixelFormat.RGB24
-    sums = keys = None
+    measurement goes through here.  The RGB plane sums, the luma keys and
+    each frame's key sum are built on first use, once for all the frames,
+    and shared by the channels using them: one key sum per frame serves both
+    the mean luma and ``rms``.  Each mean is one exact integer division per
+    frame; contrast is taken frame by frame."""
+
+    @functools.cache
+    def keys() -> tuple[np.ndarray, int]:
+        return _luma_keys(codes, pixels, pixel_format)
+
+    @functools.cache
+    def planes() -> list[list[int]]:
+        return _lane_sums(codes[:, :3 * pixels], 3)
+
+    @functools.cache
+    def key_sums() -> list[int]:
+        if pixel_format is PixelFormat.RGB24:
+            return [sum(w * s for w, s in zip(LUMA_WEIGHTS, frame)) for frame in planes()]
+        return [frame[0] for frame in _lane_sums(keys()[0], 1)]
+
     columns = []
     for channel in channels:
-        if channel in _CONTRAST_METHODS:
-            keys = keys or _luma_keys(codes, pixels, pixel_format)
-            method = _CONTRAST_METHODS[channel]
-            columns.append([_contrast(row, keys[1], method) for row in keys[0]])
-        elif rgb:
-            sums = sums or _lane_sums(codes[:, :3 * pixels], 3)
-            if channel is CurveChannel.LUMA:
-                columns.append([sum(w * s for w, s in zip(LUMA_WEIGHTS, frame))
-                                / (_RGB_SCALE * pixels) for frame in sums])
-            else:
-                lane = _RGB_INDEX[channel]
-                columns.append([frame[lane] / (255 * pixels) for frame in sums])
+        if channel in _RGB_INDEX:
+            lane = _RGB_INDEX[channel]
+            columns.append([frame[lane] / (255 * pixels) for frame in planes()])
+        elif channel is CurveChannel.LUMA:
+            white = _WHITE[pixel_format] * pixels
+            columns.append([total / white for total in key_sums()])
+        elif channel is CurveChannel.CONTRAST_RMS:
+            rows, scale = keys()
+            columns.append([_rms(row, scale, total) for row, total in zip(rows, key_sums())])
         else:
-            keys = keys or _luma_keys(codes, pixels, pixel_format)
-            white = keys[1] * pixels
-            columns.append([frame[0] / white for frame in _lane_sums(keys[0], 1)])
+            rows, scale = keys()
+            columns.append([_spread(row, scale) for row in rows])
     return list(zip(*columns))
 
 
@@ -256,6 +273,21 @@ def _measure_frame(frame: Frame, channels: tuple[CurveChannel, ...]) -> tuple[fl
 
 def frame_luma_mean(frame: Frame) -> float:
     return _measure_frame(frame, (CurveChannel.LUMA,))[0]
+
+
+_CONTRAST_METHODS = {
+    "rms": CurveChannel.CONTRAST_RMS,
+    "spread": CurveChannel.CONTRAST_SPREAD,
+}
+
+
+def frame_contrast(frame: Frame, method: str = "rms") -> float:
+    """Contrast of the frame's per-pixel luma: ``rms`` is the population
+    standard deviation, ``spread`` the nearest-rank 95th minus 5th
+    percentile."""
+    if method not in _CONTRAST_METHODS:
+        raise ValueError("unknown contrast method %r" % method)
+    return _measure_frame(frame, (_CONTRAST_METHODS[method],))[0]
 
 
 def frame_channel_mean(frame: Frame, channel: CurveChannel) -> float:

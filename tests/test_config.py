@@ -6,7 +6,10 @@ import enum
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import types
 import typing
 from pathlib import Path
@@ -539,6 +542,34 @@ class TestWalkerCoverage:
             names |= _names(node)
         assert not {name for name in names if name == "FrameAt" or "Buffer" in name}
 
+    def test_only_the_package_start_writes_the_environment(self):
+        # the BLAS thread count is read once, when numpy is first imported, so
+        # the one write of os.environ comes before the package's first import
+        def environ(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "environ"
+                    and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+        def writes(node):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = getattr(node, "targets", None) or [node.target]
+                return any(environ(getattr(t, "value", t)) for t in targets)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                method = node.func
+                return (environ(method.value) and method.attr in
+                        {"setdefault", "update", "pop", "popitem", "clear"}
+                        or isinstance(method.value, ast.Name) and method.value.id == "os"
+                        and method.attr in {"putenv", "unsetenv"})
+            return (isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and bool({a.name for a in node.names} & {"environ", "putenv", "unsetenv"}))
+
+        assert _scopes(writes) == {"__init__"}
+        body = ast.parse((SOURCE / "__init__.py").read_text()).body
+        first_write = next(i for i, stmt in enumerate(body)
+                           if any(writes(node) for node in ast.walk(stmt)))
+        first_import = next(i for i, stmt in enumerate(body)
+                            if isinstance(stmt, ast.ImportFrom) and stmt.level)
+        assert first_write < first_import
+
     @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
     def test_every_field_has_a_rule(self, cls):
         for name, hint in typing.get_type_hints(cls).items():
@@ -558,6 +589,49 @@ class TestWalkerCoverage:
 
         with pytest.raises(TypeError, match="no rule"):
             parse_record(Odd, {}, "x", ValueError)
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _python(script, **variables):
+    """Run ``script`` in a fresh interpreter that imports from ``src``, with
+    no BLAS thread variable but those given, and return its output."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env.update(variables, PYTHONPATH=str(SOURCE.parent))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestBlasDefault:
+    """The package runs BLAS on the calling thread unless the caller says
+    otherwise."""
+
+    IMPORT = ("import os, lumascore\n"
+              "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+    def test_import_leaves_one_thread(self):
+        assert _python(self.IMPORT).split() == ["1", "1"]
+
+    def test_the_callers_value_wins(self):
+        script = "import os, lumascore\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _python(script, OPENBLAS_NUM_THREADS="2").split() == ["2"]
+
+    def test_exponential_fit_bits_do_not_depend_on_blas_threads(self):
+        # 30,000 samples is where OpenBLAS hands the fit's product to a worker
+        script = """
+import numpy as np
+from lumascore.gestures import fit_exponential
+t = np.arange(30000) / 24.0
+fit = fit_exponential(0.2 + 0.7 * np.exp(-t / 300.0) + 0.01 * np.sin(7.3 * t), 24.0)
+print([float.hex(v) for v in (fit.offset, fit.scale, fit.tau_s, fit.sse)], fit.degenerate)
+"""
+        one = _python(script, OPENBLAS_NUM_THREADS="1")
+        assert "False" in one
+        assert _python(script, OPENBLAS_NUM_THREADS="2") == one
 
 
 # JSON-like values that stress the checks: non-finite and huge numbers, booleans,

@@ -1,6 +1,7 @@
 """Per-frame brightness measurements and curve extraction."""
 
 import contextlib
+import itertools
 import json
 import math
 import mmap
@@ -33,10 +34,11 @@ from lumascore.photometry import (
     BrightnessCurve,
     CurveChannel,
     CurveSet,
-    _contrast,
-    _luma_keys,
     _lane_sums,
+    _luma_keys,
+    _measure,
     _measure_frame,
+    _spread,
     _square_sum,
     extract_curves,
     frame_channel_mean,
@@ -295,7 +297,7 @@ class TestFrameContrast:
             assert rms > 0.0
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown contrast method 'minmax'$"):
             frame_contrast(gray_frame([1]), "minmax")
 
 
@@ -360,6 +362,18 @@ class TestContrastAgainstFloatPlane:
         assert [int(k) for k in keys] == exact_keys(frame)
         assert scale == WHITE[frame.pixel_format]
 
+    def test_rgb_keys_are_exact_across_blocks(self):
+        # a run of two 640x480 frames fills nine blocks of keys and part of a
+        # tenth; the eight corner colours reach the largest key, 255000
+        rng = np.random.default_rng(601)
+        codes = rng.integers(0, 256, (2, 3 * 640 * 480), dtype=np.uint8)
+        codes[0, :24] = [c for rgb in itertools.product((0, 255), repeat=3) for c in rgb]
+        keys, _ = _luma_keys(codes, 640 * 480, PixelFormat.RGB24)
+        wide = codes.astype(np.int64)
+        assert keys.dtype == np.int32
+        assert np.array_equal(keys, 299 * wide[:, 0::3] + 587 * wide[:, 1::3]
+                              + 114 * wide[:, 2::3])
+
 
 def exact_luma_mean(frame):
     """The correctly rounded mean of the exact keys over the key of white."""
@@ -383,6 +397,89 @@ class TestOneLumaDefinition:
         for _ in range(3):
             frame = Frame(0, 97, 53, fmt, rng.integers(0, 256, size, dtype=np.uint8).tobytes())
             assert frame_luma_mean(frame) == exact_luma_mean(frame)
+
+
+def exact_rms(frame):
+    """The population standard deviation of the exact keys over the key of
+    white, from Python-int moments: n**2 var = n sum(k**2) - sum(k)**2."""
+    keys = exact_keys(frame)
+    n = len(keys)
+    moment = n * sum(k * k for k in keys) - sum(keys) ** 2
+    return math.sqrt(moment) / (n * WHITE[frame.pixel_format])
+
+
+@st.composite
+def runs(draw):
+    """One to three frames of one format and size, measured as one run."""
+    first = draw(frames())
+    size = len(first.data)
+    more = draw(st.lists(st.binary(min_size=size, max_size=size), max_size=2))
+    return [first] + [Frame(i, first.width, first.height, first.pixel_format, data)
+                      for i, data in enumerate(more, 1)]
+
+
+def measure_run(frames, channels):
+    """``_measure`` of the frames as one run, one dict of samples per frame."""
+    first = frames[0]
+    codes = np.concatenate([frame_codes(frame) for frame in frames])
+    rows = _measure(codes, first.width * first.height, first.pixel_format, channels)
+    return [dict(zip(channels, row)) for row in rows]
+
+
+RMS, LUMA, SPREAD = (CurveChannel.CONTRAST_RMS, CurveChannel.LUMA,
+                     CurveChannel.CONTRAST_SPREAD)
+# rms alone, before and after the mean, and beside spread, which reorders
+# wide keys in place before or after rms reads them
+RMS_ORDERS = ((RMS,), (RMS, LUMA), (LUMA, RMS), (SPREAD, RMS), (RMS, SPREAD),
+              (SPREAD, LUMA, RMS))
+
+
+def flat_frame(fmt, width, height, code):
+    size = StreamInfo(width, height, 24, 1, fmt).bytes_per_frame
+    return Frame(0, width, height, fmt, bytes([code]) * size)
+
+
+class TestOneKeySum:
+    """Each frame's key sum is taken once and serves the mean and rms."""
+
+    @staticmethod
+    def check(frames, order):
+        for frame, samples in zip(frames, measure_run(frames, order), strict=True):
+            assert samples[RMS] == exact_rms(frame)
+            if LUMA in samples:
+                assert samples[LUMA] == exact_luma_mean(frame)
+
+    @given(runs(), st.sampled_from(RMS_ORDERS))
+    @settings(max_examples=300, deadline=None)
+    def test_rms_is_the_exact_moment_std(self, frames, order):
+        self.check(frames, order)
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @pytest.mark.parametrize("order", RMS_ORDERS)
+    def test_black_white_and_one_pixel_frames(self, fmt, order):
+        edges = [flat_frame(fmt, 9, 7, 0), flat_frame(fmt, 9, 7, 255),
+                 flat_frame(fmt, 1, 1, 0), flat_frame(fmt, 1, 1, 201)]
+        for frame in edges:
+            self.check([frame], order)
+
+    @pytest.mark.parametrize("fmt", ALL_FORMATS)
+    @pytest.mark.parametrize("order", RMS_ORDERS)
+    def test_one_lane_sum_per_run(self, monkeypatch, fmt, order):
+        # the RGB24 key sum comes from the plane sums, the 8-bit one from the
+        # keys; either way the mean and rms share one reduction of the run
+        lanes = []
+
+        def recording(codes, count):
+            lanes.append(count)
+            return _lane_sums(codes, count)
+
+        monkeypatch.setattr(photometry, "_lane_sums", recording)
+        rng = np.random.default_rng(28)
+        size = StreamInfo(64, 48, 24, 1, fmt).bytes_per_frame
+        frames = [Frame(i, 64, 48, fmt, rng.integers(0, 256, size, dtype=np.uint8).tobytes())
+                  for i in range(3)]
+        self.check(frames, order)
+        assert lanes == [3 if fmt is PixelFormat.RGB24 else 1]
 
 
 def nearest_rank_spread_oracle(keys, scale):
@@ -427,7 +524,7 @@ class TestSpreadSelection:
     def test_selected_ranks_equal_the_sorted_ranks(self, keys):
         expected = nearest_rank_spread_oracle(keys, 255000)
         work = keys.copy()
-        assert _contrast(work, 255000, "spread") == expected
+        assert _spread(work, 255000) == expected
         # the keys are only reordered, so rms still reads the same moments
         assert np.array_equal(np.sort(work), np.sort(keys))
 
@@ -438,7 +535,7 @@ class TestSpreadSelection:
         frame = Frame(0, 64, 48, fmt, rng.integers(0, 256, size, dtype=np.uint8).tobytes())
         keys, scale = frame_keys(frame)
         before = keys.copy()
-        assert _contrast(keys, scale, "spread") == nearest_rank_spread_oracle(before, scale)
+        assert _spread(keys, scale) == nearest_rank_spread_oracle(before, scale)
         assert np.array_equal(keys, before)
 
 
