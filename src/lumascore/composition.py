@@ -117,10 +117,12 @@ def velocity_at(value: float) -> int:
 
 
 def _voice_near(pitch_class: int, center: int) -> int:
-    """Octave placement of a pitch class closest to center, ties downward."""
+    """The key of a pitch class closest to center among keys 0-127, ties
+    downward; center is a key, so one of the two candidates is on the
+    keyboard."""
     up = center + (pitch_class - center) % 12
     down = up - 12
-    if up - center < center - down:
+    if down < 0 or up <= 127 and up - center < center - down:
         return up
     return down
 
@@ -128,11 +130,11 @@ def _voice_near(pitch_class: int, center: int) -> int:
 def chord_for(motif_id: int, center: int, harmony: HarmonyConfig) -> list[int]:
     """Triad on the scale degree selected by the motif, voiced near center.
 
-    The root goes to its closest octave; the third and fifth of the scale
+    The root goes to its closest key; the third and fifth of the scale
     stack upward from it so the pitch-class content depends only on the
-    motif and harmony, never on the register.  A chord that would leave the
-    keyboard moves onto it by whole octaves, all its tones together, so they
-    stay three keys (the chord spans at most two octaves).
+    motif and harmony, never on the register.  A chord whose top would pass
+    the keyboard moves down onto it by whole octaves, all its tones
+    together, so they stay three keys (the chord spans at most two octaves).
     """
     scale = harmony.scale
     size = len(scale)
@@ -149,8 +151,6 @@ def chord_for(motif_id: int, center: int, harmony: HarmonyConfig) -> list[int]:
     notes.sort()
     while notes[-1] > 127:
         notes = [note - 12 for note in notes]
-    while notes[0] < 0:
-        notes = [note + 12 for note in notes]
     return notes
 
 
@@ -226,12 +226,8 @@ def render_gesture(
 
     def note(at: float, duration: float, pitch: int, level: float | None = None) -> MusicalEvent:
         """A note as loud as ``level``, or as the curve at its onset, on the
-        harmony's channel.  A pitch past the keyboard moves by whole octaves
-        onto it, so it keeps its pitch class."""
-        if pitch > 127:
-            pitch = 127 - (127 - pitch) % 12
-        elif pitch < 0:
-            pitch %= 12
+        harmony's channel; the voicing has already placed ``pitch`` on the
+        keyboard."""
         value = _value_at(curve, at) if level is None else level
         return MusicalEvent(at, duration, pitch, velocity_at(value), harmony.channel)
 

@@ -303,18 +303,27 @@ def classify(
     rough = (granularity > params.chaotic_rough
              and value_range < 2.0 * resid_rms * math.sqrt(12.0))
 
-    def rrmse(fit: FitRecord) -> float:
-        return math.sqrt(fit.sse / nb) / max(value_range, RRMSE_RANGE_FLOOR)
-
     linear = fit_linear(body, rate)
-    if value_range < params.flat and not rough and rrmse(linear) <= params.fit_rrmse:
-        # a plateau with the line, whatever else is fitted: a fit that beats
-        # the line's BIC has the larger k log n, so the smaller SSE and an
-        # rrmse no larger, which keeps the segment from turning chaotic
-        winner = linear
-    else:
-        # candidates with their BIC parameter counts, in tie-break order
-        candidates: list[tuple[FitRecord, int]] = [(linear, 2)]
+
+    def verdict(candidates: list[tuple[FitRecord, int]]) -> tuple[ShapeKind, FitRecord]:
+        """The kind and fit the candidates give: min keeps the first of equal
+        BIC scores; chaotic when no template explains the body, or the
+        segment is rough; a flat body is a plateau with the line."""
+        winner = min(candidates, key=lambda c: _bic(c[0].sse, nb, c[1]))[0]
+        rrmse = math.sqrt(winner.sse / nb) / max(value_range, RRMSE_RANGE_FLOOR)
+        if rough or rrmse > params.fit_rrmse:
+            return ShapeKind.CHAOTIC, winner
+        if value_range < params.flat:
+            return ShapeKind.PLATEAU, linear
+        return _kind_of(winner), winner
+
+    # candidates with their BIC parameter counts, in tie-break order
+    candidates: list[tuple[FitRecord, int]] = [(linear, 2)]
+    kind, fit = verdict(candidates)
+    # a plateau with the line alone stays one, whatever else is fitted: a fit
+    # that beats the line's BIC has the larger k log n, so the smaller SSE and
+    # an rrmse no larger, which keeps the segment from turning chaotic
+    if kind is not ShapeKind.PLATEAU:
         if nb >= 3:
             exp = fit_exponential(body, rate)
             if not exp.degenerate:
@@ -324,15 +333,8 @@ def classify(
             # a non-monotone staircase is not a staircase
             if _is_rising(stair.levels) or _is_rising(stair.levels[::-1]):
                 candidates.append((stair, 2 * len(stair.levels) - 1))
-        # min keeps the first of equal scores: line, exponential, staircase
-        winner = min(candidates, key=lambda c: _bic(c[0].sse, nb, c[1]))[0]
+        kind, fit = verdict(candidates)
 
-    kind = ShapeKind.PLATEAU if value_range < params.flat else _kind_of(winner)
-    # chaotic when no template explains the body, or the segment is rough
-    if rrmse(winner) > params.fit_rrmse or rough:
-        kind = ShapeKind.CHAOTIC
-
-    fit = linear if kind is ShapeKind.PLATEAU else winner
     archetype = _archetype_for(kind, transient, granularity, fit, params)
     return Gesture(
         segment=segment,
@@ -345,6 +347,14 @@ def classify(
     )
 
 
+# the archetypes of a body struck by a transient
+_STRUCK = {
+    ShapeKind.LINEAR_DECAY: Archetype.CHORD_RESONANCE,
+    ShapeKind.EXPONENTIAL_DECAY: Archetype.CHORD_ARPEGGIO,
+    ShapeKind.PLATEAU: Archetype.CHORD_HELD,
+}
+
+
 def _archetype_for(
     kind: ShapeKind,
     transient: TransientInfo | None,
@@ -354,14 +364,9 @@ def _archetype_for(
 ) -> Archetype:
     if kind is ShapeKind.CHAOTIC:
         return Archetype.GRANULAR_TEXTURE
-    if transient is not None:
-        if kind is ShapeKind.LINEAR_DECAY:
-            return Archetype.CHORD_RESONANCE
-        if kind is ShapeKind.EXPONENTIAL_DECAY:
-            return Archetype.CHORD_ARPEGGIO
-        if kind is ShapeKind.PLATEAU:
-            return Archetype.CHORD_HELD
-    if kind is ShapeKind.STAIRCASE and isinstance(fit, StaircaseFit) and _is_rising(fit.levels):
+    if transient is not None and kind in _STRUCK:
+        return _STRUCK[kind]
+    if kind is ShapeKind.STAIRCASE and _is_rising(fit.levels):
         return Archetype.ARPEGGIO_DETACHED
     if kind in (ShapeKind.LINEAR_RISE, ShapeKind.EXPONENTIAL_RISE):
         if granularity >= params.granular:
@@ -375,11 +380,7 @@ def _fit_slope(fit: FitRecord, duration_s: float) -> float:
     if isinstance(fit, LinearFit):
         return fit.slope_per_s
     if isinstance(fit, ExpFit):
-        if fit.tau_s <= 0 or duration_s <= 0:
-            return 0.0
         return fit.scale * (math.exp(-duration_s / fit.tau_s) - 1.0) / duration_s
-    if len(fit.levels) < 2 or duration_s <= 0:
-        return 0.0
     return (fit.levels[-1] - fit.levels[0]) / duration_s
 
 

@@ -176,13 +176,14 @@ def _luma_keys(codes: np.ndarray, pixels: int,
 
 def _square_sum(keys: np.ndarray, bound: int) -> int:
     """Exact sum of squares of keys in [0, bound].  An int64 sum of at most
-    (2**63 - 1) // bound**2 squares cannot wrap, so the keys are squared in
-    chunks that long and Python ints add the chunk sums."""
+    (2**63 - 1) // bound**2 squares cannot wrap, so each chunk that long is
+    summed in int64, without a copy of its keys, and Python ints add the
+    chunk sums."""
     step = (2 ** 63 - 1) // (bound * bound)
     total = 0
     for start in range(0, len(keys), step):
-        chunk = keys[start:start + step].astype(np.int64)
-        total += int(np.square(chunk, out=chunk).sum())
+        chunk = keys[start:start + step]
+        total += int(np.einsum("i,i", chunk, chunk, dtype=np.int64))
     return total
 
 

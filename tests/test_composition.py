@@ -163,6 +163,97 @@ class TestChordFor:
             assert len(set(chord)) == 3
 
 
+# The voicing as it was before it placed each pitch on the keyboard itself:
+# _voice_near chose the closer octave whatever its key, the note maker folded
+# a key past the keyboard back onto it by whole octaves, and chord_for moved
+# a chord below key 0 up by whole octaves.  The oracles the voicing is held to.
+
+def _parent_voice_near(pitch_class, center):
+    up = center + (pitch_class - center) % 12
+    down = up - 12
+    return up if up - center < center - down else down
+
+
+def _parent_fold(pitch):
+    if pitch > 127:
+        pitch = 127 - (127 - pitch) % 12
+    elif pitch < 0:
+        pitch %= 12
+    return pitch
+
+
+def _parent_chord_for(motif_id, center, harmony):
+    scale = harmony.scale
+    size = len(scale)
+    j = motif_id % size
+    root = _parent_voice_near((scale[j] + harmony.root_pc) % 12, center)
+    notes = [root]
+    for degree in (2, 4):
+        note = root + (scale[(j + degree) % size] - scale[j]) % 12
+        while note in notes:
+            note += 12
+        notes.append(note)
+    notes.sort()
+    while notes[-1] > 127:
+        notes = [note - 12 for note in notes]
+    while notes[0] < 0:
+        notes = [note + 12 for note in notes]
+    return notes
+
+
+VOICING_SCALES = ((0,), (0, 7), (0, 1), tuple(range(12)), HarmonyConfig().scale,
+                  (0, 2, 4, 5, 7, 9, 11), (0, 4, 7), (0, 3, 6, 9))
+
+
+class TestVoicingMatchesThePlaceThenFold:
+    def test_every_pitch_class_at_every_center(self):
+        # a one-level staircase plays one key: the root pitch class voiced
+        # near the register's low end, or its high end at full brightness
+        for pc in range(12):
+            for center in range(128):
+                register, level = ((center, center + 1), 0.0) if center < 127 else (
+                    (126, 127), 1.0)
+                gesture = make_gesture(Segment(0, 10), Archetype.ARPEGGIO_DETACHED,
+                                       kind=ShapeKind.STAIRCASE,
+                                       fit=StaircaseFit((level,), (), 0.0))
+                events = render_gesture(gesture, make_curve([level] * 10),
+                                        HarmonyConfig((0,), pc, register), SplitMix64(0))
+                expected = _parent_fold(_parent_voice_near(pc, center))
+                assert [e.pitch for e in events] == [expected], (pc, center)
+
+    def test_every_chord_at_every_center(self):
+        cases = 0
+        for scale in VOICING_SCALES:
+            for root_pc in range(12):
+                harmony = HarmonyConfig(scale, root_pc)
+                for motif in range(len(scale)):
+                    for center in range(128):
+                        assert (chord_for(motif, center, harmony)
+                                == _parent_chord_for(motif, center, harmony)), (
+                            scale, root_pc, motif, center)
+                        cases += 1
+        assert cases == 58368
+
+    # a staircase at full brightness on [100, 127] voices every degree near
+    # key 127, and one in darkness on [0, 12] near key 0; the closer octave
+    # of some degrees lies past the keyboard
+    @pytest.mark.parametrize("register, level", [((100, 127), 1.0), ((0, 12), 0.0)])
+    def test_a_staircase_at_the_keyboard_ends_keeps_its_pitch_classes(self, register, level):
+        harmony = HarmonyConfig(register=register)
+        scale = harmony.scale
+        fit = StaircaseFit((level,) * len(scale), tuple(0.1 * k for k in range(1, len(scale))),
+                           0.0)
+        gesture = make_gesture(Segment(0, 100), Archetype.ARPEGGIO_DETACHED,
+                               kind=ShapeKind.STAIRCASE, fit=fit, mean_brightness=level)
+        events = render_gesture(gesture, make_curve([level] * 100), harmony, SplitMix64(0))
+        center = register_center(level, register)
+        placed = [_parent_voice_near(pc, center) for pc in scale]
+        assert any(not 0 <= pitch <= 127 for pitch in placed)
+        assert [e.pitch for e in events] == [_parent_fold(pitch) for pitch in placed]
+        assert all(0 <= e.pitch <= 127 for e in events)
+        assert [e.pitch % 12 for e in events] == list(scale)
+
+
 def _restarted_pitches(chord, motif_id, harmony, count):
     """The arpeggio's pitch walk as a restart loop once wrote it: the oracle
     the cycle is held to."""
@@ -237,8 +328,8 @@ class TestArpeggioTimes:
 
 # The rules of render_gesture as they were written out once per archetype,
 # one velocity_at call and one channel argument per note: the oracle the one
-# note maker and the one onset grid are held to.  Its pitch clamp differs
-# from the note maker's octave move only outside [0, 127].
+# note maker and the one onset grid are held to.  Its pitch clamp never
+# acts, since the voicing keeps every key in [0, 127].
 
 def _parent_velocity_at(value):
     return max(1, min(127, round_half_up(20.0 + 100.0 * min(1.0, max(0.0, value)))))
@@ -484,8 +575,9 @@ class TestRenderGesture:
         assert [(e.onset_s, e.duration_s, e.pitch, e.velocity) for e in events] == [
             (pytest.approx(2.1, abs=1e-12), 0.2, root, velocity_at(0.9))]
 
-    # full brightness at [100, 127] voices motif 0 at 132, 135 and 139;
-    # darkness at [0, 1] voices motif 4 at -5, -2 and 2; each chord moves whole
+    # the closer octave of motif 0's root at full brightness on [100, 127] is
+    # key 132, and of motif 4's in darkness on [0, 1] key -5, both past the
+    # keyboard; each root takes the octave on it, and the chord stacks there
     @pytest.mark.parametrize("register, brightness, motif, keys", [
         ((100, 127), 1.0, 0, [120, 123, 127]), ((0, 1), 0.0, 4, [7, 10, 14])])
     def test_a_chord_past_the_keyboard_moves_by_octaves(self, register, brightness,

@@ -29,7 +29,7 @@ from lumascore.config import (
     load_config,
     parse_config,
 )
-from lumascore.gestures import Archetype
+from lumascore.gestures import Archetype, ClassifyParams
 from lumascore.midi import read_smf
 from lumascore.report import read_curves_csv
 from lumascore.schema import parse_record, to_json
@@ -496,6 +496,15 @@ class TestWalkerCoverage:
                      for node in ast.walk(ast.parse(path.read_text())) if call(node)]
             assert len(sites) == 1, name
             assert _scopes(call) == {"composition.render_gesture.note"}, name
+
+    def test_each_classify_threshold_is_read_once(self):
+        # classify reaches each verdict by one rule, so no shortcut can
+        # restate a threshold and come to another verdict
+        fields = {f.name for f in dataclasses.fields(ClassifyParams)}
+        reads = [node.attr for node in ast.walk(ast.parse((SOURCE / "gestures.py").read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr in fields
+                 and isinstance(node.value, ast.Name) and node.value.id == "params"]
+        assert sorted(reads) == sorted(fields)
 
     def test_one_pair_of_tables_states_the_smf_grammar(self):
         # the writer and the reader take every status nibble from _CHANNEL and

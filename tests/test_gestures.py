@@ -147,6 +147,15 @@ class TestFitExponential:
         assert fit.scale == 0.0
         assert fit.offset == pytest.approx(0.3, abs=1e-15)
 
+    def test_a_grid_without_a_usable_tau_degenerates_to_line(self):
+        # a tau this long leaves exp(-t / tau) flat to within 1e-12 over the
+        # ramp, so no candidate can be solved for
+        y = np.linspace(0.2, 0.8, 100)
+        grid = np.full(64, 1e15)
+        line = fit_linear(y, RATE)
+        assert fit_exponential(y, RATE, grid) == ExpFit(line.intercept, 0.0, float(grid[0]),
+                                                        line.sse, degenerate=True)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="exponential fit needs at least 3 samples"):
             fit_exponential(np.array([0.1, 0.2]), RATE)

@@ -550,6 +550,9 @@ class TestSquareSum:
         assert _square_sum(keys, 2 ** 30) == exact
         assert _square_sum(keys, 255000) == exact
         assert int((keys.astype(np.int64) ** 2).sum()) == exact
+        # eight-bit keys, as 8-bit frames give them, in the same chunks of 7
+        codes = (keys % 256).astype(np.uint8)
+        assert _square_sum(codes, 2 ** 30) == sum((v % 256) ** 2 for v in values)
 
     def test_chunks_keep_a_sum_that_would_wrap_int64(self):
         # each chunk holds 3 squares of the bound; ten of them overflow int64
