@@ -54,28 +54,39 @@ def estimate_noise(curve: BrightnessCurve) -> float:
     return float(median) / _MAD_SCALE
 
 
-class _LineCost:
-    """O(1) SSE of the least-squares line over any index range, via prefix sums."""
+# a block's (n, Σy, Σy², Σt·y), with t counted from the block's start
+_Sums = tuple[int, float, float, float]
 
-    def __init__(self, y: np.ndarray):
-        n = len(y)
-        x = np.arange(n, dtype=np.float64)
-        self._sx = np.concatenate(([0.0], np.cumsum(x)))
-        self._sxx = np.concatenate(([0.0], np.cumsum(x * x)))
-        self._sy = np.concatenate(([0.0], np.cumsum(y)))
-        self._syy = np.concatenate(([0.0], np.cumsum(y * y)))
-        self._sxy = np.concatenate(([0.0], np.cumsum(x * y)))
 
-    def sse(self, a: int, b: int) -> float:
-        n = b - a
-        sx = self._sx[b] - self._sx[a]
-        sy = self._sy[b] - self._sy[a]
-        vxx = (self._sxx[b] - self._sxx[a]) - sx * sx / n
-        vyy = (self._syy[b] - self._syy[a]) - sy * sy / n
-        vxy = (self._sxy[b] - self._sxy[a]) - sx * sy / n
-        if vxx <= 0.0:
-            return max(0.0, vyy)
-        return max(0.0, vyy - vxy * vxy / vxx)
+def _line_sse(sums: _Sums) -> float:
+    """SSE of the least-squares line through a block of ``n >= 2`` samples,
+    from its sums.
+
+    The index variance ``n(n²-1)/12`` is exact in integers, and every sum is
+    local to the block, so the cost does not depend on where the block lies.
+    """
+    n, sy, syy, sty = sums
+    vxx = n * (n * n - 1) / 12
+    vyy = syy - sy * sy / n
+    vxy = sty - (n - 1) / 2 * sy
+    return max(0.0, vyy - vxy * vxy / vxx)
+
+
+def _block_sums(y: np.ndarray, bounds: list[int]) -> list[_Sums]:
+    """The sums of each block ``[bounds[i], bounds[i + 1])`` of ``y``, where
+    ``bounds`` starts at 0 and ends at ``len(y)``."""
+    lengths = np.diff(bounds)
+    t = np.arange(len(y)) - np.repeat(bounds[:-1], lengths)
+    return list(zip(lengths.tolist(), *(np.add.reduceat(v, bounds[:-1]).tolist()
+                                        for v in (y, y * y, t * y))))
+
+
+def _joined(left: _Sums, right: _Sums) -> _Sums:
+    """The sums of two adjacent blocks as one: the right block's t shifts by
+    the left block's length."""
+    n, sy, syy, sty = left
+    m, ry, ryy, rty = right
+    return n + m, sy + ry, syy + ryy, sty + rty + n * ry
 
 
 def segment(curve: BrightnessCurve, params: SegmentationParams | None = None) -> list[Segment]:
@@ -85,11 +96,14 @@ def segment(curve: BrightnessCurve, params: SegmentationParams | None = None) ->
     merge costs no more than ``penalty_beta * max(sigma, 1e-4)^2 * ln(n)``.
     Ties go to the leftmost pair, which keeps the result order-deterministic.
 
-    The candidate merges sit in a heap keyed on ``(delta, block)``, with the
-    live blocks linked to their neighbours, so K blocks take O(K log K): a
-    merge only re-prices the two pairs it touches.  Each block carries a
-    stamp bumped when it grows or is absorbed, and a popped pair whose stamps
-    have moved is stale and skipped.
+    Each live block carries its own sums ``(n, Σy, Σy², Σt·y)``, with t
+    counted from its start, rather than prefix sums over the whole curve: a
+    merge adds two blocks' sums, and a block costs the same wherever it lies
+    in the film.  The candidate merges sit in a heap keyed on
+    ``(delta, block)``, with the live blocks linked to their neighbours, so K
+    blocks take O(K log K): a merge only re-prices the two pairs it touches.
+    Each block carries a stamp bumped when it grows or is absorbed, and a
+    popped pair whose stamps have moved is stale and skipped.
     """
     if params is None:
         params = SegmentationParams()
@@ -103,20 +117,20 @@ def segment(curve: BrightnessCurve, params: SegmentationParams | None = None) ->
     block = int(block)
     sigma = estimate_noise(curve)
     lam = params.penalty_beta * max(sigma, NOISE_FLOOR) ** 2 * math.log(n)
-    cost = _LineCost(y)
     # the final block absorbs the remainder so no piece is undersized
     bounds = [i * block for i in range(n // block)] + [n]
     k = len(bounds) - 1
+    stats = _block_sums(y, bounds)
     # live block i spans [bounds[i], bounds[nxt[i]]); block k is the sentinel
     nxt = list(range(1, k + 1))
     prv = list(range(-1, k - 1))
-    sse = [cost.sse(bounds[i], bounds[i + 1]) for i in range(k)]
+    sse = [_line_sse(sums) for sums in stats]
     stamp = [0] * k
     heap: list[tuple[float, int, int, int]] = []
 
     def push(i: int) -> None:
         j = nxt[i]
-        delta = cost.sse(bounds[i], bounds[nxt[j]]) - sse[i] - sse[j]
+        delta = _line_sse(_joined(stats[i], stats[j])) - sse[i] - sse[j]
         # block numbers rise with block starts, so equal deltas pop leftmost
         heapq.heappush(heap, (delta, i, stamp[i], stamp[j]))
 
@@ -132,7 +146,8 @@ def segment(curve: BrightnessCurve, params: SegmentationParams | None = None) ->
         if delta > lam:
             break
         nxt[i] = nxt[j]
-        sse[i] = cost.sse(bounds[i], bounds[nxt[i]])
+        stats[i] = _joined(stats[i], stats[j])
+        sse[i] = _line_sse(stats[i])
         stamp[i] += 1
         stamp[j] += 1
         if nxt[i] < k:

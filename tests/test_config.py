@@ -532,6 +532,14 @@ class TestWalkerCoverage:
 
         assert _scopes(pread) == {"ingest.Y4MReader.load"}
 
+    def test_segmentation_keeps_no_running_sum_over_the_curve(self):
+        # each block carries its own sums: a prefix sum over the whole curve
+        # grows with the film until a block's own variance cancels away
+        def cumsum(node):
+            return "cumsum" in _names(node)
+
+        assert not {scope for scope in _scopes(cumsum) if scope.split(".")[0] == "segmentation"}
+
     def test_reading_state_stays_in_ingest(self):
         # photometry measures opaque claims; the run buffers and the claims
         # that locate frames in a file are made by the sources alone

@@ -17,7 +17,9 @@ from lumascore.segmentation import (
     NOISE_FLOOR,
     Segment,
     SegmentationParams,
-    _LineCost,
+    _block_sums,
+    _joined,
+    _line_sse,
     apply_manual_boundaries,
     estimate_noise,
     segment,
@@ -34,24 +36,34 @@ def segment_scan_oracle(curve, params):
     n = len(y)
     block = max(int(math.ceil(params.min_segment_s * curve.sample_rate - 1e-9)), 2)
     lam = params.penalty_beta * max(estimate_noise(curve), NOISE_FLOOR) ** 2 * math.log(n)
-    cost = _LineCost(y)
     bounds = [i * block for i in range(n // block)] + [n]
-    sse = [cost.sse(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+    stats = _block_sums(y, bounds)
+    sse = [_line_sse(sums) for sums in stats]
     while len(bounds) > 2:
         best_delta = math.inf
         best_i = -1
         for i in range(len(bounds) - 2):
-            merged = cost.sse(bounds[i], bounds[i + 2])
-            delta = merged - sse[i] - sse[i + 1]
+            delta = _line_sse(_joined(stats[i], stats[i + 1])) - sse[i] - sse[i + 1]
             if delta < best_delta:
                 best_delta = delta
                 best_i = i
         if best_delta > lam:
             break
-        sse[best_i] = cost.sse(bounds[best_i], bounds[best_i + 2])
+        stats[best_i] = _joined(stats[best_i], stats.pop(best_i + 1))
+        sse[best_i] = _line_sse(stats[best_i])
         del sse[best_i + 1]
         del bounds[best_i + 1]
     return [Segment(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
+
+
+def two_pass_sse(window):
+    """SSE of the least-squares line by the two-pass formula: centred local
+    indices and centred values, so no large term cancels."""
+    w = np.asarray(window, dtype=np.float64)
+    tc = np.arange(len(w)) - (len(w) - 1) / 2
+    yc = w - w.mean()
+    slope = float(tc @ yc) / float(tc @ tc)
+    return float(np.sum((yc - slope * tc) ** 2))
 
 
 def check_partition(segments, n):
@@ -206,8 +218,8 @@ def plateau_values(data, n):
 def block_pattern_values(data, n, block):
     """Whole blocks at one of three levels, each with the same 0, 1/16
     alternation so the noise estimate is not zero.  On this dyadic grid the
-    prefix-sum costs are exact, so every repeat of a pair of blocks costs
-    exactly the same to merge."""
+    block sums are exact, so every repeat of a pair of blocks costs exactly
+    the same to merge."""
     texture = np.arange(block) % 2 / 16
     levels = data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.5)),
                                 min_size=n // block + 1, max_size=n // block + 1))
@@ -248,13 +260,50 @@ class TestSegmentAgainstScan:
         # and pairing from the left leaves the last block alone
         values = np.tile(np.repeat([0.0, 1.0], 25), 4)[:175]
         c = curve(values)
-        cost = _LineCost(c.values)
-        assert len({cost.sse(a, a + 50) for a in range(0, 150, 25)}) == 1
+        stats = _block_sums(c.values, list(range(0, 175, 25)) + [175])
+        assert len({_line_sse(_joined(a, b)) for a, b in zip(stats, stats[1:])}) == 1
         params = SegmentationParams(0.5, 1e8)
         segments = segment(c, params)
         assert segments == segment_scan_oracle(c, params)
         assert segments == [Segment(0, 50), Segment(50, 100), Segment(100, 150),
                             Segment(150, 175)]
+
+
+class TestBlockSums:
+    @given(st.integers(2, 64), st.integers(0, 2 ** 32 - 1), st.sampled_from((1.0, 0.1, 0.01)))
+    @settings(max_examples=200, deadline=None)
+    def test_line_sse_equals_the_two_pass_fit(self, n, seed, scale):
+        # a level in [0, 1) with a slope and noise of the given scale
+        rng = np.random.default_rng(seed)
+        window = (rng.random() + scale * rng.random() * np.arange(n) / n
+                  + scale * rng.random(n))
+        [sums] = _block_sums(window, [0, n])
+        error = abs(_line_sse(sums) - two_pass_sse(window))
+        # Σy² - (Σy)²/n cancels to a few ulps of Σy², and no term grows with
+        # where the block lies in the curve
+        assert error <= 16 * np.finfo(np.float64).eps * float(np.sum(window ** 2))
+        if scale >= 0.1:
+            assert error <= 1e-9 * np.var(window)
+
+    @given(st.lists(st.integers(0, 256), min_size=2, max_size=200), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_joined_sums_are_the_sums_of_the_union(self, levels, data):
+        # on a grid of 1/256 every sum is exact, so the join must match exactly
+        values = np.array(levels) / 256
+        b = len(values)
+        a = data.draw(st.integers(0, b - 2))
+        m = data.draw(st.integers(a + 1, b - 1))
+        [left, right] = _block_sums(values[a:], [0, m - a, b - a])
+        assert _joined(left, right) == _block_sums(values[a:], [0, b - a])[0]
+
+    def test_a_long_film_segments_as_a_short_one(self):
+        # 3-sample pieces alternating 0.25/0.75, each a block at 50 Hz and
+        # 0.06 s: joining any two costs far above the penalty, so every piece
+        # stays alone however far into the curve (here 3.3 h) it lies
+        values = np.tile(np.repeat([0.25, 0.75], 3), 100_000)
+        segments = segment(curve(values), SegmentationParams(0.06, 4.0))
+        assert len(segments) == 200_000
+        assert all(piece.end_idx - piece.start_idx == 3 for piece in segments)
 
 
 class TestManualBoundaries:
