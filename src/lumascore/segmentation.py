@@ -54,8 +54,9 @@ def estimate_noise(curve: BrightnessCurve) -> float:
     return float(median) / _MAD_SCALE
 
 
-# a block's (n, Σy, Σy², Σt·y), with t counted from the block's start
-_Sums = tuple[int, float, float, float]
+# a block's (n, s, Σd, Σd², Σt·d) with d = y - s, where the shift s is the
+# block's first value and t counts from the block's start
+_Sums = tuple[int, float, float, float, float]
 
 
 def _line_sse(sums: _Sums) -> float:
@@ -64,29 +65,34 @@ def _line_sse(sums: _Sums) -> float:
 
     The index variance ``n(n²-1)/12`` is exact in integers, and every sum is
     local to the block, so the cost does not depend on where the block lies.
+    The values enter shifted by one of their own, so ``Σd² - (Σd)²/n`` cancels
+    to a few ulps of the block's spread, not of its level.
     """
-    n, sy, syy, sty = sums
-    vxx = n * (n * n - 1) / 12
-    vyy = syy - sy * sy / n
-    vxy = sty - (n - 1) / 2 * sy
-    return max(0.0, vyy - vxy * vxy / vxx)
+    n, _, sd, sdd, std = sums
+    vxy = std - (n - 1) / 2 * sd
+    # vyy - vxy²/vxx, with vxx = n(n²-1)/12 divided once
+    return max(0.0, sdd - sd * sd / n - vxy * vxy / (n * (n * n - 1) / 12))
 
 
 def _block_sums(y: np.ndarray, bounds: list[int]) -> list[_Sums]:
     """The sums of each block ``[bounds[i], bounds[i + 1])`` of ``y``, where
     ``bounds`` starts at 0 and ends at ``len(y)``."""
+    starts = bounds[:-1]
     lengths = np.diff(bounds)
-    t = np.arange(len(y)) - np.repeat(bounds[:-1], lengths)
-    return list(zip(lengths.tolist(), *(np.add.reduceat(v, bounds[:-1]).tolist()
-                                        for v in (y, y * y, t * y))))
+    t = np.arange(len(y)) - np.repeat(starts, lengths)
+    d = y - np.repeat(y[starts], lengths)
+    return list(zip(lengths.tolist(), y[starts].tolist(),
+                    *(np.add.reduceat(v, starts).tolist() for v in (d, d * d, t * d))))
 
 
 def _joined(left: _Sums, right: _Sums) -> _Sums:
-    """The sums of two adjacent blocks as one: the right block's t shifts by
-    the left block's length."""
-    n, sy, syy, sty = left
-    m, ry, ryy, rty = right
-    return n + m, sy + ry, syy + ryy, sty + rty + n * ry
+    """The sums of two adjacent blocks as one, shifted by the left block's
+    first value: the right block's d rises by ``h``, the gap between the two
+    shifts, and its t by the left block's length ``n``."""
+    (n, s, sd, sdd, std), (m, r, rd, rdd, rtd) = left, right
+    h = r - s
+    return (n + m, s, sd + rd + m * h, sdd + rdd + (2 * rd + m * h) * h,
+            std + rtd + n * rd + (m * (m - 1) // 2 + n * m) * h)
 
 
 def segment(curve: BrightnessCurve, params: SegmentationParams | None = None) -> list[Segment]:
@@ -96,14 +102,15 @@ def segment(curve: BrightnessCurve, params: SegmentationParams | None = None) ->
     merge costs no more than ``penalty_beta * max(sigma, 1e-4)^2 * ln(n)``.
     Ties go to the leftmost pair, which keeps the result order-deterministic.
 
-    Each live block carries its own sums ``(n, Σy, Σy², Σt·y)``, with t
-    counted from its start, rather than prefix sums over the whole curve: a
-    merge adds two blocks' sums, and a block costs the same wherever it lies
-    in the film.  The candidate merges sit in a heap keyed on
-    ``(delta, block)``, with the live blocks linked to their neighbours, so K
-    blocks take O(K log K): a merge only re-prices the two pairs it touches.
-    Each block carries a stamp bumped when it grows or is absorbed, and a
-    popped pair whose stamps have moved is stale and skipped.
+    Each live block carries its own sums ``(n, s, Σd, Σd², Σt·d)``, with t
+    counted from its start and d = y - s taken from its first value s, rather
+    than prefix sums over the whole curve: a merge adds two blocks' sums, and
+    a block costs the same wherever it lies in the film.  The candidate
+    merges sit in a heap keyed on ``(delta, block)``, with the live blocks
+    linked to their neighbours, so K blocks take O(K log K): a merge only
+    re-prices the two pairs it touches.  Each block carries a stamp bumped
+    when it grows or is absorbed, and a popped pair whose stamps have moved
+    is stale and skipped.
     """
     if params is None:
         params = SegmentationParams()

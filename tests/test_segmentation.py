@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lumascore.config import parse_config
@@ -271,6 +271,8 @@ class TestSegmentAgainstScan:
 
 class TestBlockSums:
     @given(st.integers(2, 64), st.integers(0, 2 ** 32 - 1), st.sampled_from((1.0, 0.1, 0.01)))
+    # two samples 6e-4 apart at a level of 0.75
+    @example(2, 186795, 0.1)
     @settings(max_examples=200, deadline=None)
     def test_line_sse_equals_the_two_pass_fit(self, n, seed, scale):
         # a level in [0, 1) with a slope and noise of the given scale
@@ -279,11 +281,23 @@ class TestBlockSums:
                   + scale * rng.random(n))
         [sums] = _block_sums(window, [0, n])
         error = abs(_line_sse(sums) - two_pass_sse(window))
-        # Σy² - (Σy)²/n cancels to a few ulps of Σy², and no term grows with
-        # where the block lies in the curve
+        # the values enter shifted by the block's first one, so Σd² - (Σd)²/n
+        # cancels to a few ulps of the block's spread, even where the noise is
+        # far below the level, and no term grows with where the block lies
         assert error <= 16 * np.finfo(np.float64).eps * float(np.sum(window ** 2))
-        if scale >= 0.1:
-            assert error <= 1e-9 * np.var(window)
+        assert error <= 1e-9 * np.var(window)
+
+    @given(st.integers(4, 64), st.integers(0, 2 ** 32 - 1), st.sampled_from((1.0, 0.01, 1e-4)),
+           st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_joined_line_sse_equals_the_two_pass_fit(self, n, seed, scale, data):
+        # two blocks at different levels, each with noise of the given scale:
+        # the right block's shift moves onto the left's without losing the spread
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(2, n - 2))
+        window = np.repeat(rng.random(2), [m, n - m]) + scale * rng.random(n)
+        sums = _joined(*_block_sums(window, [0, m, n]))
+        assert abs(_line_sse(sums) - two_pass_sse(window)) <= 1e-9 * np.var(window)
 
     @given(st.lists(st.integers(0, 256), min_size=2, max_size=200), st.data())
     @settings(max_examples=100, deadline=None)
