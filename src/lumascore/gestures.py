@@ -384,20 +384,17 @@ def _fit_slope(fit: FitRecord, duration_s: float) -> float:
     return (fit.levels[-1] - fit.levels[0]) / duration_s
 
 
-def _features(gesture: Gesture, rate: float) -> np.ndarray:
+def _features(gesture: Gesture, rate: float) -> tuple[float, ...]:
     duration = (gesture.segment.end_idx - gesture.segment.start_idx) / rate
-    vec = np.zeros(5)
     slope = _fit_slope(gesture.fit, duration)
-    vec[0] = math.copysign(min(1.0, abs(slope) * duration), slope)
+    tau = 0.0
     if isinstance(gesture.fit, ExpFit) and gesture.kind in (
         ShapeKind.EXPONENTIAL_RISE, ShapeKind.EXPONENTIAL_DECAY
     ):
-        vec[1] = min(1.0, gesture.fit.tau_s / duration)
-    vec[2] = gesture.granularity
-    if gesture.transient is not None:
-        vec[3] = gesture.transient.amplitude
-    vec[4] = math.log(duration) / math.log(60.0)
-    return vec
+        tau = min(1.0, gesture.fit.tau_s / duration)
+    return (math.copysign(min(1.0, abs(slope) * duration), slope), tau, gesture.granularity,
+            0.0 if gesture.transient is None else gesture.transient.amplitude,
+            math.log(duration) / math.log(60.0))
 
 
 def assign_motifs(gestures: list[Gesture], rate: float) -> None:
@@ -407,11 +404,13 @@ def assign_motifs(gestures: list[Gesture], rate: float) -> None:
     lies within MOTIF_EPSILON of it in feature space; otherwise it founds a new
     motif.  Ids count up from 0 in order of first appearance.
     """
-    representatives: list[tuple[ShapeKind, np.ndarray]] = []
+    representatives: list[tuple[ShapeKind, tuple[float, ...]]] = []
     for gesture in gestures:
         vec = _features(gesture, rate)
         for motif_id, (kind, ref) in enumerate(representatives):
-            if kind is gesture.kind and float(np.linalg.norm(vec - ref)) <= MOTIF_EPSILON:
+            # math.dist, not np.linalg.norm: a BLAS dot product's bits depend
+            # on the kernel the machine picks
+            if kind is gesture.kind and math.dist(vec, ref) <= MOTIF_EPSILON:
                 gesture.motif_id = motif_id
                 break
         else:

@@ -15,11 +15,10 @@ sum over ``scale * n``, one correctly rounded division.  ``rms`` contrast is
 the population standard deviation from the exact key sum and square sum
 (a second pass over a 640x480 frame's keys for the sum took 0.14-0.21 ms),
 and ``spread`` the nearest-rank 95th minus 5th percentile of the keys.  The
-two ranks of the int32 RGB24 keys are selected in place (two single-rank
-partitions, ~0.2 ms per 640x480 frame against ~1.6 ms for a full sort);
-8-bit keys are radix-sorted instead, because selection on them was ~5x
-slower than NumPy's stable sort (5.7 ms against 1.0 ms).  Times are from a
-2-vCPU Xeon with NumPy 2.4.
+two ranks are selected in place in int32 keys (two single-rank partitions,
+~0.2 ms per 640x480 frame against ~1.6 ms for a full sort); 8-bit keys are
+widened to an int32 copy first, because selection in the 8-bit keys
+themselves took ~3.6 ms.  Times are from a 2-vCPU Xeon with NumPy 2.4.
 
 ``extract_curves`` gives its thread loop, which sees a source only through
 ``claims()``, opaque claims in stream order, and ``load(claim)``, one row of
@@ -198,19 +197,18 @@ def _rms(keys: np.ndarray, scale: int, total: int) -> float:
 
 def _spread(keys: np.ndarray, scale: int) -> float:
     """Nearest-rank 95th minus 5th percentile of the integer luma ``keys``
-    over ``scale``.  Wide keys are reordered in place."""
+    over ``scale``.  int32 keys are reordered in place; 8-bit keys are
+    widened to an int32 copy first and left as they are."""
     n = len(keys)
     hi = (95 * n + 99) // 100  # nearest-rank, 1-based
     lo = (5 * n + 99) // 100
-    if keys.itemsize == 1:
-        # NumPy radix-sorts 8-bit keys only for a stable sort (~1.0 ms on
-        # a 640x480 plane); two selections on them took ~5.7 ms
-        ordered = np.sort(keys, kind="stable")
-        return (int(ordered[hi - 1]) - int(ordered[lo - 1])) / scale
-    # wide keys: two single-rank selections in place (~0.2 ms against a
-    # ~1.6 ms sort; one call with both ranks took ~5.8 ms).  The high
-    # rank is read before the second selection moves it; the low rank
-    # is the (lo)th smallest of the hi smallest keys
+    # 8-bit keys are selected in an int32 copy: ~0.3 ms on a 640x480 plane
+    # of noise against ~3.6 ms in the 8-bit keys themselves
+    keys = keys.astype(np.int32, copy=False)
+    # two single-rank selections in place (~0.2 ms against a ~1.6 ms sort;
+    # one call with both ranks took ~5.8 ms).  The high rank is read before
+    # the second selection moves it; the low rank is the (lo)th smallest of
+    # the hi smallest keys
     keys.partition(hi - 1)
     top = int(keys[hi - 1])
     keys[:hi].partition(lo - 1)

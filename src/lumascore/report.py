@@ -62,10 +62,8 @@ def write_curves_csv(curves: CurveSet) -> bytes:
         raise ValueError("sample rate %g Hz is above %g Hz, the finest rate the "
                          "six-decimal time column resolves" % (rate, MAX_CSV_RATE_HZ))
     lines = ["time_s," + ",".join(c.value for c in present)]
-    for i in range(n):
-        row = ["%.6f" % (i / rate)]
-        row.extend("%.6f" % column[i] for column in columns)
-        lines.append(",".join(row))
+    row = ",".join(["%.6f"] * (1 + len(columns)))
+    lines.extend(row % values for values in zip(np.arange(n) / rate, *columns))
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -92,39 +90,38 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
         if channel in channels:
             raise CsvFormatError("%s: repeated channel %r" % (source_path, name))
         channels.append(channel)
-    rows = []
-    times = []
+    if len(lines) < 2:
+        raise CsvFormatError("%s: no samples" % source_path)
+    # NumPy converts each field as float() does and raises float()'s message
+    table = np.empty((len(lines) - 1, len(header)))
     for ln, line in enumerate(lines[1:], start=2):
         fields = line.split(",")
         if len(fields) != len(header):
             raise CsvFormatError("%s: line %d has %d fields, expected %d"
                                  % (source_path, ln, len(fields), len(header)))
         try:
-            values = [float(f) for f in fields]
+            table[ln - 2] = fields
         except ValueError as exc:
             raise CsvFormatError("%s: line %d: %s" % (source_path, ln, exc)) from exc
-        times.append(values[0])
-        rows.append(values[1:])
-    if not rows:
-        raise CsvFormatError("%s: no samples" % source_path)
-    table = np.array(rows, dtype=np.float64)
-    finite = np.isfinite(table).all(axis=1) & np.isfinite(times)
+    finite = np.isfinite(table).all(axis=1)
     if not finite.all():
         raise CsvFormatError("%s: line %d: value is not finite"
                              % (source_path, int(np.argmin(finite)) + 2))
+    times, values = table[:, 0], table[:, 1:]
+    first = float(times[0])
     # the curve's t0 is 0, as extract writes it; a later first time would
     # shift every sample back to the film's start
-    if abs(times[0]) > 1e-6:
+    if abs(first) > 1e-6:
         raise CsvFormatError("%s: line 2: time_s %r must be 0, the start of the film"
-                             % (source_path, times[0]))
+                             % (source_path, first))
     # every channel is a brightness in [0, 1], as extract writes it; a value
     # outside would pass into the analysis as an impossible brightness
-    outside = (table < 0.0) | (table > 1.0)
+    outside = (values < 0.0) | (values > 1.0)
     if outside.any():
         row, column = divmod(int(np.argmax(outside)), len(channels))
         raise CsvFormatError("%s: line %d: %s value %r is outside [0, 1]"
                              % (source_path, row + 2, channels[column].value,
-                                float(table[row, column])))
+                                float(values[row, column])))
     # the rate comes from the first and last time, so a column that stalls
     # or runs backwards would give a wrong rate
     rising = np.diff(times) > 0
@@ -133,16 +130,16 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
                              % (source_path, int(np.argmin(rising)) + 3))
     n = len(times)
     # a single row carries no timing, fall back to 1 Hz
-    rate = (n - 1) / (times[-1] - times[0]) if n > 1 else 1.0
+    rate = (n - 1) / (float(times[-1]) - first) if n > 1 else 1.0
     # the rate holds only if every time lies on the grid it spans; 1e-6 s
     # covers two six-decimal roundings, the time's own and the last time's
-    off = np.abs(np.asarray(times) - (times[0] + np.arange(n) / rate)) > 0.5 / rate + 1e-6
+    off = np.abs(times - (first + np.arange(n) / rate)) > 0.5 / rate + 1e-6
     if off.any():
         row = int(np.argmax(off))
         raise CsvFormatError("%s: line %d: time_s %r lies off the %g Hz grid from the first "
-                             "time to the last" % (source_path, row + 2, times[row], rate))
+                             "time to the last" % (source_path, row + 2, float(times[row]), rate))
     return {
-        channel: BrightnessCurve(channel, rate, 0.0, table[:, i].copy())
+        channel: BrightnessCurve(channel, rate, 0.0, values[:, i].copy())
         for i, channel in enumerate(channels)
     }
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from .photometry import BrightnessCurve
 
 WIDTH = 1200.0
@@ -19,11 +21,11 @@ def plot_svg(
     All coordinates are fixed to two decimals so the bytes are stable.
     """
     duration = curve.duration
-    points = []
-    for i, v in enumerate(curve.values):
-        x = (i / curve.sample_rate) / duration * WIDTH if duration > 0 else 0.0
-        y = HEIGHT - float(v) * HEIGHT
-        points.append("%.2f,%.2f" % (x, y))
+    n = len(curve.values)
+    # an infinite sample rate, which a CSV whose times span a subnormal
+    # interval gives, leaves the curve no duration; every point is at x = 0
+    x = np.arange(n) / curve.sample_rate / duration * WIDTH if duration > 0 else np.zeros(n)
+    points = ["%.2f,%.2f" % point for point in zip(x, HEIGHT - curve.values * HEIGHT)]
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'width="%d" height="%d" viewBox="0 0 %d %d">' % (WIDTH, HEIGHT, WIDTH, HEIGHT),

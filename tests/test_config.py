@@ -540,6 +540,18 @@ class TestWalkerCoverage:
 
         assert not {scope for scope in _scopes(cumsum) if scope.split(".")[0] == "segmentation"}
 
+    def test_the_analysis_uses_no_linalg(self):
+        # np.linalg.norm sums through a BLAS dot product, whose last bits
+        # follow the kernel the machine picks; the motif distance uses
+        # math.dist, and no analysis module reaches np.linalg
+        def linalg(node):
+            return (isinstance(node, ast.Attribute) and node.attr == "linalg"
+                    or isinstance(node, ast.alias) and "linalg" in node.name.split(".")
+                    or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""))
+
+        assert not {scope for scope in _scopes(linalg)
+                    if scope.split(".")[0] in {"gestures", "segmentation", "curveprep"}}
+
     def test_reading_state_stays_in_ingest(self):
         # photometry measures opaque claims; the run buffers and the claims
         # that locate frames in a file are made by the sources alone

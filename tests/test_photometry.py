@@ -493,24 +493,26 @@ def nearest_rank_spread_oracle(keys, scale):
 
 @st.composite
 def wide_keys(draw):
-    """int32 RGB24-range keys: sizes on both sides of the rank boundaries,
-    random, heavily tied, all equal, sorted and reverse-sorted orders."""
+    """int32 RGB24-range or uint8 keys: sizes on both sides of the rank
+    boundaries, random, heavily tied, all equal, sorted and reverse-sorted
+    orders."""
     n = draw(st.one_of(st.sampled_from((1, 2, 19, 20, 21, 100, 101)),
                        st.integers(1, 3000)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dtype, top = draw(st.sampled_from(((np.int32, 255000), (np.uint8, 255))))
     kind = draw(st.sampled_from(("random", "ties", "equal")))
     if kind == "random":
-        keys = rng.integers(0, 255001, n)
+        keys = rng.integers(0, top + 1, n)
     elif kind == "ties":
-        keys = rng.choice(rng.integers(0, 255001, draw(st.integers(2, 4))), n)
+        keys = rng.choice(rng.integers(0, top + 1, draw(st.integers(2, 4))), n)
     else:
-        keys = np.full(n, draw(st.integers(0, 255000)))
+        keys = np.full(n, draw(st.integers(0, top)))
     order = draw(st.sampled_from(("as drawn", "sorted", "reversed")))
     if order != "as drawn":
         keys = np.sort(keys)
         if order == "reversed":
             keys = keys[::-1]
-    return keys.astype(np.int32)
+    return keys.astype(dtype)
 
 
 class TestSpreadSelection:
