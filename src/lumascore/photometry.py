@@ -81,7 +81,9 @@ _RGB_INDEX = {
 }
 
 
-# the most samples of a curve the program builds, checked before allocating
+# the most samples that curveprep.resample or composition.expression_track
+# builds, each checked before it allocates; the CSV reader and extraction
+# take a curve of any length
 MAX_CURVE_SAMPLES = 2 ** 24
 
 
@@ -93,8 +95,8 @@ class BrightnessCurve:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError("curve sample rate must be positive")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError("curve sample rate must be finite and positive")
         self.values = np.asarray(self.values, dtype=np.float64)
 
     @property

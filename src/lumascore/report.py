@@ -47,6 +47,14 @@ class CsvFormatError(ValueError):
     pass
 
 
+def _check_csv_rate(rate: float, error: type = ValueError, where: str = "") -> None:
+    """Refuse a rate whose samples the six-decimal time column cannot tell
+    apart, raising ``error`` with ``where`` before the message."""
+    if rate > MAX_CSV_RATE_HZ:
+        raise error("%ssample rate %g Hz is above %g Hz, the finest rate the six-decimal "
+                    "time column resolves" % (where, rate, MAX_CSV_RATE_HZ))
+
+
 def write_curves_csv(curves: CurveSet) -> bytes:
     """Six-decimal CSV, one row per sample, channels in fixed order."""
     present = [c for c in CurveChannel if c in curves.curves]
@@ -58,9 +66,7 @@ def write_curves_csv(curves: CurveSet) -> bytes:
         if len(column) != n:
             raise ValueError("curve %s has mismatched length" % channel.value)
     rate = curves.curves[present[0]].sample_rate
-    if rate > MAX_CSV_RATE_HZ:
-        raise ValueError("sample rate %g Hz is above %g Hz, the finest rate the "
-                         "six-decimal time column resolves" % (rate, MAX_CSV_RATE_HZ))
+    _check_csv_rate(rate)
     lines = ["time_s," + ",".join(c.value for c in present)]
     row = ",".join(["%.6f"] * (1 + len(columns)))
     lines.extend(row % values for values in zip(np.arange(n) / rate, *columns))
@@ -138,6 +144,9 @@ def read_curves_csv(data: bytes, source_path: str = "<curves>") -> dict[CurveCha
         row = int(np.argmax(off))
         raise CsvFormatError("%s: line %d: time_s %r lies off the %g Hz grid from the first "
                              "time to the last" % (source_path, row + 2, float(times[row]), rate))
+    # times closer than the writer's limit allows give a rate no film has,
+    # up to infinity when they span a subnormal interval
+    _check_csv_rate(rate, CsvFormatError, "%s: line %d: " % (source_path, n + 1))
     return {
         channel: BrightnessCurve(channel, rate, 0.0, values[:, i].copy())
         for i, channel in enumerate(channels)

@@ -21,10 +21,7 @@ def plot_svg(
     All coordinates are fixed to two decimals so the bytes are stable.
     """
     duration = curve.duration
-    n = len(curve.values)
-    # an infinite sample rate, which a CSV whose times span a subnormal
-    # interval gives, leaves the curve no duration; every point is at x = 0
-    x = np.arange(n) / curve.sample_rate / duration * WIDTH if duration > 0 else np.zeros(n)
+    x = np.arange(len(curve.values)) / curve.sample_rate / duration * WIDTH
     points = ["%.2f,%.2f" % point for point in zip(x, HEIGHT - curve.values * HEIGHT)]
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

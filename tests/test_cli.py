@@ -383,6 +383,25 @@ class TestAnalyze:
             "the last\n" % curves)
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage, text, rate", [
+        # times 5e-324 s apart give an infinite rate
+        ("plot", "0,0.5\n5e-324,0.5\n", "inf"),
+        ("analyze", "0,0.5\n1e-300,0.5\n2e-300,0.5\n", "1e+300"),
+    ])
+    def test_rate_past_the_writers_limit_exits_1(self, config_file, tmp_path, capsys,
+                                                 stage, text, rate):
+        curves = tmp_path / "curves.csv"
+        curves.write_text("time_s,luma\n" + text)
+        out = tmp_path / "out"
+        argv = [stage, "--curves", str(curves), "--out", str(out)]
+        if stage == "analyze":
+            argv += ["--config", str(config_file)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: %s: line %d: sample rate %s Hz is above 1e+06 Hz, the finest rate the "
+            "six-decimal time column resolves\n" % (curves, text.count("\n") + 1, rate))
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["7.5", "-3.0"])
     @pytest.mark.parametrize("stage", ["analyze", "plot"])
     def test_value_outside_unit_range_exits_1(self, shot_video, config_file, tmp_path,

@@ -573,7 +573,8 @@ class TestWalkerCoverage:
 
     def test_only_the_package_start_writes_the_environment(self):
         # the BLAS thread count is read once, when numpy is first imported, so
-        # the one write of os.environ comes before the package's first import
+        # the one write of os.environ is in the package's start, which Python
+        # runs before any module of the package, and which imports none
         def environ(node):
             return (isinstance(node, ast.Attribute) and node.attr == "environ"
                     and isinstance(node.value, ast.Name) and node.value.id == "os")
@@ -591,13 +592,15 @@ class TestWalkerCoverage:
             return (isinstance(node, ast.ImportFrom) and node.module == "os"
                     and bool({a.name for a in node.names} & {"environ", "putenv", "unsetenv"}))
 
+        def imports_the_package(node):
+            if isinstance(node, ast.ImportFrom):
+                return bool(node.level) or (node.module or "").split(".")[0] == "lumascore"
+            return (isinstance(node, ast.Import)
+                    and any(a.name.split(".")[0] == "lumascore" for a in node.names))
+
         assert _scopes(writes) == {"__init__"}
-        body = ast.parse((SOURCE / "__init__.py").read_text()).body
-        first_write = next(i for i, stmt in enumerate(body)
-                           if any(writes(node) for node in ast.walk(stmt)))
-        first_import = next(i for i, stmt in enumerate(body)
-                            if isinstance(stmt, ast.ImportFrom) and stmt.level)
-        assert first_write < first_import
+        assert not {scope for scope in _scopes(imports_the_package)
+                    if scope.split(".")[0] == "__init__"}
 
     @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
     def test_every_field_has_a_rule(self, cls):
@@ -638,7 +641,8 @@ class TestBlasDefault:
     """The package runs BLAS on the calling thread unless the caller says
     otherwise."""
 
-    IMPORT = ("import os, lumascore\n"
+    # a stage module, so that numpy loads and starts whatever BLAS threads it will
+    IMPORT = ("import os, lumascore.pipeline\n"
               "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
 
     @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
@@ -646,8 +650,14 @@ class TestBlasDefault:
         assert _python(self.IMPORT).split() == ["1", "1"]
 
     def test_the_callers_value_wins(self):
-        script = "import os, lumascore\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+        script = "import os, lumascore.pipeline\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
         assert _python(script, OPENBLAS_NUM_THREADS="2").split() == ["2"]
+
+    def test_the_package_start_loads_nothing_else(self):
+        script = ("import sys, lumascore\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'"
+                  " or m.startswith('lumascore.')))")
+        assert _python(script) == "[]\n"
 
     def test_exponential_fit_bits_do_not_depend_on_blas_threads(self):
         # 30,000 samples is where OpenBLAS hands the fit's product to a worker

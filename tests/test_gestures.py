@@ -72,6 +72,10 @@ class TestDetectTransient:
         assert info.onset_idx == 2
         assert info.amplitude == pytest.approx(0.6, abs=1e-15)
 
+    @pytest.mark.parametrize("body", [[], [0.5]])
+    def test_fewer_than_two_samples_have_no_transient(self, body):
+        assert detect_transient(np.array(body), RATE, ClassifyParams()) is None
+
 
 class TestFitLinear:
     def test_exact_line_recovered(self):
@@ -166,6 +170,11 @@ class TestFitExponential:
         assert grid[0] == pytest.approx(0.2, rel=1e-12)
         assert grid[-1] == pytest.approx(50.0, rel=1e-12)
         assert np.all(np.diff(np.log(grid)) > 0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0])
+    def test_tau_grid_needs_a_positive_duration(self, duration):
+        with pytest.raises(ValueError, match="^duration must be positive$"):
+            make_tau_grid(duration)
 
 
 def staircase_oracle(y, rate, max_levels):

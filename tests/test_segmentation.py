@@ -326,6 +326,11 @@ class TestManualBoundaries:
         segments = apply_manual_boundaries(curve(vals), [5.0])
         assert segments == [Segment(0, 250), Segment(250, 500)]
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_curve_of_fewer_than_two_samples_rejected(self, n):
+        with pytest.raises(ValueError, match="^curve has %d samples, need at least 2$" % n):
+            apply_manual_boundaries(curve([0.0] * n), [])
+
     def test_no_cuts_is_whole_curve(self):
         segments = apply_manual_boundaries(curve([0.0] * 100), [])
         assert segments == [Segment(0, 100)]

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,8 +122,6 @@ class TestAgainstThePointByPointPlot:
     @example(values=[], rate=24.0, cuts=[])
     @example(values=[0.0, 1.0], rate=1.0, cuts=[0.5])
     @example(values=[0.00035], rate=24.0, cuts=[])
-    # an infinite rate, as a CSV whose times span 5e-324 s gives, has no duration
-    @example(values=[0.5, 0.5], rate=math.inf, cuts=[])
     @settings(max_examples=300, deadline=None)
     def test_plot_gives_the_same_bytes(self, values, rate, cuts):
         curve = make_curve(values, rate)
@@ -130,3 +129,10 @@ class TestAgainstThePointByPointPlot:
         segments = [(a, b, "s%d" % i) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
         for drawn in (None, segments if curve.duration > 0 else None):
             assert plot_svg(curve, drawn) == _parent_plot_svg(curve, drawn)
+
+    # a curve with samples always lasts, so the plot divides by its duration
+    # unguarded
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_a_rate_that_is_not_finite_and_positive_is_refused(self, rate):
+        with pytest.raises(ValueError, match="^curve sample rate must be finite and positive$"):
+            make_curve([0.5, 0.5], rate)
